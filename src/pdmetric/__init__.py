@@ -8,7 +8,6 @@ and dense families, a separability adversary, and the sup-cube truncation
 gap obstructing geodesics).
 """
 
-from ._kernels import NUMBA_ENABLED
 from .diagram import (
     Diagram,
     canonicalize,
@@ -88,7 +87,6 @@ from .spaces import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "NUMBA_ENABLED",
     "__version__",
     # spaces
     "SUP",

@@ -8,177 +8,135 @@ cost the quotient distance, point-to-slot edges cost the distance to A
 
 ``augmented_matching`` decides threshold feasibility for the bottleneck
 distance via Hopcroft-Karp; ``solve_assignment`` finds an exact min-cost
-perfect assignment (Jonker-Volgenant style Hungarian with potentials) for
-p-Wasserstein costs.
+perfect assignment (Hungarian algorithm with potentials) for p-Wasserstein
+costs.
 
-The kernels compile with numba when it is importable and the environment
-variable PDMETRIC_NO_NUMBA is unset; the pure-Python path runs the very
-same function bodies, so both paths return identical results.
+There is one kernel path, written with numpy.  Each kernel keeps the scan
+order of the element-by-element loops it replaced: neighbours are visited
+in ascending column order, ties go to the first candidate, and every
+floating-point operation happens in the same order.  The returned arrays
+are therefore identical to that scalar reference (kept as
+``tests/reference_kernels.py``) on every input, which the tests check.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = ["NUMBA_ENABLED", "augmented_matching", "solve_assignment"]
-
-_DISABLED = os.environ.get("PDMETRIC_NO_NUMBA", "").strip().lower() in {
-    "1",
-    "true",
-    "yes",
-    "on",
-}
-
-if not _DISABLED:
-    try:
-        from numba import njit as _njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - depends on the environment
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
+__all__ = ["augmented_matching", "solve_assignment"]
 
 
-def _maybe_jit(func):
-    if NUMBA_ENABLED:
-        return _njit(cache=True)(func)
-    return func
+def _admissible(Q, ax, ay, r):
+    """N x N boolean adjacency of the augmented instance at threshold r.
 
-
-def _neighbor_impl(u, c, Q, ax, ay, r, n, m):
-    """c-th candidate neighbor of left node u at threshold r, or -1.
-
-    Left u < n is a point: neighbors are the m right points (admissible
-    when Q[u, j] <= r) plus its dedicated A slot m + u (when ax[u] <= r).
-    Left u >= n is an A slot: its dedicated right point u - n (when
-    ay[u - n] <= r) plus every right A slot, always admissible.
+    Left u < n is a point: its neighbours are the right points j with
+    Q[u, j] <= r and its dedicated A slot m + u when ax[u] <= r.  Left
+    u = n + k is an A slot: its neighbours are right point k when
+    ay[k] <= r and every right A slot.
     """
-    if u < n:
-        if c < m:
-            if Q[u, c] <= r:
-                return c
-            return -1
-        if ax[u] <= r:
-            return m + u
-        return -1
-    if c == 0:
-        j = u - n
-        if ay[j] <= r:
-            return j
-        return -1
-    return m + (c - 1)
-
-
-def _augmented_matching_impl(Q, ax, ay, r):
-    """Maximum matching at threshold r; returns left-to-right match array
-    with -1 for unmatched left nodes.  The threshold is feasible exactly
-    when no -1 remains."""
-    n = Q.shape[0]
-    m = Q.shape[1]
+    n, m = Q.shape
     N = n + m
-    INF = N + 1
-    ml = np.full(N, -1, np.int64)
-    mr = np.full(N, -1, np.int64)
-    layer = np.empty(N, np.int64)
-    bfs_queue = np.empty(N, np.int64)
-    stack = np.empty(N + 1, np.int64)
-    chosen = np.empty(N + 1, np.int64)
-    cursor = np.empty(N, np.int64)
+    adj = np.zeros((N, N), np.bool_)
+    adj[:n, :m] = Q <= r
+    flat = adj.reshape(-1)
+    flat[m : n * N : N + 1] = ax <= r  # entries (u, m + u)
+    flat[n * N :: N + 1] = ay <= r  # entries (n + k, k)
+    adj[n:, m:] = True
+    return adj
 
-    # greedy warm start
+
+def augmented_matching(Q, ax, ay, r):
+    """Maximum matching at threshold r; returns the left-to-right match
+    array (int64) with -1 for unmatched left nodes.  The threshold is
+    feasible exactly when no -1 remains."""
+    N = Q.shape[0] + Q.shape[1]
+    INF = N + 1
+    adj = _admissible(Q, ax, ay, r)
+    # adjacency lists, each in ascending column order
+    cols = adj.nonzero()[1]
+    starts = [0]
+    starts += adj.sum(axis=1).cumsum().tolist()
+    ml = np.empty(N, np.int64)
+    ml.fill(-1)
+    mr = ml.copy()
+
+    # greedy warm start: each left node takes its first free neighbour
     for u in range(N):
-        deg = (m + 1) if u < n else (1 + n)
-        for c in range(deg):
-            v = _neighbor_impl(u, c, Q, ax, ay, r, n, m)
-            if v >= 0 and mr[v] < 0:
+        s, e = starts[u], starts[u + 1]
+        if s < e:
+            nb = cols[s:e]
+            free = mr[nb] < 0
+            k = free.argmax()
+            if free[k]:
+                v = nb[k]
                 ml[u] = v
                 mr[v] = u
-                break
 
+    # layer[N] answers for the -1 of a free right node, see the DFS below
+    layer = np.empty(N + 1, np.int64)
     while True:
-        # BFS phase: layer left nodes by alternating distance from free ones
-        qh = 0
-        qt = 0
-        for u in range(N):
-            if ml[u] < 0:
-                layer[u] = 0
-                bfs_queue[qt] = u
-                qt += 1
-            else:
-                layer[u] = INF
+        # BFS phase, one whole layer at a time, up to the first layer that
+        # reaches a free right node
+        layer.fill(INF)
+        frontier = (ml < 0).nonzero()[0]
+        layer[frontier] = 0
         free_layer = INF
-        while qh < qt:
-            u = bfs_queue[qh]
-            qh += 1
-            if layer[u] >= free_layer:
-                continue
-            deg = (m + 1) if u < n else (1 + n)
-            for c in range(deg):
-                v = _neighbor_impl(u, c, Q, ax, ay, r, n, m)
-                if v < 0:
-                    continue
-                w = mr[v]
-                if w < 0:
-                    if free_layer == INF:
-                        free_layer = layer[u] + 1
-                elif layer[w] == INF:
-                    layer[w] = layer[u] + 1
-                    bfs_queue[qt] = w
-                    qt += 1
+        depth = 0
+        while frontier.size:
+            reached = mr[adj[frontier].any(axis=0)]
+            w = reached[reached >= 0]
+            if w.size < reached.size:  # a free right node was reached
+                free_layer = depth + 1
+            w = w[layer[w] == INF]
+            layer[w] = depth + 1
+            if free_layer != INF:
+                break
+            frontier = w
+            depth += 1
         if free_layer == INF:
             break
 
-        # DFS phase: vertex-disjoint shortest augmenting paths
-        for u in range(N):
-            cursor[u] = 0
-        for u0 in range(N):
-            if ml[u0] >= 0:
-                continue
-            top = 0
-            stack[0] = u0
-            success = False
-            while top >= 0:
-                u = stack[top]
-                deg = (m + 1) if u < n else (1 + n)
-                moved = False
-                while cursor[u] < deg:
-                    c = cursor[u]
-                    cursor[u] += 1
-                    v = _neighbor_impl(u, c, Q, ax, ay, r, n, m)
-                    if v < 0:
-                        continue
-                    w = mr[v]
-                    if w < 0:
-                        if layer[u] + 1 == free_layer:
-                            chosen[top] = v
-                            success = True
-                            moved = True
+        # DFS phase: vertex-disjoint shortest augmenting paths.  A step from
+        # u may take neighbour v when layer[mr[v]] == layer[u] + 1; with
+        # layer[N] = free_layer this also admits a free v (mr[v] == -1)
+        # exactly when u sits on the last layer.
+        layer[N] = free_layer
+        cursor = starts[:N]
+        for u0 in (ml < 0).nonzero()[0].tolist():
+            stack = [u0]
+            chosen = []
+            while stack:
+                u = stack[-1]
+                c, e = cursor[u], starts[u + 1]
+                if c < e:
+                    ok = layer[mr[cols[c:e]]] == layer[u] + 1
+                    k = int(ok.argmax())
+                    if ok[k]:
+                        cursor[u] = c + k + 1
+                        v = int(cols[c + k])
+                        chosen.append(v)
+                        w = int(mr[v])
+                        if w < 0:
                             break
-                    elif layer[w] == layer[u] + 1:
-                        chosen[top] = v
-                        top += 1
-                        stack[top] = w
-                        moved = True
-                        break
-                if success:
-                    break
-                if not moved:
-                    layer[u] = INF
-                    top -= 1
-            if success:
-                for k in range(top, -1, -1):
-                    mr[chosen[k]] = stack[k]
-                    ml[stack[k]] = chosen[k]
+                        stack.append(w)
+                        continue
+                    cursor[u] = e
+                layer[u] = INF
+                stack.pop()
+                if chosen:
+                    chosen.pop()
+            if stack:
+                for u, v in zip(stack, chosen):
+                    mr[v] = u
+                    ml[u] = v
     return ml
 
 
-def _solve_assignment_impl(cost):
+def solve_assignment(cost):
     """Min-cost perfect assignment on a square matrix; returns, for each
-    column, the row assigned to it.  Hungarian algorithm with potentials,
-    O(n^3), deterministic scan order."""
+    column, the row assigned to it (int64).  Hungarian algorithm with
+    potentials, O(n^3); each column scan is one vectorized pass that keeps
+    the first minimum, as a strict ``<`` scan in column order would."""
     nn = cost.shape[0]
     u = np.zeros(nn + 1, np.float64)
     v = np.zeros(nn + 1, np.float64)
@@ -186,32 +144,28 @@ def _solve_assignment_impl(cost):
     way = np.zeros(nn + 1, np.int64)
     minv = np.empty(nn + 1, np.float64)
     used = np.empty(nn + 1, np.bool_)
+    # views over columns 1..nn
+    minv1, used1, v1, way1 = minv[1:], used[1:], v[1:], way[1:]
     for i in range(1, nn + 1):
         p[0] = i
         j0 = 0
-        for j in range(nn + 1):
-            minv[j] = np.inf
-            used[j] = False
+        minv.fill(np.inf)
+        used.fill(False)
         while True:
             used[j0] = True
             i0 = p[j0]
-            delta = np.inf
-            j1 = -1
-            for j in range(1, nn + 1):
-                if not used[j]:
-                    cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            for j in range(nn + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
+            cur = cost[i0 - 1] - u[i0] - v1
+            free = ~used1
+            better = free & (cur < minv1)
+            minv1[better] = cur[better]
+            way1[better] = j0
+            masked = np.where(free, minv1, np.inf)
+            j1 = int(masked.argmin())
+            delta = masked[j1]
+            j1 += 1
+            u[p[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
             j0 = j1
             if p[j0] == 0:
                 break
@@ -222,18 +176,3 @@ def _solve_assignment_impl(cost):
             if j0 == 0:
                 break
     return p[1:] - 1
-
-
-_neighbor_impl = _maybe_jit(_neighbor_impl)
-augmented_matching = _maybe_jit(_augmented_matching_impl)
-solve_assignment = _maybe_jit(_solve_assignment_impl)
-
-
-def plain_augmented_matching(Q, ax, ay, r):
-    """Pure-Python path, for cross-checking the compiled kernel."""
-    return _augmented_matching_impl(Q, ax, ay, r)
-
-
-def plain_solve_assignment(cost):
-    """Pure-Python path, for cross-checking the compiled kernel."""
-    return _solve_assignment_impl(cost)

@@ -74,6 +74,18 @@ class Matching:
     sum_cost_p: float | None = None
 
 
+def _power_sum(costs: list[float], p: float) -> float:
+    """Compensated sum of the sorted p-th cost powers (finite p >= 1).
+
+    Raises TooLarge when a power or the sum overflows the float range."""
+    if p == 1.0:
+        return math.fsum(sorted(costs))
+    try:
+        return math.fsum(sorted(c**p for c in costs))
+    except OverflowError as e:
+        raise TooLarge(f"cost powers overflow the float range at p = {p}") from e
+
+
 def p_norm(costs: Iterable[float], p: float) -> tuple[float, float | None]:
     """(value, sum of p-th powers) of a cost multiset, order-independent."""
     costs = list(costs)
@@ -81,10 +93,9 @@ def p_norm(costs: Iterable[float], p: float) -> tuple[float, float | None]:
         return (max(costs) if costs else 0.0, None)
     if not costs:
         return 0.0, 0.0
+    s = _power_sum(costs, p)
     if p == 1.0:
-        s = math.fsum(sorted(costs))
         return s, s
-    s = math.fsum(sorted(c**p for c in costs))
     return s ** (1.0 / p), s
 
 
@@ -134,13 +145,18 @@ def _build_pairs(xs, ys, assign_l, n, m, D, Q, ax, ay) -> tuple[MatchedPair, ...
     return tuple(out)
 
 
+def _candidates(Q: np.ndarray, ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
+    """Sorted distinct values the bottleneck distance can take: 0, the
+    pairwise quotient costs, and each point's distance to A."""
+    return np.unique(np.concatenate((np.array([0.0]), Q.ravel(), ax, ay)))
+
+
 def candidate_thresholds(sigma: Diagram, tau: Diagram, pair: MetricPair,
                          max_nodes: int = DEFAULT_NODE_CAP) -> list[float]:
     """Sorted distinct values the bottleneck distance can take: 0, the
     pairwise quotient costs, and each point's distance to A."""
     _, _, _, Q, ax, ay = _cost_data(sigma, tau, pair, max_nodes)
-    vals = np.concatenate((np.array([0.0]), Q.ravel(), ax, ay))
-    return [float(v) for v in np.unique(vals)]
+    return _candidates(Q, ax, ay).tolist()
 
 
 def feasible_at_threshold(
@@ -172,22 +188,32 @@ def bottleneck(
 ) -> tuple[float, Matching]:
     """Exact bottleneck distance and an optimal matching.
 
-    Binary search over the sorted candidate costs; the returned value is
-    exactly the largest cost of the returned matching.
+    Binary search over the sorted candidate costs inside the bracket
+    [LB, UB]: every point must go to A or to a partner, so no threshold
+    below LB = max over points of min(distance to A, cheapest partner) is
+    feasible, while sending every point to A makes UB = the largest
+    distance to A feasible.  Both are candidates, so the search finds the
+    same smallest feasible candidate as a search over the whole set.  The
+    returned value is exactly the largest cost of the returned matching.
     """
     xs, ys, D, Q, ax, ay = _cost_data(sigma, tau, pair, max_nodes)
     n, m = len(xs), len(ys)
-    cands = np.unique(np.concatenate((np.array([0.0]), Q.ravel(), ax, ay)))
-    lo, hi = 0, len(cands) - 1
+    cands = _candidates(Q, ax, ay)
+    cheapest = np.concatenate((np.minimum(ax, Q.min(axis=1, initial=np.inf)),
+                               np.minimum(ay, Q.min(axis=0, initial=np.inf))))
+    dist_to_A = np.concatenate((ax, ay))
+    lo, hi = cands.searchsorted((cheapest.max(initial=0.0), dist_to_A.max(initial=0.0))).tolist()
+    ml, ml_at = None, -1  # last feasible matching and its candidate index
     while lo < hi:
         mid = (lo + hi) // 2
-        ml = augmented_matching(Q, ax, ay, float(cands[mid]))
-        if np.any(ml < 0):
+        trial = augmented_matching(Q, ax, ay, float(cands[mid]))
+        if np.any(trial < 0):
             lo = mid + 1
         else:
             hi = mid
-    r = float(cands[lo])
-    ml = augmented_matching(Q, ax, ay, r)
+            ml, ml_at = trial, mid
+    if ml_at != lo:
+        ml = augmented_matching(Q, ax, ay, float(cands[lo]))
     pairs = _build_pairs(xs, ys, ml, n, m, D, Q, ax, ay)
     value = max((q.cost for q in pairs), default=0.0)
     return value, Matching(pairs, value, math.inf, value, None)
@@ -212,9 +238,12 @@ def wasserstein(
     if N == 0:
         return 0.0, Matching((), 0.0, p, 0.0, 0.0)
     C = np.zeros((N, N), dtype=np.float64)
-    C[:n, :m] = Q**p
-    C[:n, m:] = np.broadcast_to((ax**p)[:, None], (n, n))
-    C[n:, :m] = np.broadcast_to((ay**p)[None, :], (m, m))
+    with np.errstate(over="ignore"):
+        C[:n, :m] = Q**p
+        C[:n, m:] = np.broadcast_to((ax**p)[:, None], (n, n))
+        C[n:, :m] = np.broadcast_to((ay**p)[None, :], (m, m))
+    if not np.isfinite(C).all():
+        raise TooLarge(f"cost powers overflow the float range at p = {p}")
     row_of_col = solve_assignment(np.ascontiguousarray(C))
     assign_l = np.empty(N, dtype=np.int64)
     assign_l[row_of_col] = np.arange(N)
@@ -259,12 +288,7 @@ def brute_force_dp(
                 costs.extend(float(ax[i]) for i in rest)
                 used = set(right_perm)
                 costs.extend(float(ay[j]) for j in range(m) if j not in used)
-                if inf_p:
-                    key = max(costs, default=0.0)
-                elif p == 1.0:
-                    key = math.fsum(sorted(costs))
-                else:
-                    key = math.fsum(sorted(c**p for c in costs))
+                key = max(costs, default=0.0) if inf_p else _power_sum(costs, p)
                 if key < best_key:
                     best_key = key
                     assign = [-1] * n

@@ -209,18 +209,39 @@ def _lerp(x: tuple[float, ...], y: tuple[float, ...], t: float) -> tuple[float, 
     return tuple((1.0 - t) * a + t * b for a, b in zip(x, y))
 
 
+# Byte budget of the (rows, m, dim) difference array that pairwise
+# distances build per block of rows; bounds their peak memory.
+_PAIRWISE_BLOCK_BYTES = 8 << 20
+
+
+def _norm_batch(diffs: np.ndarray, norm: str) -> np.ndarray:
+    """Norm over the last axis of an array of coordinate vectors."""
+    if norm == EUCLIDEAN:
+        return np.sqrt((diffs * diffs).sum(axis=-1))
+    return np.abs(diffs).max(axis=-1)
+
+
+def _pairwise_norm(xs: np.ndarray, ys: np.ndarray, norm: str) -> np.ndarray:
+    """Matrix of norm(x - y) over the rows of xs and ys.
+
+    Works through xs in blocks of rows so the difference array stays
+    within _PAIRWISE_BLOCK_BYTES; every entry comes from the same
+    expression as in one unblocked pass, so the result is bit-identical.
+    """
+    n, m = xs.shape[0], ys.shape[0]
+    rows = max(1, _PAIRWISE_BLOCK_BYTES // (8 * max(1, m * xs.shape[1])))
+    out = np.empty((n, m), dtype=np.float64)
+    for s in range(0, n, rows):
+        out[s : s + rows] = _norm_batch(xs[s : s + rows, None, :] - ys[None, :, :], norm)
+    return out
+
+
 class _VectorPair(MetricPair):
     """Shared machinery for pairs whose points are real vectors and whose
     geodesics are straight segments (constant speed in both norms)."""
 
-    def _norm_batch(self, diffs: np.ndarray) -> np.ndarray:
-        # diffs has shape (..., dim)
-        if self.norm == EUCLIDEAN:
-            return np.sqrt((diffs * diffs).sum(axis=-1))
-        return np.abs(diffs).max(axis=-1)
-
     def pairwise_dist(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return self._norm_batch(xs[:, None, :] - ys[None, :, :])
+        return _pairwise_norm(xs, ys, self.norm)
 
     def geodesic(self, x: Point, y: Point, t: float) -> Point:
         self.check_point(x)
@@ -315,7 +336,7 @@ class HalfLineOrigin(MetricPair):
         return {"kind": self.kind, "dim": self.dim}
 
 
-class SupCubeTruncatedC0(MetricPair):
+class SupCubeTruncatedC0(_VectorPair):
     """R^m with the sup norm and A = {0}: the m-coordinate truncation of
     the space of vanishing sequences.  Geodesics are straight segments."""
 
@@ -338,21 +359,12 @@ class SupCubeTruncatedC0(MetricPair):
         if not all(math.isfinite(c) for c in coords):
             raise ValueError("coordinates must be finite")
 
-    def pairwise_dist(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return np.abs(xs[:, None, :] - ys[None, :, :]).max(axis=-1)
-
     def dist_to_A_batch(self, xs: np.ndarray) -> np.ndarray:
-        return np.abs(xs).max(axis=-1)
+        return _norm_batch(xs, SUP)
 
     def proj_to_A(self, x: Point) -> Point:
         self.check_point(x)
         return Point(self.space_id, (0.0,) * self.dim)
-
-    def geodesic(self, x: Point, y: Point, t: float) -> Point:
-        self.check_point(x)
-        self.check_point(y)
-        t = _check_t(t)
-        return Point(self.space_id, _lerp(x.coords, y.coords, t))
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "dim": self.dim}

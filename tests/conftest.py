@@ -3,27 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from pdmetric import (
-    FiniteExplicit,
-    HalfLineOrigin,
-    PlaneDiagonal,
-    bottleneck,
-    canonicalize,
-    wasserstein,
-)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Touch both kernels once so jit compilation never lands inside a
-    timed assertion."""
-    pair = PlaneDiagonal()
-    s = canonicalize([pair.point(0.0, 1.0)], pair)
-    t = canonicalize([pair.point(0.0, 2.0)], pair)
-    bottleneck(s, t, pair)
-    wasserstein(s, t, 2.0, pair)
+from pdmetric import FiniteExplicit, HalfLineOrigin, PlaneDiagonal, canonicalize
 
 
 def random_plane_diagram(pair, rng, max_points=5, scale=10.0, gap=8.0):

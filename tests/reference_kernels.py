@@ -1,0 +1,185 @@
+"""Frozen scalar reference for the vectorized kernels in ``pdmetric._kernels``.
+
+These are the element-by-element Hopcroft-Karp and Hungarian loops the
+package shipped before its kernels were vectorized.  They are kept only as
+a test oracle: the vectorized kernels must return exactly the same arrays.
+Do not edit them to follow changes in the package.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def _neighbor(u, c, Q, ax, ay, r, n, m):
+    """c-th candidate neighbor of left node u at threshold r, or -1.
+
+    Left u < n is a point: neighbors are the m right points (admissible
+    when Q[u, j] <= r) plus its dedicated A slot m + u (when ax[u] <= r).
+    Left u >= n is an A slot: its dedicated right point u - n (when
+    ay[u - n] <= r) plus every right A slot, always admissible.
+    """
+    if u < n:
+        if c < m:
+            if Q[u, c] <= r:
+                return c
+            return -1
+        if ax[u] <= r:
+            return m + u
+        return -1
+    if c == 0:
+        j = u - n
+        if ay[j] <= r:
+            return j
+        return -1
+    return m + (c - 1)
+
+
+def augmented_matching(Q, ax, ay, r):
+    """Maximum matching at threshold r; returns left-to-right match array
+    with -1 for unmatched left nodes."""
+    n = Q.shape[0]
+    m = Q.shape[1]
+    N = n + m
+    INF = N + 1
+    ml = np.full(N, -1, np.int64)
+    mr = np.full(N, -1, np.int64)
+    layer = np.empty(N, np.int64)
+    bfs_queue = np.empty(N, np.int64)
+    stack = np.empty(N + 1, np.int64)
+    chosen = np.empty(N + 1, np.int64)
+    cursor = np.empty(N, np.int64)
+
+    # greedy warm start
+    for u in range(N):
+        deg = (m + 1) if u < n else (1 + n)
+        for c in range(deg):
+            v = _neighbor(u, c, Q, ax, ay, r, n, m)
+            if v >= 0 and mr[v] < 0:
+                ml[u] = v
+                mr[v] = u
+                break
+
+    while True:
+        # BFS phase: layer left nodes by alternating distance from free ones
+        qh = 0
+        qt = 0
+        for u in range(N):
+            if ml[u] < 0:
+                layer[u] = 0
+                bfs_queue[qt] = u
+                qt += 1
+            else:
+                layer[u] = INF
+        free_layer = INF
+        while qh < qt:
+            u = bfs_queue[qh]
+            qh += 1
+            if layer[u] >= free_layer:
+                continue
+            deg = (m + 1) if u < n else (1 + n)
+            for c in range(deg):
+                v = _neighbor(u, c, Q, ax, ay, r, n, m)
+                if v < 0:
+                    continue
+                w = mr[v]
+                if w < 0:
+                    if free_layer == INF:
+                        free_layer = layer[u] + 1
+                elif layer[w] == INF:
+                    layer[w] = layer[u] + 1
+                    bfs_queue[qt] = w
+                    qt += 1
+        if free_layer == INF:
+            break
+
+        # DFS phase: vertex-disjoint shortest augmenting paths
+        for u in range(N):
+            cursor[u] = 0
+        for u0 in range(N):
+            if ml[u0] >= 0:
+                continue
+            top = 0
+            stack[0] = u0
+            success = False
+            while top >= 0:
+                u = stack[top]
+                deg = (m + 1) if u < n else (1 + n)
+                moved = False
+                while cursor[u] < deg:
+                    c = cursor[u]
+                    cursor[u] += 1
+                    v = _neighbor(u, c, Q, ax, ay, r, n, m)
+                    if v < 0:
+                        continue
+                    w = mr[v]
+                    if w < 0:
+                        if layer[u] + 1 == free_layer:
+                            chosen[top] = v
+                            success = True
+                            moved = True
+                            break
+                    elif layer[w] == layer[u] + 1:
+                        chosen[top] = v
+                        top += 1
+                        stack[top] = w
+                        moved = True
+                        break
+                if success:
+                    break
+                if not moved:
+                    layer[u] = INF
+                    top -= 1
+            if success:
+                for k in range(top, -1, -1):
+                    mr[chosen[k]] = stack[k]
+                    ml[stack[k]] = chosen[k]
+    return ml
+
+
+def solve_assignment(cost):
+    """Min-cost perfect assignment on a square matrix; returns, for each
+    column, the row assigned to it."""
+    nn = cost.shape[0]
+    u = np.zeros(nn + 1, np.float64)
+    v = np.zeros(nn + 1, np.float64)
+    p = np.zeros(nn + 1, np.int64)
+    way = np.zeros(nn + 1, np.int64)
+    minv = np.empty(nn + 1, np.float64)
+    used = np.empty(nn + 1, np.bool_)
+    for i in range(1, nn + 1):
+        p[0] = i
+        j0 = 0
+        for j in range(nn + 1):
+            minv[j] = np.inf
+            used[j] = False
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            delta = np.inf
+            j1 = -1
+            for j in range(1, nn + 1):
+                if not used[j]:
+                    cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
+                    if cur < minv[j]:
+                        minv[j] = cur
+                        way[j] = j0
+                    if minv[j] < delta:
+                        delta = minv[j]
+                        j1 = j
+            for j in range(nn + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while True:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+            if j0 == 0:
+                break
+    return p[1:] - 1

@@ -122,6 +122,22 @@ def test_too_large_exits_4(capsys):
     assert code == 4
 
 
+def test_overflowing_cost_power_exits_4():
+    """At p = 400 the cost powers overflow the float range: the command
+    ends with the size-cap exit code and a message, not a hang or a
+    traceback."""
+    sigma = '{"points":[{"coords":[0,20]},{"coords":[0,60]}]}'
+    tau = '{"points":[{"coords":[0,24]},{"coords":[0,40]}]}'
+    out = subprocess.run(
+        [sys.executable, "-m", "pdmetric.cli", "dist", sigma, tau,
+         "--space", PLANE, "--p", "400"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 4
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr and out.stderr.strip()
+
+
 def test_no_geodesic_oracle_exits_5(capsys):
     empty = '{"points": []}'
     code, _, err = run_main(

@@ -23,6 +23,7 @@ from pdmetric import (
     matching_to_json,
     wasserstein,
 )
+from pdmetric.matching import p_norm
 
 from conftest import (
     halfline,
@@ -95,6 +96,48 @@ def test_candidate_thresholds_and_feasibility():
     assert feasible_at_threshold(s, empty, pair, 1.9)[0] is False
     assert feasible_at_threshold(s, empty, pair, 2.0)[0] is True
     assert feasible_at_threshold(s, empty, pair, -1.0)[0] is False
+
+
+def test_bottleneck_evaluates_each_threshold_once(monkeypatch):
+    """The witness reuses the search's last feasible matching instead of
+    running the kernel again at the final threshold."""
+    import pdmetric.matching as pm
+
+    seen = []
+    kernel = pm.augmented_matching
+
+    def counting(Q, ax, ay, r):
+        seen.append(r)
+        return kernel(Q, ax, ay, r)
+
+    monkeypatch.setattr(pm, "augmented_matching", counting)
+    rng = np.random.default_rng(17)
+    for pair in (plane_sup(), plane_euclidean()):
+        for _ in range(40):
+            s = random_plane_diagram(pair, rng, max_points=8)
+            t = random_plane_diagram(pair, rng, max_points=8)
+            seen.clear()
+            value, _ = bottleneck(s, t, pair)
+            assert len(seen) == len(set(seen)), seen
+            assert value in candidate_thresholds(s, t, pair)
+
+
+def test_overflowing_cost_powers_raise_too_large():
+    pair = plane_sup()
+    huge = canonicalize([pair.point(0.0, 1e200)], pair)
+    with pytest.raises(TooLarge):
+        wasserstein(huge, empty_diagram(pair), 2.0, pair)
+    with pytest.raises(TooLarge):
+        brute_force_dp(huge, empty_diagram(pair), 2.0, pair)
+    # each power is finite, their sum is not
+    with pytest.raises(TooLarge):
+        p_norm([1e154, 1e154], 2.0)
+    with pytest.raises(TooLarge):
+        matching_from_json({"pairs": [{"left": [0.0, 1e200], "right": "A", "cost": 5e199}],
+                            "p": 2.0}, pair)
+    # the same diagrams stay solvable where the powers fit
+    assert wasserstein(huge, empty_diagram(pair), 1.0, pair)[0] == 5e199
+    assert bottleneck(huge, empty_diagram(pair), pair)[0] == 5e199
 
 
 def test_empty_diagrams():

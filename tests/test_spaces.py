@@ -188,6 +188,29 @@ def test_scalar_and_batch_distances_agree():
                 assert pair.dist(p, q) == D[i, j]
 
 
+@pytest.mark.parametrize("norm", [SUP, EUCLIDEAN])
+@pytest.mark.parametrize("dim", [2, 11])
+def test_blocked_pairwise_distances_are_bit_identical(norm, dim):
+    """Row-blocked distances equal one unblocked pass bit for bit, on
+    inputs spanning several blocks of the real byte budget."""
+    from pdmetric.spaces import _PAIRWISE_BLOCK_BYTES, _pairwise_norm
+
+    rng = np.random.default_rng(dim)
+    m = 300
+    n = 3 * _PAIRWISE_BLOCK_BYTES // (8 * m * dim) + 7
+    xs = rng.uniform(-50.0, 50.0, (n, dim))
+    ys = rng.uniform(-50.0, 50.0, (m, dim))
+    ys[:5] = xs[:5]  # exact zeros
+    diffs = xs[:, None, :] - ys[None, :, :]
+    if norm == EUCLIDEAN:
+        want = np.sqrt((diffs * diffs).sum(axis=-1))
+    else:
+        want = np.abs(diffs).max(axis=-1)
+    got = _pairwise_norm(xs, ys, norm)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 # -- products ----------------------------------------------------------------
 
 
