@@ -13,7 +13,6 @@ from .diagram import (
     canonicalize,
     empty_diagram,
     parse_diagram,
-    total_persistence,
     write_diagram,
 )
 from .errors import (
@@ -49,6 +48,7 @@ from .matching import (
     feasible_at_threshold,
     matching_from_json,
     matching_to_json,
+    total_persistence,
     wasserstein,
 )
 from .probes import (
@@ -77,11 +77,9 @@ from .spaces import (
     Point,
     QuotientOf,
     SupCubeTruncatedC0,
-    project_to_A,
     quotient_distance,
     quotient_geodesic,
     space_from_json,
-    space_to_json,
 )
 
 __version__ = "0.1.0"
@@ -101,15 +99,12 @@ __all__ = [
     "SupCubeTruncatedC0",
     "QuotientOf",
     "quotient_distance",
-    "project_to_A",
     "quotient_geodesic",
-    "space_to_json",
     "space_from_json",
     # diagrams
     "Diagram",
     "canonicalize",
     "empty_diagram",
-    "total_persistence",
     "parse_diagram",
     "write_diagram",
     # matching
@@ -120,6 +115,7 @@ __all__ = [
     "bottleneck",
     "wasserstein",
     "brute_force_dp",
+    "total_persistence",
     "matching_to_json",
     "matching_from_json",
     # geometry

@@ -30,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .diagram import Diagram, canonicalize, parse_diagram
+from .diagram import Diagram, _diagram_points_to_json, canonicalize, parse_diagram
 from .errors import (
     CoverageGap,
     EmptyAnnulus,
@@ -45,7 +45,7 @@ from .errors import (
     SpaceMismatch,
     TooLarge,
 )
-from .geodesics import c0_truncation_gap, geodesic_between, midpoint_check
+from .geodesics import _grid_check, c0_truncation_gap, geodesic_between
 from .matching import bottleneck, matching_to_json, wasserstein
 from .probes import (
     ProbeReport,
@@ -69,20 +69,9 @@ from .spaces import (
     space_from_json,
 )
 
-__all__ = ["CliConfig", "fmt_real", "main"]
+__all__ = ["fmt_real", "main"]
 
 _EXIT_BY_VERDICT = {Verdict.WITNESSED: 0, Verdict.REFUTED: 1, Verdict.INCONCLUSIVE: 6}
-
-
-@dataclasses.dataclass(frozen=True)
-class CliConfig:
-    space: MetricPair | None
-    p: float
-    steps: int
-    seed: int
-    fmt: str
-    matching_out: str | None
-    jobs: int
 
 
 def fmt_real(x: float) -> str:
@@ -179,11 +168,7 @@ def cmd_geodesic(args) -> int:
     if steps < 1:
         raise ParseError(f"--steps must be at least 1, got {steps}")
     path = geodesic_between(sigma, tau, pair)
-    frames = []
-    for i in range(steps + 1):
-        t = i / steps
-        frames.append((t, path.at(t)))
-    check = midpoint_check(sigma, tau, pair, grid=steps + 1)
+    frames, check = _grid_check(path, steps)
     if args.format == "csv":
         if pair.dim != 2:
             raise ParseError("CSV frames are only defined for two-coordinate plane pairs")
@@ -200,14 +185,7 @@ def cmd_geodesic(args) -> int:
         out = {
             "value": path.value,
             "frames": [
-                {
-                    "t": t,
-                    "points": [
-                        {"coords": [float(c) for c in pt.coords], "mult": m}
-                        for pt, m in frame.points
-                    ],
-                }
-                for t, frame in frames
+                {"t": t, "points": _diagram_points_to_json(frame)} for t, frame in frames
             ],
             "midpoint_check": check.to_json(),
         }

@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -32,7 +31,6 @@ __all__ = [
     "Diagram",
     "canonicalize",
     "empty_diagram",
-    "total_persistence",
     "parse_diagram",
     "write_diagram",
 ]
@@ -104,22 +102,6 @@ def canonicalize(
         (Point(pair.space_id, c), counts[c]) for c in sorted(counts.keys())
     )
     return Diagram(pair.space_id, ordered)
-
-
-def total_persistence(diagram: Diagram, p: float, pair: MetricPair) -> float:
-    """Distance to the empty diagram: sup of dist-to-A for p = inf, else
-    the p-norm of the dist-to-A multiset."""
-    _check_same_space(diagram, pair)
-    if diagram.is_empty:
-        return 0.0
-    dists = [pair.dist_to_A(q) for q in diagram.iter_points()]
-    if math.isinf(p):
-        return max(dists)
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
-    if p == 1.0:
-        return math.fsum(sorted(dists))
-    return math.fsum(sorted(d**p for d in dists)) ** (1.0 / p)
 
 
 def _check_same_space(diagram: Diagram, pair: MetricPair) -> None:
@@ -241,16 +223,18 @@ def _looks_numeric(cell: str) -> bool:
 # -- writing ---------------------------------------------------------------
 
 
+def _diagram_points_to_json(diagram: Diagram) -> list[dict]:
+    """JSON form of a diagram's points: [{"coords": [...], "mult": k}, ...]."""
+    return [{"coords": [float(c) for c in p.coords], "mult": m} for p, m in diagram.points]
+
+
 def write_diagram(diagram: Diagram, fmt: str, pair: MetricPair | None = None) -> str:
     """Serialize a diagram; the inverse of parse_diagram up to canonical
     form (exactly: parse(write(d)) == d)."""
     if fmt == "json":
         obj = {
             "space": pair.to_json() if pair is not None else diagram.space_id,
-            "points": [
-                {"coords": [float(c) for c in p.coords], "mult": m}
-                for p, m in diagram.points
-            ],
+            "points": _diagram_points_to_json(diagram),
         }
         return json.dumps(obj, sort_keys=True)
     if fmt == "csv":

@@ -31,8 +31,8 @@ from .spaces import (
     MetricPair,
     Point,
     SupCubeTruncatedC0,
+    _through_A,
     quotient_distance,
-    quotient_geodesic,
 )
 
 __all__ = [
@@ -125,33 +125,12 @@ class DiagramPath:
             return BASEPOINT
         if isinstance(x, BasepointTag):
             # grows out of A along the projection geodesic
-            p = pair.proj_to_A(y)
-            if isinstance(p, BasepointTag):
-                return pair.geodesic(BASEPOINT, y, t)
-            return pair.geodesic(p, y, t)
+            return pair.geodesic(pair.proj_to_A(y), y, t)
         if isinstance(y, BasepointTag):
-            p = pair.proj_to_A(x)
-            if isinstance(p, BasepointTag):
-                return pair.geodesic(x, BASEPOINT, t)
-            return pair.geodesic(x, p, t)
+            return pair.geodesic(x, pair.proj_to_A(x), t)
         if leg.route is Route.THROUGH_A:
-            return _through_A_position(pair, x, y, t)
+            return _through_A(pair, x, y, pair.dist_to_A(x), pair.dist_to_A(y), t)
         return pair.geodesic(x, y, t)
-
-
-def _through_A_position(pair: MetricPair, x: Point, y: Point, t: float):
-    """Arclength position on the path x -> A -> y at time t."""
-    ax = pair.dist_to_A(x)
-    ay = pair.dist_to_A(y)
-    total = ax + ay
-    if total == 0.0:
-        return BASEPOINT
-    s = t * total
-    if s < ax:
-        return pair.geodesic(x, pair.proj_to_A(x), s / ax)
-    if s > ax:
-        return pair.geodesic(pair.proj_to_A(y), y, (s - ax) / ay)
-    return BASEPOINT
 
 
 def geodesic_between(sigma: Diagram, tau: Diagram, pair: MetricPair,
@@ -181,10 +160,6 @@ def _classify_leg(pair: MetricPair, mp: MatchedPair, value: float) -> PathLeg:
     ay = pair.dist_to_A(y)
     d = pair.dist(x, y)
     cert = goodness(pair, x, y)
-    if not cert.verdict:
-        swapped = goodness(pair, y, x)
-        if swapped.verdict:
-            cert = swapped
     # reroute when the pair is at least as far apart as it is from A and
     # the detour does not exceed the path's speed budget
     if d >= max(ax, ay) and ax + ay <= value:
@@ -195,27 +170,32 @@ def _classify_leg(pair: MetricPair, mp: MatchedPair, value: float) -> PathLeg:
 def midpoint_check(sigma: Diagram, tau: Diagram, pair: MetricPair, grid: int = 11):
     """Verify the geodesic parametrization on a t-grid with the exact
     solver; returns a probe report with the worst deviation."""
-    from .probes import ProbeReport, Verdict
-
     if grid < 2:
         raise ValueError("grid needs at least the two endpoints")
-    path = geodesic_between(sigma, tau, pair)
-    base = path.value
+    _, report = _grid_check(geodesic_between(sigma, tau, pair), grid - 1)
+    return report
+
+
+def _grid_check(path: DiagramPath, steps: int):
+    """Frames (t, path.at(t)) at t = i / steps for i = 0..steps, and the
+    midpoint_check report verifying them with the exact solver."""
+    from .probes import ProbeReport, Verdict
+
+    frames = [(i / steps, path.at(i / steps)) for i in range(steps + 1)]
+    sigma, tau, pair, base = path.source, path.target, path.pair, path.value
     trace = []
     worst = 0.0
-    for i in range(grid):
-        t = i / (grid - 1)
-        frame = path.at(t)
+    for t, frame in frames:
         d_from, _ = bottleneck(sigma, frame, pair)
         d_to, _ = bottleneck(frame, tau, pair)
         dev = max(abs(d_from - t * base), abs(d_to - (1.0 - t) * base))
         worst = max(worst, dev)
         trace.append((t, dev))
     verdict = Verdict.WITNESSED if worst <= 1e-9 else Verdict.REFUTED
-    return ProbeReport(
+    return frames, ProbeReport(
         probe_name="midpoint_check",
         verdict=verdict,
-        witnesses={"distance": base, "max_deviation": worst, "grid": grid},
+        witnesses={"distance": base, "max_deviation": worst, "grid": steps + 1},
         numeric_trace=tuple(trace),
     )
 

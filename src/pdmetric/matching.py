@@ -16,7 +16,8 @@ discovered the pairs in.
 
 ``brute_force_dp`` enumerates every augmented bijection directly from the
 definition (ambient distances, explicit A-assignments) and is the oracle
-the solvers are validated against.
+the solvers are validated against.  ``total_persistence``, the distance to
+the empty diagram, is the same p-norm over the distances to A.
 """
 
 from __future__ import annotations
@@ -24,15 +25,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Iterable
 
 import numpy as np
 
 from ._kernels import augmented_matching, solve_assignment
 from .diagram import Diagram, _check_same_space
-from .errors import ParseError, SpaceMismatch, TooLarge
-from .spaces import BASEPOINT, BasepointTag, MetricPair, Point
+from .errors import ParseError, TooLarge
+from .spaces import BASEPOINT, BasepointTag, MetricPair, Point, _point_to_json, _quotient_costs
 
 __all__ = [
     "DEFAULT_NODE_CAP",
@@ -43,6 +44,7 @@ __all__ = [
     "bottleneck",
     "wasserstein",
     "brute_force_dp",
+    "total_persistence",
     "matching_to_json",
     "matching_from_json",
 ]
@@ -99,6 +101,23 @@ def p_norm(costs: Iterable[float], p: float) -> tuple[float, float | None]:
     return s ** (1.0 / p), s
 
 
+def _matching(pairs, p: float) -> Matching:
+    """The witness over ``pairs`` with its value, max cost and power sum
+    recomputed from the pair costs; for p = inf the value is the max."""
+    costs = [q.cost for q in pairs]
+    value, sum_p = p_norm(costs, p)
+    return Matching(tuple(pairs), value, p, max(costs, default=0.0), sum_p)
+
+
+def total_persistence(diagram: Diagram, p: float, pair: MetricPair) -> float:
+    """Distance to the empty diagram: sup of dist-to-A for p = inf, else
+    the p-norm of the dist-to-A multiset."""
+    _check_same_space(diagram, pair)
+    if p < 1.0 and not math.isinf(p):
+        raise ValueError(f"p must be >= 1 or inf, got {p}")
+    return p_norm([pair.dist_to_A(q) for q in diagram.iter_points()], p)[0]
+
+
 def _expand(diagram: Diagram, pair: MetricPair) -> tuple[list[Point], np.ndarray]:
     _check_same_space(diagram, pair)
     pts = list(diagram.iter_points())
@@ -114,7 +133,7 @@ def _cost_data(sigma: Diagram, tau: Diagram, pair: MetricPair, max_nodes: int):
     D = pair.pairwise_dist(X, Y)
     ax = pair.dist_to_A_batch(X)
     ay = pair.dist_to_A_batch(Y)
-    Q = np.minimum(D, ax[:, None] + ay[None, :])
+    Q = _quotient_costs(D, ax, ay)
     return xs, ys, np.ascontiguousarray(D), np.ascontiguousarray(Q), ax, ay
 
 
@@ -175,9 +194,7 @@ def feasible_at_threshold(
     ml = augmented_matching(Q, ax, ay, float(r))
     if np.any(ml < 0):
         return False, None
-    pairs = _build_pairs(xs, ys, ml, n, m, D, Q, ax, ay)
-    worst = max((q.cost for q in pairs), default=0.0)
-    return True, Matching(pairs, worst, math.inf, worst, None)
+    return True, _matching(_build_pairs(xs, ys, ml, n, m, D, Q, ax, ay), math.inf)
 
 
 def bottleneck(
@@ -214,9 +231,8 @@ def bottleneck(
             ml, ml_at = trial, mid
     if ml_at != lo:
         ml = augmented_matching(Q, ax, ay, float(cands[lo]))
-    pairs = _build_pairs(xs, ys, ml, n, m, D, Q, ax, ay)
-    value = max((q.cost for q in pairs), default=0.0)
-    return value, Matching(pairs, value, math.inf, value, None)
+    matching = _matching(_build_pairs(xs, ys, ml, n, m, D, Q, ax, ay), math.inf)
+    return matching.value, matching
 
 
 def wasserstein(
@@ -247,10 +263,8 @@ def wasserstein(
     row_of_col = solve_assignment(np.ascontiguousarray(C))
     assign_l = np.empty(N, dtype=np.int64)
     assign_l[row_of_col] = np.arange(N)
-    pairs = _build_pairs(xs, ys, assign_l, n, m, D, Q, ax, ay)
-    value, sum_p = p_norm((q.cost for q in pairs), p)
-    worst = max((q.cost for q in pairs), default=0.0)
-    return value, Matching(pairs, value, p, worst, sum_p)
+    matching = _matching(_build_pairs(xs, ys, assign_l, n, m, D, Q, ax, ay), p)
+    return matching.value, matching
 
 
 def brute_force_dp(
@@ -281,7 +295,7 @@ def brute_force_dp(
     # each sigma point maps to a tau point or to A (-1); each choice of
     # k matched sigma points pairs them with an ordered k-subset of tau
     for k in range(0, min(n, m) + 1):
-        for left_subset in _index_subsets(n, k):
+        for left_subset in combinations(range(n), k):
             rest = [i for i in range(n) if i not in left_subset]
             for right_perm in permutations(range(m), k):
                 costs = [float(D[i, j]) for i, j in zip(left_subset, right_perm)]
@@ -306,30 +320,17 @@ def brute_force_dp(
     for j in range(m):
         if j not in matched:
             pairs.append(MatchedPair(BASEPOINT, ys[j], float(ay[j])))
-    value, sum_p = p_norm((q.cost for q in pairs), p)
-    worst = max((q.cost for q in pairs), default=0.0)
-    return value, Matching(tuple(pairs), value, p, worst, sum_p)
-
-
-def _index_subsets(n: int, k: int):
-    from itertools import combinations
-
-    return combinations(range(n), k)
+    matching = _matching(pairs, p)
+    return matching.value, matching
 
 
 # -- serialization -----------------------------------------------------
 
 
-def _end_to_json(e: Point | BasepointTag):
-    if isinstance(e, BasepointTag):
-        return "A"
-    return [float(c) for c in e.coords]
-
-
 def matching_to_json(matching: Matching) -> dict:
     return {
         "pairs": [
-            {"left": _end_to_json(q.left), "right": _end_to_json(q.right), "cost": q.cost}
+            {"left": _point_to_json(q.left), "right": _point_to_json(q.right), "cost": q.cost}
             for q in matching.pairs
         ],
         "value": matching.value,
@@ -356,9 +357,9 @@ def matching_from_json(obj: dict | str, pair: MetricPair) -> Matching:
     pairs = tuple(
         MatchedPair(end(e["left"]), end(e["right"]), float(e["cost"])) for e in obj["pairs"]
     )
-    value, sum_p = p_norm((q.cost for q in pairs), p)
-    worst = max((q.cost for q in pairs), default=0.0)
+    matching = _matching(pairs, p)
     declared = obj.get("value")
-    if declared is not None and not math.isclose(float(declared), value, rel_tol=1e-9, abs_tol=1e-12):
-        raise ParseError(f"declared value {declared} disagrees with pairs ({value})")
-    return Matching(pairs, value, p, worst, sum_p)
+    if declared is not None and not math.isclose(float(declared), matching.value,
+                                                  rel_tol=1e-9, abs_tol=1e-12):
+        raise ParseError(f"declared value {declared} disagrees with pairs ({matching.value})")
+    return matching

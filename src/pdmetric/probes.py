@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .diagram import Diagram, canonicalize
+from .diagram import Diagram, _diagram_points_to_json, canonicalize
 from .errors import (
     CoverageGap,
     EmptyAnnulus,
@@ -31,7 +31,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .matching import bottleneck
-from .spaces import BasepointTag, FiniteExplicit, MetricPair, Point
+from .spaces import BasepointTag, FiniteExplicit, MetricPair, Point, _point_to_json
 
 __all__ = [
     "Verdict",
@@ -72,14 +72,10 @@ class ProbeReport:
 
 
 def _jsonify(v):
-    if isinstance(v, BasepointTag):
-        return "A"
-    if isinstance(v, Point):
-        return [float(c) for c in v.coords]
+    if isinstance(v, (Point, BasepointTag)):
+        return _point_to_json(v)
     if isinstance(v, Diagram):
-        return [
-            {"coords": [float(c) for c in p.coords], "mult": m} for p, m in v.points
-        ]
+        return _diagram_points_to_json(v)
     if isinstance(v, EpsNet):
         return {
             "epsilon": v.epsilon,

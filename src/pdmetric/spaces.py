@@ -5,14 +5,21 @@ closed subset A.  Each descriptor exposes:
 
 - the ambient distance ``dist`` and its vectorized form ``pairwise_dist``,
 - the distance-to-A function ``dist_to_A`` / ``dist_to_A_batch``,
-- optionally a nearest-point projection onto A and a constant-speed
-  geodesic oracle.
+- optionally a nearest-point projection onto A (``proj_to_A``) and a
+  constant-speed geodesic oracle (``geodesic``),
+- its JSON descriptor ``to_json``, read back by ``space_from_json``.
+
+The vector pairs share one base: the plane and its products override
+distance to the diagonal and its projection, while the half-line and the
+sup cube keep the base's A = {0} under the sup norm.
 
 Collapsing A to a single basepoint gives the quotient space X/A carrying
 the metric ``min(d(x, y), d(x, A) + d(y, A))``; ``QuotientOf`` wraps any
 descriptor as that quotient, and the free functions ``quotient_distance``
 and ``quotient_geodesic`` evaluate the quotient metric and its geodesics
-over the original pair.
+over the original pair.  ``_quotient_costs`` is the one home of the
+quotient cost matrix and ``_through_A`` of the arclength path
+x -> A -> y; the matching and geodesic modules call both.
 
 All descriptors are immutable and all operations are pure, so values can
 be shared freely across threads or processes.
@@ -50,9 +57,7 @@ __all__ = [
     "SupCubeTruncatedC0",
     "QuotientOf",
     "quotient_distance",
-    "project_to_A",
     "quotient_geodesic",
-    "space_to_json",
     "space_from_json",
 ]
 
@@ -97,10 +102,6 @@ class BasepointTag:
 BASEPOINT = BasepointTag()
 
 
-def _as_float_tuple(coords: Sequence[float]) -> tuple[float, ...]:
-    return tuple(float(c) for c in coords)
-
-
 class MetricPair:
     """Abstract base for metric pair descriptors.
 
@@ -121,17 +122,12 @@ class MetricPair:
     # -- points -------------------------------------------------------
 
     def point(self, *coords: float) -> Point:
-        c = _as_float_tuple(coords[0] if len(coords) == 1 and not _is_number(coords[0]) else coords)
+        c = tuple(float(v) for v in coords)
         self._validate_coords(c)
         return Point(self.space_id, c)
 
     def _validate_coords(self, coords: tuple[float, ...]) -> None:
         raise NotImplementedError
-
-    def owns(self, p: Point | BasepointTag) -> bool:
-        if isinstance(p, BasepointTag):
-            return isinstance(self, QuotientOf)
-        return p.space_id == self.space_id
 
     def check_point(self, p: Point | BasepointTag) -> None:
         if isinstance(p, BasepointTag):
@@ -194,10 +190,6 @@ class MetricPair:
         return hash(self.space_id)
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float, np.floating, np.integer))
-
-
 def _check_t(t: float) -> float:
     t = float(t)
     if not 0.0 <= t <= 1.0:
@@ -238,10 +230,23 @@ def _pairwise_norm(xs: np.ndarray, ys: np.ndarray, norm: str) -> np.ndarray:
 
 class _VectorPair(MetricPair):
     """Shared machinery for pairs whose points are real vectors and whose
-    geodesics are straight segments (constant speed in both norms)."""
+    geodesics are straight segments (constant speed in both norms).
+
+    By default the norm is the sup norm and A = {0}, so the distance to A
+    is the sup norm of the coordinates and the projection is the origin;
+    the plane pairs override all three."""
+
+    norm = SUP
 
     def pairwise_dist(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         return _pairwise_norm(xs, ys, self.norm)
+
+    def dist_to_A_batch(self, xs: np.ndarray) -> np.ndarray:
+        return _norm_batch(xs, SUP)
+
+    def proj_to_A(self, x: Point) -> Point:
+        self.check_point(x)
+        return Point(self.space_id, (0.0,) * self.dim)
 
     def geodesic(self, x: Point, y: Point, t: float) -> Point:
         self.check_point(x)
@@ -302,7 +307,7 @@ class PlaneDiagonal(_VectorPair):
         return {"kind": self.kind, "norm": self.norm, "dim": self.dim}
 
 
-class HalfLineOrigin(MetricPair):
+class HalfLineOrigin(_VectorPair):
     """The half-line [0, inf) with A = {0}."""
 
     def __init__(self):
@@ -315,22 +320,6 @@ class HalfLineOrigin(MetricPair):
             raise ValueError(f"expected 1 coordinate, got {len(coords)}")
         if not math.isfinite(coords[0]) or coords[0] < 0.0:
             raise ValueError("half-line points are finite reals >= 0")
-
-    def pairwise_dist(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return np.abs(xs[:, None, 0] - ys[None, :, 0])
-
-    def dist_to_A_batch(self, xs: np.ndarray) -> np.ndarray:
-        return np.maximum(xs[:, 0], 0.0)
-
-    def proj_to_A(self, x: Point) -> Point:
-        self.check_point(x)
-        return Point(self.space_id, (0.0,))
-
-    def geodesic(self, x: Point, y: Point, t: float) -> Point:
-        self.check_point(x)
-        self.check_point(y)
-        t = _check_t(t)
-        return Point(self.space_id, _lerp(x.coords, y.coords, t))
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "dim": self.dim}
@@ -349,7 +338,6 @@ class SupCubeTruncatedC0(_VectorPair):
         if m > self.MAX_DIM:
             raise ValueError(f"m capped at {self.MAX_DIM} for exact enumeration")
         self.kind = "SupCubeTruncatedC0"
-        self.norm = SUP
         self.dim = m
         self.space_id = f"supcube{m}"
 
@@ -358,13 +346,6 @@ class SupCubeTruncatedC0(_VectorPair):
             raise ValueError(f"expected {self.dim} coordinates, got {len(coords)}")
         if not all(math.isfinite(c) for c in coords):
             raise ValueError("coordinates must be finite")
-
-    def dist_to_A_batch(self, xs: np.ndarray) -> np.ndarray:
-        return _norm_batch(xs, SUP)
-
-    def proj_to_A(self, x: Point) -> Point:
-        self.check_point(x)
-        return Point(self.space_id, (0.0,) * self.dim)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "dim": self.dim}
@@ -376,7 +357,6 @@ class FiniteExplicit(MetricPair):
     projection or geodesic oracle is provided (projection is just a
     nearest-A lookup, but interpolation has no meaning here)."""
 
-    has_projection = True
     has_geodesic = False
 
     def __init__(self, matrix: Sequence[Sequence[float]], A: Sequence[int], tol: float = 1e-9):
@@ -493,9 +473,7 @@ class QuotientOf(MetricPair):
 
     def pairwise_dist(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         D = self.inner.pairwise_dist(xs, ys)
-        ax = self.inner.dist_to_A_batch(xs)
-        ay = self.inner.dist_to_A_batch(ys)
-        return np.minimum(D, ax[:, None] + ay[None, :])
+        return _quotient_costs(D, self.inner.dist_to_A_batch(xs), self.inner.dist_to_A_batch(ys))
 
     def dist_to_A_batch(self, xs: np.ndarray) -> np.ndarray:
         return self.inner.dist_to_A_batch(xs)
@@ -548,15 +526,16 @@ class QuotientOf(MetricPair):
 # -- quotient operations over an arbitrary pair -------------------------
 
 
+def _quotient_costs(D: np.ndarray, ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
+    """Quotient cost matrix min(d(x, y), d(x, A) + d(y, A)) from the
+    ambient distance matrix and both distance-to-A vectors."""
+    return np.minimum(D, ax[:, None] + ay[None, :])
+
+
 def quotient_distance(pair: MetricPair, x, y) -> float:
     """min(d(x, y), d(x, A) + d(y, A)): the distance in X/A between the
     classes of x and y."""
     return min(pair.dist(x, y), pair.dist_to_A(x) + pair.dist_to_A(y))
-
-
-def project_to_A(pair: MetricPair, x) -> Point | BasepointTag:
-    """Nearest point of A; raises NoProjection when the pair has none."""
-    return pair.proj_to_A(x)
 
 
 def quotient_geodesic(pair: MetricPair, x, y, t: float):
@@ -581,20 +560,26 @@ def quotient_geodesic(pair: MetricPair, x, y, t: float):
     if pair.dist(x, y) <= ax + ay:
         p = pair.geodesic(x, y, t)
     else:
-        total = ax + ay
-        if total == 0.0:
-            return BASEPOINT
-        s = t * total
-        if s < ax:
-            p = pair.geodesic(x, pair.proj_to_A(x), s / ax)
-        elif s > ax:
-            # remaining arclength s - ax measured from A toward y
-            p = pair.geodesic(pair.proj_to_A(y), y, (s - ax) / ay)
-        else:
-            return BASEPOINT
+        p = _through_A(pair, x, y, ax, ay, t)
     if isinstance(p, BasepointTag) or pair.dist_to_A(p) == 0.0:
         return BASEPOINT
     return p
+
+
+def _through_A(pair: MetricPair, x, y, ax: float, ay: float, t: float):
+    """Arclength position at time t on the path x -> A -> y through the
+    two projections, given ax = d(x, A) and ay = d(y, A); BASEPOINT when
+    the position lies in A."""
+    total = ax + ay
+    if total == 0.0:
+        return BASEPOINT
+    s = t * total
+    if s < ax:
+        return pair.geodesic(x, pair.proj_to_A(x), s / ax)
+    if s > ax:
+        # remaining arclength s - ax measured from A toward y
+        return pair.geodesic(pair.proj_to_A(y), y, (s - ax) / ay)
+    return BASEPOINT
 
 
 # -- serialization -------------------------------------------------------
@@ -602,8 +587,11 @@ def quotient_geodesic(pair: MetricPair, x, y, t: float):
 _PLANE_KINDS = {"EuclideanPlaneDiagonal", "HalfPlane2nDiagonal"}
 
 
-def space_to_json(pair: MetricPair) -> dict:
-    return pair.to_json()
+def _point_to_json(p: Point | BasepointTag):
+    """JSON form of a point: its coordinate list, or "A" for BASEPOINT."""
+    if isinstance(p, BasepointTag):
+        return "A"
+    return [float(c) for c in p.coords]
 
 
 def space_from_json(obj: dict | str) -> MetricPair:

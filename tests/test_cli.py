@@ -175,6 +175,29 @@ def test_geodesic_json(capsys):
     assert obj["midpoint_check"]["verdict"] == "WITNESSED"
 
 
+def test_geodesic_solves_each_path_once(monkeypatch, capsys):
+    # one bottleneck solve builds the path, two per frame check it, and
+    # each frame is evaluated once for both the output and the check
+    import pdmetric.geodesics as geo
+
+    calls = {"bottleneck": 0, "at": 0}
+    bottleneck, at = geo.bottleneck, geo.DiagramPath.at
+
+    def counted_bottleneck(*args, **kwargs):
+        calls["bottleneck"] += 1
+        return bottleneck(*args, **kwargs)
+
+    def counted_at(self, t):
+        calls["at"] += 1
+        return at(self, t)
+
+    monkeypatch.setattr(geo, "bottleneck", counted_bottleneck)
+    monkeypatch.setattr(geo.DiagramPath, "at", counted_at)
+    code, _, _ = run_main(["geodesic", SIGMA, TAU, "--space", PLANE, "--steps", "10"], capsys)
+    assert code == 0
+    assert calls == {"bottleneck": 23, "at": 11}
+
+
 def test_geodesic_csv(capsys):
     code, out, _ = run_main(
         ["geodesic", SIGMA, TAU, "--space", PLANE, "--steps", "2", "--format", "csv"],

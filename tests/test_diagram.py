@@ -14,10 +14,12 @@ from pdmetric import (
     ParseError,
     PlaneDiagonal,
     SpaceMismatch,
+    TooLarge,
     canonicalize,
     empty_diagram,
     parse_diagram,
     total_persistence,
+    wasserstein,
     write_diagram,
 )
 
@@ -96,6 +98,17 @@ def test_total_persistence_closed_forms():
     assert total_persistence(empty_diagram(pair), 2.0, pair) == 0.0
     with pytest.raises(ValueError):
         total_persistence(d, 0.5, pair)
+
+
+def test_total_persistence_overflow_is_typed():
+    # the p-th power of the distance to A leaves the float range
+    pair = plane()
+    d = canonicalize([pair.point(0.0, 1e200)], pair)
+    with pytest.raises(TooLarge):
+        total_persistence(d, 2.0, pair)
+    with pytest.raises(TooLarge):
+        wasserstein(d, empty_diagram(pair), 2.0, pair)
+    assert total_persistence(d, math.inf, pair) == 5e199
 
 
 # -- json ---------------------------------------------------------------------

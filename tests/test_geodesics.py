@@ -3,11 +3,17 @@ truncation gaps."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdmetric import (
     BASEPOINT,
+    FiniteExplicit,
     GoodnessReason,
+    HalfLineOrigin,
     NoGeodesicOracle,
+    PlaneDiagonal,
+    QuotientOf,
     Route,
     TooLarge,
     Verdict,
@@ -44,6 +50,41 @@ def test_goodness_cases():
     hl = halfline()
     # on the half line |x - y| < max(x, y) whenever both are off A
     assert goodness(hl, hl.point(3.0), hl.point(7.0)).verdict
+
+
+_SYMMETRY_PAIRS = (
+    PlaneDiagonal(1, "sup"),
+    PlaneDiagonal(1, "euclidean"),
+    PlaneDiagonal(2, "euclidean"),
+    HalfLineOrigin(),
+    random_finite_pair(np.random.default_rng(11)),
+    QuotientOf(PlaneDiagonal(1, "sup")),
+)
+
+
+def _points_of(pair):
+    if isinstance(pair, FiniteExplicit):
+        return st.integers(0, pair.size - 1).map(lambda i: pair.point(float(i)))
+    if isinstance(pair, HalfLineOrigin):
+        return st.floats(0.0, 20.0).map(pair.point)
+    blocks = st.tuples(st.floats(-20.0, 20.0), st.floats(0.0, 20.0))
+    pts = st.lists(blocks, min_size=pair.dim // 2, max_size=pair.dim // 2).map(
+        lambda bg: pair.point(*[c for b, g in bg for c in (b, b + g)])
+    )
+    if isinstance(pair, QuotientOf):
+        return st.one_of(st.just(BASEPOINT), pts)
+    return pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_goodness_verdict_is_symmetric(data):
+    # quotient distance and max(d(x, A), d(y, A)) are symmetric, so a leg
+    # never needs its swapped certificate
+    pair = data.draw(st.sampled_from(_SYMMETRY_PAIRS))
+    x = data.draw(_points_of(pair))
+    y = data.draw(_points_of(pair))
+    assert goodness(pair, x, y).verdict == goodness(pair, y, x).verdict
 
 
 # -- path construction -----------------------------------------------------------

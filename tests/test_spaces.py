@@ -23,11 +23,9 @@ from pdmetric import (
     QuotientOf,
     SpaceMismatch,
     SupCubeTruncatedC0,
-    project_to_A,
     quotient_distance,
     quotient_geodesic,
     space_from_json,
-    space_to_json,
 )
 
 finite_coord = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
@@ -102,7 +100,18 @@ def test_halfline_quotient_distance_example():
     hl = HalfLineOrigin()
     assert quotient_distance(hl, hl.point(3.0), hl.point(5.0)) == 2.0
     assert hl.dist_to_A(hl.point(3.0)) == 3.0
-    assert project_to_A(hl, hl.point(3.0)).coords == (0.0,)
+    assert hl.proj_to_A(hl.point(3.0)).coords == (0.0,)
+
+
+def test_halfline_batch_distances_are_exact():
+    # the half-line runs on the shared sup-norm vector code, which must
+    # give |x - y| and x bit for bit
+    hl = HalfLineOrigin()
+    rng = np.random.default_rng(3)
+    xs = rng.uniform(0.0, 1e3, (300, 1))
+    ys = rng.uniform(0.0, 1e3, (257, 1))
+    assert np.array_equal(hl.pairwise_dist(xs, ys), np.abs(xs - ys.T))
+    assert np.array_equal(hl.dist_to_A_batch(xs), xs[:, 0])
 
 
 def test_quotient_geodesic_direct_example():
@@ -331,15 +340,15 @@ def test_quotient_distance_idempotent_on_quotient():
     ],
 )
 def test_space_json_round_trip(pair):
-    obj = space_to_json(pair)
+    obj = pair.to_json()
     again = space_from_json(json.dumps(obj))
     assert again.space_id == pair.space_id
     assert again.kind == pair.kind
 
 
 def test_space_kind_tokens():
-    assert space_to_json(PlaneDiagonal(1, SUP))["kind"] == "EuclideanPlaneDiagonal"
-    assert space_to_json(PlaneDiagonal(2, SUP))["kind"] == "HalfPlane2nDiagonal"
+    assert PlaneDiagonal(1, SUP).to_json()["kind"] == "EuclideanPlaneDiagonal"
+    assert PlaneDiagonal(2, SUP).to_json()["kind"] == "HalfPlane2nDiagonal"
 
 
 def test_space_from_json_errors():
