@@ -20,9 +20,7 @@ from .errors import (
     EmptyAnnulus,
     InvalidMetric,
     NoGeodesicOracle,
-    NoProjection,
     NotCauchy,
-    NotProper,
     ParseError,
     PdmetricError,
     PreconditionViolated,
@@ -143,9 +141,7 @@ __all__ = [
     # errors
     "PdmetricError",
     "SpaceMismatch",
-    "NoProjection",
     "NoGeodesicOracle",
-    "NotProper",
     "InvalidMetric",
     "TooLarge",
     "ParseError",

@@ -16,7 +16,7 @@ identical invocations produce byte-identical output.
 
 Exit codes: 0 success/WITNESSED, 1 REFUTED, 2 malformed input or flags,
 3 space mismatch, 4 problem too large for exact computation, 5 missing
-geodesic oracle or non-proper pair, 6 INCONCLUSIVE.
+geodesic oracle, 6 INCONCLUSIVE.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ from .errors import (
     InvalidMetric,
     NoGeodesicOracle,
     NotCauchy,
-    NotProper,
-    NoProjection,
     ParseError,
     PdmetricError,
     PreconditionViolated,
@@ -532,8 +530,6 @@ _ERROR_EXITS = (
     (SpaceMismatch, 3),
     (TooLarge, 4),
     (NoGeodesicOracle, 5),
-    (NoProjection, 5),
-    (NotProper, 5),
 )
 
 

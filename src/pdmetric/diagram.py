@@ -24,6 +24,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import ParseError, SpaceMismatch
 from .spaces import BASEPOINT, BasepointTag, MetricPair, Point, space_from_json
 
@@ -79,7 +81,9 @@ def canonicalize(
     """Build the canonical diagram from points or (point, mult) entries.
 
     Entries at distance zero from A (including BASEPOINT tags) are dropped,
-    duplicates are merged, and the result is sorted by coordinates.
+    duplicates are merged, and the result is sorted by coordinates.  Entry
+    errors are raised in input order; the distinct coordinates are then
+    tested against A in one batch.
     """
     counts: dict[tuple[float, ...], int] = {}
     for entry in points:
@@ -95,11 +99,11 @@ def canonicalize(
         if isinstance(p, BasepointTag):
             continue
         pair.check_point(p)
-        if pair.dist_to_A(p) == 0.0:
-            continue
         counts[p.coords] = counts.get(p.coords, 0) + mult
+    keys = sorted(counts)
+    to_A = pair.dist_to_A_batch(np.array(keys, dtype=np.float64).reshape(len(keys), pair.dim))
     ordered = tuple(
-        (Point(pair.space_id, c), counts[c]) for c in sorted(counts.keys())
+        (Point(pair.space_id, c), counts[c]) for c, a in zip(keys, to_A.tolist()) if a != 0.0
     )
     return Diagram(pair.space_id, ordered)
 

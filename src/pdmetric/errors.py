@@ -3,9 +3,7 @@
 __all__ = [
     "PdmetricError",
     "SpaceMismatch",
-    "NoProjection",
     "NoGeodesicOracle",
-    "NotProper",
     "InvalidMetric",
     "TooLarge",
     "ParseError",
@@ -24,16 +22,8 @@ class SpaceMismatch(PdmetricError):
     """Objects living over different metric pairs were combined."""
 
 
-class NoProjection(PdmetricError):
-    """The metric pair exposes no nearest-point projection onto A."""
-
-
 class NoGeodesicOracle(PdmetricError):
     """The metric pair exposes no geodesic oracle."""
-
-
-class NotProper(PdmetricError):
-    """The operation requires a proper metric pair."""
 
 
 class InvalidMetric(PdmetricError, ValueError):

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .diagram import Diagram, canonicalize
-from .errors import NoGeodesicOracle, NoProjection, NotProper, TooLarge
-from .matching import Matching, MatchedPair, bottleneck
+from .errors import NoGeodesicOracle, TooLarge
+from .matching import Matching, MatchedPair, _expand, bottleneck
 from .spaces import (
     BASEPOINT,
     BasepointTag,
@@ -136,13 +136,9 @@ class DiagramPath:
 def geodesic_between(sigma: Diagram, tau: Diagram, pair: MetricPair,
                      max_nodes: int | None = None) -> DiagramPath:
     """Build a geodesic for the bottleneck distance from an optimal
-    matching.  Requires geodesic and projection oracles on the pair."""
+    matching.  Requires a geodesic oracle on the pair."""
     if not pair.has_geodesic:
         raise NoGeodesicOracle(f"{pair.kind} has no geodesic oracle")
-    if not pair.has_projection:
-        raise NoProjection(f"{pair.kind} has no nearest-point projection onto A")
-    if not pair.is_proper:
-        raise NotProper("geodesics need a proper pair")
     kwargs = {} if max_nodes is None else {"max_nodes": max_nodes}
     value, matching = bottleneck(sigma, tau, pair, **kwargs)
     legs = []
@@ -153,18 +149,12 @@ def geodesic_between(sigma: Diagram, tau: Diagram, pair: MetricPair,
 
 def _classify_leg(pair: MetricPair, mp: MatchedPair, value: float) -> PathLeg:
     x, y = mp.left, mp.right
-    if isinstance(x, BasepointTag) or isinstance(y, BasepointTag):
-        cert = goodness(pair, x, y)
-        return PathLeg(x, y, mp.cost, Route.THROUGH_A, cert)
-    ax = pair.dist_to_A(x)
-    ay = pair.dist_to_A(y)
-    d = pair.dist(x, y)
     cert = goodness(pair, x, y)
-    # reroute when the pair is at least as far apart as it is from A and
-    # the detour does not exceed the path's speed budget
-    if d >= max(ax, ay) and ax + ay <= value:
-        return PathLeg(x, y, mp.cost, Route.THROUGH_A, cert)
-    return PathLeg(x, y, mp.cost, Route.DIRECT, cert)
+    # legs touching A slide along a projection; a pair that is not good
+    # reroutes through A when the detour fits the path's speed budget
+    through_A = (isinstance(x, BasepointTag) or isinstance(y, BasepointTag)
+                 or (not cert.verdict and pair.dist_to_A(x) + pair.dist_to_A(y) <= value))
+    return PathLeg(x, y, mp.cost, Route.THROUGH_A if through_A else Route.DIRECT, cert)
 
 
 def midpoint_check(sigma: Diagram, tau: Diagram, pair: MetricPair, grid: int = 11):
@@ -232,10 +222,8 @@ def c0_truncation_gap(m: int, max_m: int = SupCubeTruncatedC0.MAX_DIM):
     tau = canonicalize(odd_pts, space)
     gap, matching = bottleneck(sigma, tau, space)
 
-    xs = list(sigma.iter_points())
-    ys = list(tau.iter_points())
-    X = space.coords_matrix(xs)
-    Y = space.coords_matrix(ys)
+    xs, X = _expand(sigma, space)
+    ys, Y = _expand(tau, space)
     min_cross = float(space.pairwise_dist(X, Y).min()) if xs and ys else math.inf
     min_to_A = math.inf
     if xs:

@@ -4,7 +4,9 @@ Matching a point x of one diagram with a point y of the other costs the
 quotient distance min(d(x, y), d(x, A) + d(y, A)); matching a point with A
 costs its distance to A; unmatched mass on both sides is absorbed by A for
 free.  The bottleneck distance minimizes the largest cost, the p-Wasserstein
-distance the p-norm of the cost multiset.
+distance the p-norm of the cost multiset.  The solvers see only the
+quotient cost matrix Q and the distances to A: a matched point pair whose
+Q entry equals d(x, A) + d(y, A) is reported as its two A-assignments.
 
 The bottleneck value is found by binary search over the finite set of
 candidate costs, deciding each threshold exactly with a bipartite matching
@@ -17,7 +19,8 @@ discovered the pairs in.
 ``brute_force_dp`` enumerates every augmented bijection directly from the
 definition (ambient distances, explicit A-assignments) and is the oracle
 the solvers are validated against.  ``total_persistence``, the distance to
-the empty diagram, is the same p-norm over the distances to A.
+the empty diagram, is the same p-norm over the batch distances to A that
+the solvers use.
 """
 
 from __future__ import annotations
@@ -115,7 +118,8 @@ def total_persistence(diagram: Diagram, p: float, pair: MetricPair) -> float:
     _check_same_space(diagram, pair)
     if p < 1.0 and not math.isinf(p):
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    return p_norm([pair.dist_to_A(q) for q in diagram.iter_points()], p)[0]
+    _, X = _expand(diagram, pair)
+    return p_norm(pair.dist_to_A_batch(X).tolist(), p)[0]
 
 
 def _expand(diagram: Diagram, pair: MetricPair) -> tuple[list[Point], np.ndarray]:
@@ -130,28 +134,28 @@ def _cost_data(sigma: Diagram, tau: Diagram, pair: MetricPair, max_nodes: int):
     n, m = len(xs), len(ys)
     if n + m > max_nodes:
         raise TooLarge(f"{n} + {m} expanded points exceed the cap of {max_nodes}")
-    D = pair.pairwise_dist(X, Y)
     ax = pair.dist_to_A_batch(X)
     ay = pair.dist_to_A_batch(Y)
-    Q = _quotient_costs(D, ax, ay)
-    return xs, ys, np.ascontiguousarray(D), np.ascontiguousarray(Q), ax, ay
+    Q = _quotient_costs(pair.pairwise_dist(X, Y), ax, ay)
+    return xs, ys, np.ascontiguousarray(Q), ax, ay
 
 
-def _build_pairs(xs, ys, assign_l, n, m, D, Q, ax, ay) -> tuple[MatchedPair, ...]:
+def _build_pairs(xs, ys, assign_l, n, m, Q, ax, ay) -> tuple[MatchedPair, ...]:
     """Convert a left-to-right node assignment into matched pairs.
 
-    A point pair whose quotient cost comes from the route through A is
-    split into the two explicit A-assignments it abbreviates, so stored
-    costs always refer to actual distances in the pair.  Ties split too:
-    over a quotient pair the ambient distance already equals the rounded
-    route through A, and splitting keeps the reported cost multiset
-    identical to the one the same matching has over the unquotiented pair.
+    A point pair whose quotient cost is the route through A (Q equals
+    d(x, A) + d(y, A)) is split into the two explicit A-assignments it
+    abbreviates, so stored costs always refer to actual distances in the
+    pair.  Ties split too: over a quotient pair the ambient distance
+    already equals the rounded route through A, and splitting keeps the
+    reported cost multiset identical to the one the same matching has
+    over the unquotiented pair.
     """
     out = []
     for u, v in enumerate(assign_l):
         if u < n:
             if v < m:
-                if ax[u] + ay[v] <= D[u, v]:
+                if Q[u, v] == ax[u] + ay[v]:
                     out.append(MatchedPair(xs[u], BASEPOINT, float(ax[u])))
                     out.append(MatchedPair(BASEPOINT, ys[v], float(ay[v])))
                 else:
@@ -174,7 +178,7 @@ def candidate_thresholds(sigma: Diagram, tau: Diagram, pair: MetricPair,
                          max_nodes: int = DEFAULT_NODE_CAP) -> list[float]:
     """Sorted distinct values the bottleneck distance can take: 0, the
     pairwise quotient costs, and each point's distance to A."""
-    _, _, _, Q, ax, ay = _cost_data(sigma, tau, pair, max_nodes)
+    _, _, Q, ax, ay = _cost_data(sigma, tau, pair, max_nodes)
     return _candidates(Q, ax, ay).tolist()
 
 
@@ -189,12 +193,12 @@ def feasible_at_threshold(
     success also return one such matching as a witness."""
     if r < 0.0:
         return False, None
-    xs, ys, D, Q, ax, ay = _cost_data(sigma, tau, pair, max_nodes)
+    xs, ys, Q, ax, ay = _cost_data(sigma, tau, pair, max_nodes)
     n, m = len(xs), len(ys)
     ml = augmented_matching(Q, ax, ay, float(r))
     if np.any(ml < 0):
         return False, None
-    return True, _matching(_build_pairs(xs, ys, ml, n, m, D, Q, ax, ay), math.inf)
+    return True, _matching(_build_pairs(xs, ys, ml, n, m, Q, ax, ay), math.inf)
 
 
 def bottleneck(
@@ -213,7 +217,7 @@ def bottleneck(
     same smallest feasible candidate as a search over the whole set.  The
     returned value is exactly the largest cost of the returned matching.
     """
-    xs, ys, D, Q, ax, ay = _cost_data(sigma, tau, pair, max_nodes)
+    xs, ys, Q, ax, ay = _cost_data(sigma, tau, pair, max_nodes)
     n, m = len(xs), len(ys)
     cands = _candidates(Q, ax, ay)
     cheapest = np.concatenate((np.minimum(ax, Q.min(axis=1, initial=np.inf)),
@@ -231,7 +235,7 @@ def bottleneck(
             ml, ml_at = trial, mid
     if ml_at != lo:
         ml = augmented_matching(Q, ax, ay, float(cands[lo]))
-    matching = _matching(_build_pairs(xs, ys, ml, n, m, D, Q, ax, ay), math.inf)
+    matching = _matching(_build_pairs(xs, ys, ml, n, m, Q, ax, ay), math.inf)
     return matching.value, matching
 
 
@@ -248,7 +252,7 @@ def wasserstein(
         return bottleneck(sigma, tau, pair, max_nodes)
     if not p >= 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    xs, ys, D, Q, ax, ay = _cost_data(sigma, tau, pair, max_nodes)
+    xs, ys, Q, ax, ay = _cost_data(sigma, tau, pair, max_nodes)
     n, m = len(xs), len(ys)
     N = n + m
     if N == 0:
@@ -263,7 +267,7 @@ def wasserstein(
     row_of_col = solve_assignment(np.ascontiguousarray(C))
     assign_l = np.empty(N, dtype=np.int64)
     assign_l[row_of_col] = np.arange(N)
-    matching = _matching(_build_pairs(xs, ys, assign_l, n, m, D, Q, ax, ay), p)
+    matching = _matching(_build_pairs(xs, ys, assign_l, n, m, Q, ax, ay), p)
     return matching.value, matching
 
 

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .diagram import Diagram, _diagram_points_to_json, canonicalize
+from .diagram import Diagram, _check_same_space, _diagram_points_to_json, canonicalize
 from .errors import (
     CoverageGap,
     EmptyAnnulus,
@@ -217,10 +217,7 @@ def cauchy_chain_limit(
     if not diags:
         raise PreconditionViolated("need at least one diagram")
     for d in diags:
-        if d.space_id != pair.space_id:
-            raise SpaceMismatch(
-                f"diagram over {d.space_id!r} used with space {pair.space_id!r}"
-            )
+        _check_same_space(d, pair)
     L = len(diags)
     cache: dict[tuple[int, int], float] = {}
 

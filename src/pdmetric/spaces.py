@@ -5,8 +5,8 @@ closed subset A.  Each descriptor exposes:
 
 - the ambient distance ``dist`` and its vectorized form ``pairwise_dist``,
 - the distance-to-A function ``dist_to_A`` / ``dist_to_A_batch``,
-- optionally a nearest-point projection onto A (``proj_to_A``) and a
-  constant-speed geodesic oracle (``geodesic``),
+- a nearest-point projection onto A (``proj_to_A``) and, where
+  ``has_geodesic`` is set, a constant-speed geodesic oracle (``geodesic``),
 - its JSON descriptor ``to_json``, read back by ``space_from_json``.
 
 The vector pairs share one base: the plane and its products override
@@ -35,14 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidMetric,
-    NoGeodesicOracle,
-    NoProjection,
-    NotProper,
-    ParseError,
-    SpaceMismatch,
-)
+from .errors import InvalidMetric, NoGeodesicOracle, ParseError, SpaceMismatch
 
 __all__ = [
     "SUP",
@@ -92,12 +85,6 @@ class BasepointTag:
     def __repr__(self) -> str:
         return "A"
 
-    def __deepcopy__(self, memo):
-        return self
-
-    def __copy__(self):
-        return self
-
 
 BASEPOINT = BasepointTag()
 
@@ -105,18 +92,17 @@ BASEPOINT = BasepointTag()
 class MetricPair:
     """Abstract base for metric pair descriptors.
 
-    Subclasses set ``kind``, ``dim``, ``space_id``, ``is_proper``,
-    ``has_projection``, ``has_geodesic`` and implement ``_validate_coords``,
-    ``pairwise_dist`` and ``dist_to_A_batch``.  Scalar distance queries are
-    derived from the vectorized ones, so the two can never disagree.
+    Subclasses set ``kind``, ``dim``, ``space_id`` and ``has_geodesic``
+    and implement ``_validate_coords``, ``pairwise_dist``,
+    ``dist_to_A_batch`` and ``proj_to_A``; pairs with ``has_geodesic`` set
+    also implement ``geodesic``.  Scalar distance queries are derived from
+    the vectorized ones, so the two can never disagree.
     """
 
     kind: str
     norm: str | None = None
     dim: int
     space_id: str
-    is_proper: bool = True
-    has_projection: bool = True
     has_geodesic: bool = True
 
     # -- points -------------------------------------------------------
@@ -167,10 +153,10 @@ class MetricPair:
         a = np.array([x.coords], dtype=np.float64)
         return float(self.dist_to_A_batch(a)[0])
 
-    # -- optional oracles ---------------------------------------------
+    # -- oracles --------------------------------------------------------
 
     def proj_to_A(self, x: Point | BasepointTag) -> Point | BasepointTag:
-        raise NoProjection(f"{self.kind} has no nearest-point projection onto A")
+        raise NotImplementedError
 
     def geodesic(self, x, y, t: float):
         raise NoGeodesicOracle(f"{self.kind} has no geodesic oracle")
@@ -353,9 +339,9 @@ class SupCubeTruncatedC0(_VectorPair):
 
 class FiniteExplicit(MetricPair):
     """A finite metric space given by an explicit distance matrix, with A
-    a chosen nonempty subset of indices.  Points are integer indices; no
-    projection or geodesic oracle is provided (projection is just a
-    nearest-A lookup, but interpolation has no meaning here)."""
+    a chosen nonempty subset of indices.  Points are integer indices; the
+    projection is the nearest index of A, and no geodesic oracle is
+    provided (interpolation has no meaning here)."""
 
     has_geodesic = False
 
@@ -438,9 +424,7 @@ class QuotientOf(MetricPair):
         self.kind = "QuotientOf"
         self.norm = inner.norm
         self.dim = inner.dim
-        self.is_proper = inner.is_proper
-        self.has_projection = True
-        self.has_geodesic = inner.has_geodesic and inner.has_projection
+        self.has_geodesic = inner.has_geodesic
         self.space_id = f"quotient({inner.space_id})"
 
     def _validate_coords(self, coords: tuple[float, ...]) -> None:
@@ -548,10 +532,6 @@ def quotient_geodesic(pair: MetricPair, x, y, t: float):
     """
     if not pair.has_geodesic:
         raise NoGeodesicOracle(f"{pair.kind} has no geodesic oracle")
-    if not pair.has_projection:
-        raise NoProjection(f"{pair.kind} has no nearest-point projection onto A")
-    if not pair.is_proper:
-        raise NotProper("quotient geodesics need a proper pair")
     t = _check_t(t)
     pair.check_point(x)
     pair.check_point(y)
@@ -577,8 +557,9 @@ def _through_A(pair: MetricPair, x, y, ax: float, ay: float, t: float):
     if s < ax:
         return pair.geodesic(x, pair.proj_to_A(x), s / ax)
     if s > ax:
-        # remaining arclength s - ax measured from A toward y
-        return pair.geodesic(pair.proj_to_A(y), y, (s - ax) / ay)
+        # remaining arclength s - ax measured from A toward y; near t = 1 the
+        # quotient can round just above 1
+        return pair.geodesic(pair.proj_to_A(y), y, min(1.0, (s - ax) / ay))
     return BASEPOINT
 
 

@@ -175,6 +175,15 @@ def test_geodesic_json(capsys):
     assert obj["midpoint_check"]["verdict"] == "WITNESSED"
 
 
+def test_geodesic_through_A_leg_reaches_target(capsys):
+    # a leg through A whose last parameter rounds to just above 1 at t = 1
+    sigma = '{"points":[{"coords":[1.6,4.0]},{"coords":[7.4,8.6]}]}'
+    tau = '{"points":[{"coords":[1.2,2.8]},{"coords":[3.4,8.7]}]}'
+    code, out, _ = run_main(["geodesic", sigma, tau, "--space", PLANE, "--steps", "2"], capsys)
+    assert code == 0
+    assert json.loads(out)["midpoint_check"]["verdict"] == "WITNESSED"
+
+
 def test_geodesic_solves_each_path_once(monkeypatch, capsys):
     # one bottleneck solve builds the path, two per frame check it, and
     # each frame is evaluated once for both the output and the check

@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 from pdmetric import (
     BASEPOINT,
     Diagram,
+    FiniteExplicit,
     HalfLineOrigin,
+    MetricPair,
     ParseError,
     PlaneDiagonal,
+    QuotientOf,
     SpaceMismatch,
     TooLarge,
     canonicalize,
@@ -31,24 +34,60 @@ def plane():
 # -- canonical form -----------------------------------------------------------
 
 
-def test_canonicalize_drops_A_points_and_merges():
-    pair = plane()
-    d = canonicalize(
-        [
-            pair.point(3.0, 3.0),  # on the diagonal: dropped
-            pair.point(0.0, 4.0),
-            (pair.point(0.0, 4.0), 2),
-            BASEPOINT,
-            pair.point(1.0, 2.0),
-        ],
-        pair,
-    )
-    assert d.points == (
-        (pair.point(0.0, 4.0), 3),
-        (pair.point(1.0, 2.0), 1),
-    )
-    assert d.size == 4
+def _plane_case(pair):
+    entries = [
+        pair.point(3.0, 3.0),  # on the diagonal: dropped
+        pair.point(0.0, 4.0),
+        (pair.point(0.0, 4.0), 2),
+        BASEPOINT,
+        pair.point(1.0, 2.0),
+    ]
+    return pair, entries, ((pair.point(0.0, 4.0), 3), (pair.point(1.0, 2.0), 1))
+
+
+def _halfline_case():
+    hl = HalfLineOrigin()
+    # both zeros are the origin, A = {0}: dropped
+    entries = [hl.point(0.0), hl.point(2.0), hl.point(-0.0), (hl.point(2.0), 2), BASEPOINT,
+               hl.point(0.5)]
+    return hl, entries, ((hl.point(0.5), 1), (hl.point(2.0), 3))
+
+
+def _finite_case():
+    fe = FiniteExplicit([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]], [1])
+    # index 1 is the A index: dropped
+    entries = [fe.point(2.0), fe.point(1.0), (fe.point(0.0), 2), BASEPOINT, fe.point(2.0)]
+    return fe, entries, ((fe.point(0.0), 2), (fe.point(2.0), 2))
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: _plane_case(plane()),
+        _halfline_case,
+        _finite_case,
+        lambda: _plane_case(QuotientOf(plane())),
+    ],
+    ids=["plane", "halfline", "finite", "quotient-plane"],
+)
+def test_canonicalize_drops_A_points_and_merges(case):
+    pair, entries, expected = case()
+    d = canonicalize(entries, pair)
+    assert d.points == expected
+    assert d.size == sum(m for _, m in expected)
     assert not d.is_empty
+
+
+def test_canonicalize_tests_A_in_one_batch(monkeypatch):
+    def no_scalar(self, x):
+        raise AssertionError("canonicalize made a scalar dist_to_A call")
+
+    monkeypatch.setattr(MetricPair, "dist_to_A", no_scalar)
+    monkeypatch.setattr(QuotientOf, "dist_to_A", no_scalar)
+    for pair in (plane(), QuotientOf(plane())):
+        d = canonicalize([pair.point(0.0, 4.0), pair.point(2.0, 2.0), pair.point(0.0, 4.0)], pair)
+        assert d.points == ((pair.point(0.0, 4.0), 2),)
+        assert canonicalize([], pair).is_empty
 
 
 def test_canonicalize_idempotent():
@@ -66,6 +105,12 @@ def test_canonicalize_zero_mult_and_errors():
     other = PlaneDiagonal(1, "euclidean")
     with pytest.raises(SpaceMismatch):
         canonicalize([other.point(0.0, 4.0)], pair)
+    # the first bad entry in input order decides the error
+    with pytest.raises(SpaceMismatch):
+        canonicalize([other.point(0.0, 4.0), (pair.point(0.0, 4.0), -1)], pair)
+    with pytest.raises(ValueError) as err:
+        canonicalize([(pair.point(0.0, 4.0), -1), other.point(0.0, 4.0)], pair)
+    assert not isinstance(err.value, SpaceMismatch)
 
 
 def test_equality_is_canonical_equality():

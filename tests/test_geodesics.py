@@ -1,6 +1,8 @@
 """Geodesic construction, parametrization identities, and the sup-cube
 truncation gaps."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,8 @@ from pdmetric import (
     geodesic_between,
     goodness,
     midpoint_check,
+    quotient_geodesic,
+    wasserstein,
 )
 
 from conftest import halfline, plane_sup, random_finite_pair, random_plane_diagram
@@ -87,6 +91,41 @@ def test_goodness_verdict_is_symmetric(data):
     assert goodness(pair, x, y).verdict == goodness(pair, y, x).verdict
 
 
+_ROUTING_PAIRS = (
+    PlaneDiagonal(1, "sup"),
+    PlaneDiagonal(1, "euclidean"),
+    PlaneDiagonal(2, "sup"),
+    HalfLineOrigin(),
+    QuotientOf(PlaneDiagonal(1, "euclidean")),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_legs_follow_reference_rule(data):
+    # the reference: a leg between two points reroutes through A when the
+    # pair is at least as far apart as it is from A and the detour fits
+    # the path's speed budget; legs touching A always go through A
+    pair = data.draw(st.sampled_from(_ROUTING_PAIRS))
+    diagrams = [canonicalize(data.draw(st.lists(_points_of(pair), max_size=4)), pair)
+                for _ in range(2)]
+    path = geodesic_between(*diagrams, pair)
+    for leg in path.legs:
+        x, y = leg.left, leg.right
+        if BASEPOINT in (x, y):
+            assert leg.route is Route.THROUGH_A
+            continue
+        ax, ay = pair.dist_to_A(x), pair.dist_to_A(y)
+        reroute = pair.dist(x, y) >= max(ax, ay) and ax + ay <= path.value
+        assert leg.route is (Route.THROUGH_A if reroute else Route.DIRECT)
+    # a witness pairs two points only when that beats the route through A
+    for p in (math.inf, 1.0, 2.0):
+        _, matching = wasserstein(*diagrams, p, pair)
+        for q in matching.pairs:
+            if BASEPOINT not in (q.left, q.right):
+                assert q.cost < pair.dist_to_A(q.left) + pair.dist_to_A(q.right)
+
+
 # -- path construction -----------------------------------------------------------
 
 
@@ -137,6 +176,19 @@ def test_far_pair_rerouted_through_A():
     assert mid == canonicalize([pair.point(0.5, 1.5), pair.point(10.5, 11.5)], pair)
     report = midpoint_check(s, t, pair)
     assert report.verdict is Verdict.WITNESSED
+
+
+def test_through_A_leg_ends_exactly_at_target():
+    # the second leg's parameter (t * (ax + ay) - ax) / ay rounds above 1
+    # at t = 1 for these points; the path must still reach tau
+    pair = plane_sup()
+    x, y = pair.point(1.6, 4.0), pair.point(1.2, 2.8)
+    s = canonicalize([x, pair.point(7.4, 8.6)], pair)
+    t = canonicalize([y, pair.point(3.4, 8.7)], pair)
+    path = geodesic_between(s, t, pair)
+    assert any(leg.left == x and leg.route is Route.THROUGH_A for leg in path.legs)
+    assert path.at(1.0) == t
+    assert quotient_geodesic(pair, x, y, 1.0) == y
 
 
 def test_geodesic_requires_oracles():

@@ -1,7 +1,9 @@
 """Metric pair descriptors: distances, projections, geodesics, quotients."""
 
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -41,6 +43,13 @@ def plane_point(pair, b, g):
 def test_basepoint_is_singleton():
     assert BasepointTag() is BASEPOINT
     assert repr(BASEPOINT) == "A"
+
+
+def test_basepoint_survives_copy_and_pickle():
+    assert copy.copy(BASEPOINT) is BASEPOINT
+    assert copy.deepcopy(BASEPOINT) is BASEPOINT
+    assert copy.deepcopy([BASEPOINT, (BASEPOINT,)]) == [BASEPOINT, (BASEPOINT,)]
+    assert pickle.loads(pickle.dumps(BASEPOINT)) is BASEPOINT
 
 
 def test_point_validation_plane():
