@@ -17,6 +17,15 @@ in ascending column order, ties go to the first candidate, and every
 floating-point operation happens in the same order.  The returned arrays
 are therefore identical to that scalar reference (kept as
 ``tests/reference_kernels.py``) on every input, which the tests check.
+
+The Hungarian kernel spends its time in the inner search step, and most
+steps of an augmented Wasserstein instance have delta = 0 (the slot rows
+repeat and the slot-to-slot block is free).  It therefore masks the
+columns already in the search tree with +inf/-inf sentinels instead of a
+boolean mask, applies the tree's potential updates to one contiguous
+array that is written back once per row, and skips every update on a
+zero-delta step; ``solve_assignment`` explains why none of this changes
+a comparison, so the output stays identical.
 """
 
 from __future__ import annotations
@@ -135,44 +144,75 @@ def augmented_matching(Q, ax, ay, r):
 def solve_assignment(cost):
     """Min-cost perfect assignment on a square matrix; returns, for each
     column, the row assigned to it (int64).  Hungarian algorithm with
-    potentials, O(n^3); each column scan is one vectorized pass that keeps
-    the first minimum, as a strict ``<`` scan in column order would."""
+    potentials, O(n^3), doing the floating-point operations of the scalar
+    reference loop in the same order, so the returned array is identical.
+
+    Each step of a row's search is one vectorized pass over all columns.
+    Columns already in the search tree are masked by sentinels instead of
+    a boolean mask: their ``minv`` is +inf and their entry of ``vm`` (a
+    working copy of ``v``) is -inf, so their reduced cost is +inf and they
+    never win the strict ``<`` or the ``argmin``, which keeps the first
+    minimum as a strict ``<`` scan in column order would.
+
+    The tree's potentials are deferred.  A row's ``u`` is read once, when
+    its column joins the tree and before it receives any delta, and no tree
+    column's ``v`` is read during the search; so the tree keeps ``u`` and
+    ``-v`` in one (2, k) array in order of joining, each step adds delta to
+    one slice of it, and the values are scattered back when the row ends.
+    Keeping ``-v`` turns each ``v - delta`` into ``-v + delta``, the same
+    rounding up to the sign of a zero.  A step with delta = 0 updates
+    nothing: adding or subtracting a zero changes at most the sign of a
+    zero result, and ``<`` and ``argmin`` treat -0.0 and +0.0 as equal.
+    """
     nn = cost.shape[0]
     u = np.zeros(nn + 1, np.float64)
     v = np.zeros(nn + 1, np.float64)
-    p = np.zeros(nn + 1, np.int64)
+    p = [0] * (nn + 1)
     way = np.zeros(nn + 1, np.int64)
     minv = np.empty(nn + 1, np.float64)
-    used = np.empty(nn + 1, np.bool_)
+    vm = np.empty(nn + 1, np.float64)
+    cur = np.empty(nn, np.float64)
+    better = np.empty(nn, np.bool_)
+    tree = np.empty((2, nn + 1), np.float64)  # u of the rows, -v of the columns
     # views over columns 1..nn
-    minv1, used1, v1, way1 = minv[1:], used[1:], v[1:], way[1:]
+    minv1, vm1, way1 = minv[1:], vm[1:], way[1:]
     for i in range(1, nn + 1):
         p[0] = i
         j0 = 0
         minv.fill(np.inf)
-        used.fill(False)
+        np.copyto(vm, v)
+        rows, cols = [], []
+        k = 0
         while True:
-            used[j0] = True
+            # column j0 joins the tree with its row i0
             i0 = p[j0]
-            cur = cost[i0 - 1] - u[i0] - v1
-            free = ~used1
-            better = free & (cur < minv1)
-            minv1[better] = cur[better]
-            way1[better] = j0
-            masked = np.where(free, minv1, np.inf)
-            j1 = int(masked.argmin())
-            delta = masked[j1]
-            j1 += 1
-            u[p[used]] += delta
-            v[used] -= delta
-            minv[~used] -= delta
-            j0 = j1
+            ui = u[i0]
+            rows.append(i0)
+            cols.append(j0)
+            tree[0, k] = ui
+            tree[1, k] = -v[j0]
+            k += 1
+            minv[j0] = np.inf
+            vm[j0] = -np.inf
+            np.subtract(cost[i0 - 1], ui, cur)
+            np.subtract(cur, vm1, cur)
+            np.less(cur, minv1, better)
+            np.copyto(minv1, cur, where=better)
+            np.copyto(way1, j0, where=better)
+            j1 = int(minv1.argmin())
+            delta = minv1[j1]
+            if delta:
+                tree[:, :k] += delta
+                minv1 -= delta
+            j0 = j1 + 1
             if p[j0] == 0:
                 break
+        u[rows] = tree[0, :k]
+        v[cols] = -tree[1, :k]
         while True:
-            j1 = way[j0]
+            j1 = int(way[j0])
             p[j0] = p[j1]
             j0 = j1
             if j0 == 0:
                 break
-    return p[1:] - 1
+    return np.array(p[1:], np.int64) - 1

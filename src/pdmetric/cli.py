@@ -44,7 +44,7 @@ from .errors import (
     TooLarge,
 )
 from .geodesics import _grid_check, c0_truncation_gap, geodesic_between
-from .matching import bottleneck, matching_to_json, wasserstein
+from .matching import _check_p, bottleneck, matching_to_json, wasserstein
 from .probes import (
     ProbeReport,
     Verdict,
@@ -124,15 +124,11 @@ def _load_diagram(spec: str, pair: MetricPair) -> Diagram:
 
 
 def _parse_p(raw: str) -> float:
-    if raw == "inf":
-        return math.inf
     try:
         p = float(raw)
     except ValueError as e:
         raise ParseError(f"--p must be 'inf' or a real >= 1, got {raw!r}") from e
-    if not p >= 1.0:
-        raise ParseError(f"--p must be >= 1, got {p}")
-    return p
+    return _check_p(p, ParseError, "--p")
 
 
 # -- dist ------------------------------------------------------------------

@@ -79,6 +79,15 @@ class Matching:
     sum_cost_p: float | None = None
 
 
+def _check_p(p, error=ValueError, name: str = "p") -> float:
+    """``p`` as a float when it is a real >= 1 or +inf; otherwise raise
+    ``error``.  -inf and nan fail the one comparison, like every p < 1."""
+    p = float(p)
+    if not p >= 1.0:
+        raise error(f"{name} must be >= 1, got {p}")
+    return p
+
+
 def _power_sum(costs: list[float], p: float) -> float:
     """Compensated sum of the sorted p-th cost powers (finite p >= 1).
 
@@ -115,10 +124,8 @@ def _matching(pairs, p: float) -> Matching:
 def total_persistence(diagram: Diagram, p: float, pair: MetricPair) -> float:
     """Distance to the empty diagram: sup of dist-to-A for p = inf, else
     the p-norm of the dist-to-A multiset."""
-    _check_same_space(diagram, pair)
-    if p < 1.0 and not math.isinf(p):
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
     _, X = _expand(diagram, pair)
+    p = _check_p(p)
     return p_norm(pair.dist_to_A_batch(X).tolist(), p)[0]
 
 
@@ -246,12 +253,11 @@ def wasserstein(
     pair: MetricPair,
     max_nodes: int = DEFAULT_NODE_CAP,
 ) -> tuple[float, Matching]:
-    """Exact p-Wasserstein distance (1 <= p < inf) and an optimal matching."""
-    p = float(p)
+    """Exact p-Wasserstein distance (1 <= p < inf) and an optimal matching;
+    p = inf gives the bottleneck distance."""
+    p = _check_p(p)
     if math.isinf(p):
         return bottleneck(sigma, tau, pair, max_nodes)
-    if not p >= 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
     xs, ys, Q, ax, ay = _cost_data(sigma, tau, pair, max_nodes)
     n, m = len(xs), len(ys)
     N = n + m
@@ -289,10 +295,7 @@ def brute_force_dp(
     D = pair.pairwise_dist(X, Y)
     ax = pair.dist_to_A_batch(X)
     ay = pair.dist_to_A_batch(Y)
-    p = float(p)
-    if not (p >= 1.0 or math.isinf(p)):
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
-
+    p = _check_p(p)
     inf_p = math.isinf(p)
     best_key = math.inf
     best_assign: tuple[int, ...] | None = None
@@ -342,28 +345,49 @@ def matching_to_json(matching: Matching) -> dict:
     }
 
 
+def _json_real(x, what: str) -> float:
+    """A JSON number, or a string float() accepts, as a float."""
+    if not isinstance(x, (int, float, str)) or isinstance(x, bool):
+        raise ParseError(f"{what} must be a number, got {x!r}")
+    try:
+        return float(x)
+    except ValueError as e:
+        raise ParseError(f"{what} must be a number, got {x!r}") from e
+
+
 def matching_from_json(obj: dict | str, pair: MetricPair) -> Matching:
+    """Read a matching written by ``matching_to_json``.  Every malformed
+    field raises ParseError: p must be >= 1 or "inf", each pair needs
+    "left", "right" ("A" or a coordinate list) and a finite cost >= 0."""
     if isinstance(obj, (str, bytes)):
         try:
             obj = json.loads(obj)
         except json.JSONDecodeError as e:
             raise ParseError(f"invalid matching JSON: {e}") from e
-    if not isinstance(obj, dict) or "pairs" not in obj:
-        raise ParseError('matching JSON must be an object with "pairs"')
-    p_raw = obj.get("p", "inf")
-    p = math.inf if p_raw == "inf" else float(p_raw)
+    if not isinstance(obj, dict) or not isinstance(obj.get("pairs"), list):
+        raise ParseError('matching JSON must be an object with a "pairs" list')
+    p = _check_p(_json_real(obj.get("p", "inf"), "matching p"), ParseError, "matching p")
 
-    def end(v):
+    def end(v, where):
         if v == "A":
             return BASEPOINT
-        return pair.point(*[float(c) for c in v])
+        try:
+            return pair.point(*[float(c) for c in v])
+        except (TypeError, ValueError) as e:
+            raise ParseError(f"{where}: {e}") from e
 
-    pairs = tuple(
-        MatchedPair(end(e["left"]), end(e["right"]), float(e["cost"])) for e in obj["pairs"]
-    )
+    pairs = []
+    for i, e in enumerate(obj["pairs"]):
+        if not isinstance(e, dict) or not {"left", "right", "cost"} <= e.keys():
+            raise ParseError(f'pairs[{i}] must be an object with "left", "right" and "cost"')
+        cost = _json_real(e["cost"], f"pairs[{i}] cost")
+        if not 0.0 <= cost < math.inf:
+            raise ParseError(f"pairs[{i}] cost must be finite and >= 0, got {cost}")
+        pairs.append(MatchedPair(end(e["left"], f"pairs[{i}] left"),
+                                 end(e["right"], f"pairs[{i}] right"), cost))
     matching = _matching(pairs, p)
     declared = obj.get("value")
-    if declared is not None and not math.isclose(float(declared), matching.value,
-                                                  rel_tol=1e-9, abs_tol=1e-12):
+    if declared is not None and not math.isclose(_json_real(declared, "matching value"),
+                                                  matching.value, rel_tol=1e-9, abs_tol=1e-12):
         raise ParseError(f"declared value {declared} disagrees with pairs ({matching.value})")
     return matching

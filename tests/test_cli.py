@@ -109,6 +109,12 @@ def test_bad_p_exits_2(capsys):
     )
     assert code == 2
     assert "must be" in err
+    for raw, message in (("-inf", "--p must be >= 1, got -inf"),
+                         ("nan", "--p must be >= 1, got nan"),
+                         ("two", "--p must be 'inf' or a real >= 1, got 'two'")):
+        code, out, err = run_main(["dist", SIGMA, TAU, "--space", PLANE, f"--p={raw}"], capsys)
+        assert (code, out) == (2, "")
+        assert message in err
 
 
 def test_space_mismatch_exits_3(capsys):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import reference_kernels as ref
+from pdmetric import PlaneDiagonal, canonicalize, matching
 from pdmetric._kernels import augmented_matching, solve_assignment
 
 
@@ -106,7 +107,14 @@ def test_matching_identical_to_scalar_reference():
     assert checked > 10_000
 
 
-def test_assignment_identical_to_scalar_reference():
+def assert_same_as_reference(cost):
+    got = solve_assignment(cost)
+    want = ref.solve_assignment(cost)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want), cost
+
+
+def test_assignment_identical_to_scalar_reference(monkeypatch):
     """Same column-to-row array as the scalar Hungarian kernel, on square
     matrices with integer ties and on augmented Wasserstein cost matrices
     (free slot-to-slot block, repeated point-to-slot costs)."""
@@ -129,3 +137,42 @@ def test_assignment_identical_to_scalar_reference():
         want = ref.solve_assignment(cost)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want), cost
+
+    # zero-delta steps and sentinels: all-equal matrices, repeated rows (as
+    # the augmented slot rows are), negative and -0.0 entries
+    for k in range(900):
+        nn = int(rng.integers(0, 13))
+        if k % 3 == 0:
+            cost = np.full((nn, nn), float(rng.choice([0.0, -0.0, 1.0, -2.5, 3.0])))
+        elif k % 3 == 1:
+            rows = rng.integers(0, 4, (int(rng.integers(1, 4)), nn)).astype(np.float64)
+            cost = rows[rng.integers(0, len(rows), nn)]
+        else:
+            cost = rng.integers(-3, 3, (nn, nn)).astype(np.float64)
+            cost[cost == 0.0] = rng.choice([0.0, -0.0], int((cost == 0.0).sum()))
+        assert_same_as_reference(cost)
+
+    # the augmented W1/W2 matrices ``wasserstein`` builds for grid-tied
+    # plane diagrams, N = n + m points in all
+    costs = []
+
+    def recording(cost):
+        costs.append(cost)
+        return solve_assignment(cost)
+
+    monkeypatch.setattr(matching, "solve_assignment", recording)
+    pair = PlaneDiagonal(1, "sup")
+
+    def grid_diagram(k):
+        births = rng.integers(0, 20, k).tolist()
+        gaps = rng.integers(1, 6, k).tolist()
+        return canonicalize([pair.point(float(b), float(b + g)) for b, g in zip(births, gaps)],
+                            pair)
+
+    for N in (40, 60, 100):
+        sigma, tau = grid_diagram(N // 2), grid_diagram(N // 2)
+        for p in (1.0, 2.0):
+            matching.wasserstein(sigma, tau, p, pair)
+    assert [c.shape[0] for c in costs] == [40, 40, 60, 60, 100, 100]
+    for cost in costs:
+        assert_same_as_reference(cost)

@@ -21,6 +21,7 @@ from pdmetric import (
     feasible_at_threshold,
     matching_from_json,
     matching_to_json,
+    total_persistence,
     wasserstein,
 )
 from pdmetric.matching import p_norm
@@ -168,6 +169,18 @@ def test_p_validation():
         wasserstein(s, s, 0.5, pair)
     with pytest.raises(ValueError):
         brute_force_dp(s, s, 0.5, pair)
+    # one rule everywhere: -inf and nan used to pass as the bottleneck value
+    s = canonicalize([pair.point(0.0, 4.0)], pair)
+    t = canonicalize([pair.point(1.0, 6.0)], pair)
+    for p in (0.5, 0.0, -1.0, -math.inf, math.nan):
+        for solve in (lambda: wasserstein(s, t, p, pair), lambda: brute_force_dp(s, t, p, pair),
+                      lambda: total_persistence(s, p, pair)):
+            with pytest.raises(ValueError, match="p must be >= 1"):
+                solve()
+        with pytest.raises(ParseError):
+            matching_from_json({"pairs": [], "p": p}, pair)
+    assert wasserstein(s, t, math.inf, pair)[0] == brute_force_dp(s, t, math.inf, pair)[0] == 2.0
+    assert total_persistence(s, math.inf, pair) == 2.0
 
 
 def test_too_large():
@@ -325,3 +338,36 @@ def test_matching_json_rejects_inconsistent_value():
         matching_from_json("{not json", pair)
     with pytest.raises(ParseError):
         matching_from_json({"value": 0.0}, pair)
+
+
+@pytest.mark.parametrize("obj", [
+    {"pairs": [], "p": "nan"},
+    {"pairs": [], "p": "-inf"},
+    {"pairs": [], "p": None},
+    {"pairs": [], "p": True},
+    {"pairs": [], "p": "two"},
+    {"pairs": [{"left": [0, 1], "right": "A", "cost": "inf"}]},
+    {"pairs": [{"left": [0, 1], "right": "A", "cost": float("nan")}]},
+    {"pairs": [{"left": [0, 1], "right": "A", "cost": -3}], "p": 2.5},
+    {"pairs": [{"left": [0, 1], "right": "A", "cost": [1]}]},
+    {"pairs": [{"left": [0, 1]}]},
+    {"pairs": [{"left": 5, "right": "A", "cost": 1}]},
+    {"pairs": [{"left": [0, 1, 2], "right": "A", "cost": 0.5}]},
+    {"pairs": [{"left": [3, 1], "right": "A", "cost": 1}]},
+    {"pairs": [None]},
+    {"pairs": {"a": 1}},
+    {"pairs": [{"left": [0, 1], "right": "A", "cost": 0.5}], "value": "half"},
+    '{"pairs": [{"left": [0, 1], "right": "A", "cost": NaN}]}',
+])
+def test_matching_json_errors_are_typed(obj):
+    with pytest.raises(ParseError):
+        matching_from_json(obj, plane_sup())
+
+
+def test_matching_json_accepts_infinite_p_spellings():
+    pair = plane_sup()
+    pairs = [{"left": [0, 1], "right": "A", "cost": 0.5}]
+    for p in ("inf", float("inf"), "Infinity"):
+        assert matching_from_json({"pairs": pairs, "p": p}, pair).p == math.inf
+    assert matching_from_json('{"pairs": [], "p": Infinity}', pair).p == math.inf
+    assert matching_from_json({"pairs": pairs, "p": 2, "value": 0.5}, pair).value == 0.5
