@@ -1,15 +1,17 @@
 """Combinatorial kernels behind the exact distance solvers.
 
-Both kernels work on the augmented bipartite instance: the left side holds
-the n points of one diagram followed by m slots of A, the right side the m
-points of the other diagram followed by n slots of A.  Point-to-point edges
-cost the quotient distance, point-to-slot edges cost the distance to A
-(each point owns a dedicated slot), and slot-to-slot edges are free.
-
 ``augmented_matching`` decides threshold feasibility for the bottleneck
-distance via Hopcroft-Karp; ``solve_assignment`` finds an exact min-cost
-perfect assignment (Hungarian algorithm with potentials) for p-Wasserstein
-costs.
+distance via Hopcroft-Karp on the augmented bipartite instance: the left
+side holds the n points of one diagram followed by m slots of A, the right
+side the m points of the other diagram followed by n slots of A.
+Point-to-point edges cost the quotient distance, point-to-slot edges cost
+the distance to A (each point owns a dedicated slot), and slot-to-slot
+edges are free.
+
+``solve_assignment`` finds an exact min-cost perfect assignment of any
+square matrix (Hungarian algorithm with potentials).  The p-Wasserstein
+solver hands it a max(n, m) x max(n, m) matrix, not the (n+m) x (n+m)
+augmented one: see ``pdmetric.matching.wasserstein``.
 
 There is one kernel path, written with numpy.  Each kernel keeps the scan
 order of the element-by-element loops it replaced: neighbours are visited
@@ -18,14 +20,14 @@ floating-point operation happens in the same order.  The returned arrays
 are therefore identical to that scalar reference (kept as
 ``tests/reference_kernels.py``) on every input, which the tests check.
 
-The Hungarian kernel spends its time in the inner search step, and most
-steps of an augmented Wasserstein instance have delta = 0 (the slot rows
-repeat and the slot-to-slot block is free).  It therefore masks the
-columns already in the search tree with +inf/-inf sentinels instead of a
-boolean mask, applies the tree's potential updates to one contiguous
-array that is written back once per row, and skips every update on a
-zero-delta step; ``solve_assignment`` explains why none of this changes
-a comparison, so the output stays identical.
+The Hungarian kernel spends its time in the inner search step, and many
+steps of a Wasserstein instance have delta = 0 (the padding rows or
+columns repeat, and so do the rows and columns of repeated points).  It
+therefore masks the columns already in the search tree with +inf/-inf
+sentinels instead of a boolean mask, applies the tree's potential updates
+to one contiguous array that is written back once per row, and skips
+every update on a zero-delta step; ``solve_assignment`` explains why none
+of this changes a comparison, so the output stays identical.
 """
 
 from __future__ import annotations

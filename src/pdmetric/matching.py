@@ -11,10 +11,18 @@ Q entry equals d(x, A) + d(y, A) is reported as its two A-assignments.
 The bottleneck value is found by binary search over the finite set of
 candidate costs, deciding each threshold exactly with a bipartite matching
 kernel, so the result is one of the candidate floats with no tolerance.
-Wasserstein values come from an exact min-cost assignment; reported values
-are recomputed from the returned pairs with compensated summation of the
-sorted cost powers, which makes them insensitive to the order the solver
-discovered the pairs in.
+Wasserstein values come from an exact min-cost assignment.  Every point
+left unmatched goes to A, so a matching costs the fixed sum of all powers
+d(x, A)^p and d(y, A)^p plus, per matched pair, Q^p - d(x, A)^p - d(y, A)^p;
+the assignment therefore runs on a max(n, m) x max(n, m) matrix, not on
+the (n+m) x (n+m) augmented one.  The witness lists each x in order with
+its partner or with A (a pair split through A as its two halves), then
+the (A, y) pairs of the unmatched y in order.  Reported values are
+recomputed from the witness pairs with compensated summation of the sorted
+cost powers, which makes them insensitive to the order the solver
+discovered the pairs in.  When the power of a nonzero cost would be 0 or
+subnormal, every cost is first divided by the largest one
+(``_power_scale``), so that no cost loses its weight.
 
 ``brute_force_dp`` enumerates every augmented bijection directly from the
 definition (ambient distances, explicit A-assignments) and is the oracle
@@ -27,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterable
@@ -88,6 +97,24 @@ def _check_p(p, error=ValueError, name: str = "p") -> float:
     return p
 
 
+def _power_scale(p: float, *costs: np.ndarray) -> float:
+    """The divisor every cost is scaled by before its p-th power is taken.
+
+    It is 1.0 unless the p-th power of some nonzero cost is 0 or subnormal,
+    which loses that cost's weight; then it is the largest cost, so every
+    scaled power lies in [0, 1], the largest is 1, and a p-norm is reported
+    as cmax * (sum of (c / cmax)^p)^(1/p).  With 1.0 the scaled costs are
+    the costs themselves, so inputs in the normal range keep their bits.
+    Raises TooLarge when the largest cost's power overflows either way."""
+    tiny = min((float(np.min(c, initial=np.inf, where=c > 0.0)) for c in costs),
+               default=np.inf)
+    if tiny >= 1.0 or tiny**p >= sys.float_info.min:
+        return 1.0
+    cmax = max(float(np.max(c, initial=0.0)) for c in costs)
+    _power_sum([cmax], p)  # TooLarge when even the largest power overflows
+    return cmax
+
+
 def _power_sum(costs: list[float], p: float) -> float:
     """Compensated sum of the sorted p-th cost powers (finite p >= 1).
 
@@ -101,16 +128,16 @@ def _power_sum(costs: list[float], p: float) -> float:
 
 
 def p_norm(costs: Iterable[float], p: float) -> tuple[float, float | None]:
-    """(value, sum of p-th powers) of a cost multiset, order-independent."""
+    """(value, sum of p-th powers) of a cost multiset, order-independent.
+    Costs are scaled by ``_power_scale`` before their powers are summed."""
     costs = list(costs)
     if math.isinf(p):
         return (max(costs) if costs else 0.0, None)
     if not costs:
         return 0.0, 0.0
-    s = _power_sum(costs, p)
-    if p == 1.0:
-        return s, s
-    return s ** (1.0 / p), s
+    s = _power_scale(p, np.array(costs))
+    total = _power_sum([c / s for c in costs], p)
+    return s * total ** (1.0 / p), total * s**p
 
 
 def _matching(pairs, p: float) -> Matching:
@@ -254,25 +281,45 @@ def wasserstein(
     max_nodes: int = DEFAULT_NODE_CAP,
 ) -> tuple[float, Matching]:
     """Exact p-Wasserstein distance (1 <= p < inf) and an optimal matching;
-    p = inf gives the bottleneck distance."""
+    p = inf gives the bottleneck distance.  The witness lists the points of
+    ``sigma`` in order, each with its partner or with A (a pair whose cost
+    is its route through A as (x, A) then (A, y)), then the unmatched points
+    of ``tau`` in order, each with A."""
     p = _check_p(p)
     if math.isinf(p):
         return bottleneck(sigma, tau, pair, max_nodes)
     xs, ys, Q, ax, ay = _cost_data(sigma, tau, pair, max_nodes)
     n, m = len(xs), len(ys)
-    N = n + m
-    if N == 0:
-        return 0.0, Matching((), 0.0, p, 0.0, 0.0)
-    C = np.zeros((N, N), dtype=np.float64)
+    s = _power_scale(p, Q, ax, ay)
     with np.errstate(over="ignore"):
-        C[:n, :m] = Q**p
-        C[:n, m:] = np.broadcast_to((ax**p)[:, None], (n, n))
-        C[n:, :m] = np.broadcast_to((ay**p)[None, :], (m, m))
-    if not np.isfinite(C).all():
+        Qp, axp, ayp = (Q / s) ** p, (ax / s) ** p, (ay / s) ** p
+        both_to_A = axp[:, None] + ayp[None, :]
+    if not (np.isfinite(Qp).all() and np.isfinite(axp).all() and np.isfinite(ayp).all()):
         raise TooLarge(f"cost powers overflow the float range at p = {p}")
-    row_of_col = solve_assignment(np.ascontiguousarray(C))
-    assign_l = np.empty(N, dtype=np.int64)
-    assign_l[row_of_col] = np.arange(N)
+    # The k x k instance, k = max(n, m): entry (u, v) costs the cheaper of
+    # matching x_u with y_v and sending both to A, and a padding row or
+    # column stands for A, so it costs the other point's power.  It is
+    # min(Q^p - ax^p - ay^p, 0) plus the row constant ax^p and the column
+    # constant ay^p, which every assignment pays, so both have the same
+    # optimal assignments; unlike that difference, each entry stays at the
+    # scale of the costs it compares.
+    k = max(n, m)
+    W = np.empty((k, k))
+    np.minimum(Qp, both_to_A, out=W[:n, :m])
+    W[:n, m:] = axp[:, None]
+    W[n:, :m] = ayp[None, :]
+    row_of_col = solve_assignment(W)
+    # every x goes to its A slot and every y comes from its own; a pair the
+    # kernel assigns is matched instead when that is strictly cheaper, and
+    # its y's slot row then takes the x's freed slot column
+    assign_l = np.concatenate((m + np.arange(n), np.arange(m)))
+    rows = row_of_col[:m]
+    v = np.flatnonzero(rows < n)
+    u = rows[v]
+    hit = Qp[u, v] < both_to_A[u, v]
+    u, v = u[hit], v[hit]
+    assign_l[u] = v
+    assign_l[n + v] = m + u
     matching = _matching(_build_pairs(xs, ys, assign_l, n, m, Q, ax, ay), p)
     return matching.value, matching
 
@@ -297,6 +344,9 @@ def brute_force_dp(
     ay = pair.dist_to_A_batch(Y)
     p = _check_p(p)
     inf_p = math.isinf(p)
+    # keys compare scaled costs, so an underflowing power keeps its weight
+    s = 1.0 if inf_p else _power_scale(p, D, ax, ay)
+    Ds, axs, ays = (D / s).tolist(), (ax / s).tolist(), (ay / s).tolist()
     best_key = math.inf
     best_assign: tuple[int, ...] | None = None
     # each sigma point maps to a tau point or to A (-1); each choice of
@@ -305,10 +355,10 @@ def brute_force_dp(
         for left_subset in combinations(range(n), k):
             rest = [i for i in range(n) if i not in left_subset]
             for right_perm in permutations(range(m), k):
-                costs = [float(D[i, j]) for i, j in zip(left_subset, right_perm)]
-                costs.extend(float(ax[i]) for i in rest)
+                costs = [Ds[i][j] for i, j in zip(left_subset, right_perm)]
+                costs.extend(axs[i] for i in rest)
                 used = set(right_perm)
-                costs.extend(float(ay[j]) for j in range(m) if j not in used)
+                costs.extend(ays[j] for j in range(m) if j not in used)
                 key = max(costs, default=0.0) if inf_p else _power_sum(costs, p)
                 if key < best_key:
                     best_key = key

@@ -1,14 +1,22 @@
-"""Frozen scalar reference for the vectorized kernels in ``pdmetric._kernels``.
+"""Frozen references for the kernels in ``pdmetric._kernels`` and for the
+assignment instance ``pdmetric.matching.wasserstein`` builds.
 
-These are the element-by-element Hopcroft-Karp and Hungarian loops the
-package shipped before its kernels were vectorized.  They are kept only as
-a test oracle: the vectorized kernels must return exactly the same arrays.
-Do not edit them to follow changes in the package.
+``augmented_matching`` and ``solve_assignment`` are the element-by-element
+Hopcroft-Karp and Hungarian loops the package shipped before its kernels
+were vectorized; the vectorized kernels must return exactly the same
+arrays.  ``augmented_wasserstein`` is the p-Wasserstein solve on the
+(n+m) x (n+m) augmented matrix that the package used before it moved to the
+reduced max(n, m) x max(n, m) instance; the reduced solve must report the
+same values.  They are kept only as test oracles.  Do not edit them to
+follow changes in the package.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from pdmetric import _kernels, matching
+from pdmetric.errors import TooLarge
 
 
 def _neighbor(u, c, Q, ax, ay, r, n, m):
@@ -183,3 +191,29 @@ def solve_assignment(cost):
             if j0 == 0:
                 break
     return p[1:] - 1
+
+
+def augmented_wasserstein(sigma, tau, p, pair):
+    """(value, matching) of the min-cost perfect assignment on the augmented
+    matrix: Q^p between points, d(x, A)^p from a point to any A slot and 0
+    between slots.  The cost data and the witness assembly are the
+    package's; what is frozen is this matrix and how its assignment is read.
+    The kernel is the vectorized one, which returns the same arrays as
+    ``solve_assignment`` above in a fraction of the time."""
+    xs, ys, Q, ax, ay = matching._cost_data(sigma, tau, pair, matching.DEFAULT_NODE_CAP)
+    n, m = len(xs), len(ys)
+    N = n + m
+    if N == 0:
+        return 0.0, matching.Matching((), 0.0, p, 0.0, 0.0)
+    C = np.zeros((N, N), dtype=np.float64)
+    with np.errstate(over="ignore"):
+        C[:n, :m] = Q**p
+        C[:n, m:] = np.broadcast_to((ax**p)[:, None], (n, n))
+        C[n:, :m] = np.broadcast_to((ay**p)[None, :], (m, m))
+    if not np.isfinite(C).all():
+        raise TooLarge(f"cost powers overflow the float range at p = {p}")
+    row_of_col = _kernels.solve_assignment(np.ascontiguousarray(C))
+    assign_l = np.empty(N, dtype=np.int64)
+    assign_l[row_of_col] = np.arange(N)
+    result = matching._matching(matching._build_pairs(xs, ys, assign_l, n, m, Q, ax, ay), p)
+    return result.value, result

@@ -116,8 +116,9 @@ def assert_same_as_reference(cost):
 
 def test_assignment_identical_to_scalar_reference(monkeypatch):
     """Same column-to-row array as the scalar Hungarian kernel, on square
-    matrices with integer ties and on augmented Wasserstein cost matrices
-    (free slot-to-slot block, repeated point-to-slot costs)."""
+    matrices with integer ties, on augmented Wasserstein cost matrices
+    (free slot-to-slot block, repeated point-to-slot costs) and on the
+    reduced matrices ``wasserstein`` builds."""
     rng = np.random.default_rng(31)
     for k in range(2000):
         if k % 2:
@@ -152,8 +153,8 @@ def test_assignment_identical_to_scalar_reference(monkeypatch):
             cost[cost == 0.0] = rng.choice([0.0, -0.0], int((cost == 0.0).sum()))
         assert_same_as_reference(cost)
 
-    # the augmented W1/W2 matrices ``wasserstein`` builds for grid-tied
-    # plane diagrams, N = n + m points in all
+    # the reduced W1/W2 matrices ``wasserstein`` builds for grid-tied
+    # plane diagrams of n = m = N / 2 points: k x k with k = max(n, m)
     costs = []
 
     def recording(cost):
@@ -173,6 +174,6 @@ def test_assignment_identical_to_scalar_reference(monkeypatch):
         sigma, tau = grid_diagram(N // 2), grid_diagram(N // 2)
         for p in (1.0, 2.0):
             matching.wasserstein(sigma, tau, p, pair)
-    assert [c.shape[0] for c in costs] == [40, 40, 60, 60, 100, 100]
+    assert [c.shape[0] for c in costs] == [20, 20, 30, 30, 50, 50]
     for cost in costs:
         assert_same_as_reference(cost)

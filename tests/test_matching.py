@@ -2,16 +2,21 @@
 p-norm structure, and the serialization of matchings."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+import pdmetric.matching
+
 from pdmetric import (
     BASEPOINT,
     BasepointTag,
+    FiniteExplicit,
     Matching,
     ParseError,
     PlaneDiagonal,
+    QuotientOf,
     TooLarge,
     bottleneck,
     brute_force_dp,
@@ -25,6 +30,7 @@ from pdmetric import (
     wasserstein,
 )
 from pdmetric.matching import p_norm
+from reference_kernels import augmented_wasserstein
 
 from conftest import (
     halfline,
@@ -141,6 +147,54 @@ def test_overflowing_cost_powers_raise_too_large():
     assert bottleneck(huge, empty_diagram(pair), pair)[0] == 5e199
 
 
+def test_overflow_is_raised_before_the_kernel(monkeypatch):
+    def kernel(cost):
+        raise AssertionError("the assignment kernel ran")
+
+    monkeypatch.setattr(pdmetric.matching, "solve_assignment", kernel)
+    pair, half = plane_sup(), halfline()
+    huge = canonicalize([pair.point(0.0, 1e200)], pair)
+    empty = empty_diagram(pair)
+    # a power of a distance to A, on either side, overflows; then only a
+    # pair's power (its route through A, 1.8e154); last, an instance that
+    # also underflows, so it is scaled first
+    far = [canonicalize([pair.point(b, b + 1.8e154)], pair) for b in (0.0, 1e160)]
+    cases = [(huge, empty, pair), (empty, huge, pair), (*far, pair),
+             (canonicalize([half.point(1e-200)], half), canonicalize([half.point(1e200)], half),
+              half)]
+    for s, t, space in cases:
+        with pytest.raises(TooLarge):
+            wasserstein(s, t, 2.0, space)
+
+
+def test_underflowing_cost_powers_keep_their_weight():
+    """At p = 400 the powers of the small costs underflow to 0.  Scaled by
+    the largest cost they keep their weight, so W_p stays positive and at
+    least the bottleneck distance, and solver and oracle agree."""
+    pair = halfline()
+    s = canonicalize([pair.point(0.1), pair.point(0.3)], pair)
+    t = canonicalize([pair.point(0.12), pair.point(0.2)], pair)
+    value = wasserstein(s, t, 400.0, pair)[0]
+    assert value > 0.0
+    assert value >= bottleneck(s, t, pair)[0]
+    assert value == brute_force_dp(s, t, 400.0, pair)[0]
+    # the one rule also serves p_norm and total_persistence
+    assert p_norm([1e-200], 2.0)[0] == 1e-200
+    assert total_persistence(canonicalize([pair.point(1e-200)], pair), 2.0, pair) == 1e-200
+
+
+def test_wasserstein_exact_far_from_the_diagonal():
+    """Points of persistence 2e8 lying within 10 of each other: each pair's
+    cost power is tiny next to its distances to A, and the solve must still
+    find the cheapest pairing."""
+    rng = np.random.default_rng(608)
+    pair = plane_sup()
+    for _ in range(20):
+        s, t = (canonicalize([pair.point(b, b + 2e8) for b in rng.uniform(0.0, 10.0, 5).tolist()],
+                             pair) for _ in range(2))
+        assert wasserstein(s, t, 2.0, pair)[0] == brute_force_dp(s, t, 2.0, pair)[0]
+
+
 def test_empty_diagrams():
     pair = plane_sup()
     empty = empty_diagram(pair)
@@ -240,6 +294,109 @@ def test_solvers_match_brute_force_finite_pairs():
         for p in (1.0, 2.0):
             assert wasserstein(s, t, p, pair)[0] == brute_force_dp(s, t, p, pair)[0]
         assert bottleneck(s, t, pair)[0] == brute_force_dp(s, t, math.inf, pair)[0]
+
+
+# -- the reduced assignment against the augmented reference ---------------------
+
+
+def assert_witness_rule(matching, sigma, tau, pair):
+    """Pairs come in the documented order: each x in left index order with
+    its partner, or with A (followed by the (A, y) half of a pair split
+    through A), then the remaining (A, y) pairs in ascending y index.  A
+    point-to-point pair costs less than its route through A."""
+    xs, ys = list(sigma.iter_points()), list(tau.iter_points())
+    pairs = list(matching.pairs)
+
+    def split(x, y):  # the pair's quotient cost is its route through A
+        return pair.dist(x, y) >= pair.dist_to_A(x) + pair.dist_to_A(y)
+
+    k = 0
+    for i, x in enumerate(xs):
+        q = pairs[k]
+        k += 1
+        assert q.left == x
+        if q.right is not BASEPOINT:
+            assert q.cost < pair.dist_to_A(x) + pair.dist_to_A(q.right)
+        elif i + 1 < len(xs) and pairs[k].left is BASEPOINT:  # a split half
+            assert split(x, pairs[k].right)
+            k += 1
+    assert all(q.left is BASEPOINT for q in pairs[k:])
+    tail = [ys.index(q.right) for q in pairs[k:]]
+    # the last x's split half, if it has one, precedes the ascending rest
+    assert tail == sorted(tail) or (split(xs[-1], ys[tail[0]]) and tail[1:] == sorted(tail[1:]))
+    rights = [ys.index(q.right) for q in pairs if q.right is not BASEPOINT]
+    assert sorted(rights) == [ys.index(y) for y in ys]
+
+
+def grid_plane_diagram(pair, rng, max_points=12):
+    k = int(rng.integers(0, max_points + 1))
+    births, gaps = rng.integers(0, 20, k).tolist(), rng.integers(0, 8, k).tolist()
+    return canonicalize([pair.point(float(b), float(b + g)) for b, g in zip(births, gaps)], pair)
+
+
+def grid_finite_pair(rng):
+    coords = rng.integers(0, 10, (int(rng.integers(4, 9)), 2))
+    matrix = np.abs(coords[:, None, :] - coords[None, :, :]).max(axis=-1)
+    return FiniteExplicit(matrix.astype(np.float64), [len(coords) - 1])
+
+
+def grid_halfline_diagram(pair, rng, max_points=12):
+    k = int(rng.integers(0, max_points + 1))
+    return canonicalize([pair.point(float(v)) for v in rng.integers(0, 20, k).tolist()], pair)
+
+
+def reference_cases(rng, grid):
+    """(sigma, tau, p, pair) draws: random floats, or integer grids on which
+    every cost power is exact, so a tie between matchings is exact."""
+    sup, euc, half = plane_sup(), plane_euclidean(), halfline()
+    quotient = QuotientOf(PlaneDiagonal(1, "sup"))
+    plane = partial(random_plane_diagram, max_points=12, scale=20.0, gap=10.0)
+    every_p = (1.0, 2.0, 3.5)
+    for _ in range(50 if grid else 70):
+        if grid:
+            draws = [(grid_finite_pair(rng), random_finite_diagram, (1.0, 2.0)),
+                     (sup, grid_plane_diagram, (1.0, 2.0)),
+                     (half, grid_halfline_diagram, (1.0, 2.0))]
+        else:
+            # W1 on the half-line ties in the reals on every draw: a pair
+            # saves 2 min(x, y) over sending both to A, so many matchings are
+            # optimal, and which one a solver returns decides the last bit of
+            # the rounded sum (see CHANGES.md); the grid cases cover it
+            draws = [(random_finite_pair(rng), random_finite_diagram, every_p),
+                     (sup, plane, every_p), (euc, plane, every_p), (quotient, plane, every_p),
+                     (half, partial(random_halfline_diagram, max_points=12), (2.0, 3.5))]
+        for pair, draw, exps in draws:
+            sigma, tau = draw(pair, rng), draw(pair, rng)
+            for p in exps:
+                yield sigma, tau, p, pair
+
+
+@pytest.mark.parametrize("grid", [False, True], ids=["floats", "grids"])
+def test_reduced_assignment_matches_augmented_reference(grid):
+    """``wasserstein`` solves the max(n, m)^2 reduced instance; its value is
+    the augmented (n+m)^2 solve's to the bit, and its witness follows the
+    documented order."""
+    rng = np.random.default_rng(606 + grid)
+    solves = 0
+    for sigma, tau, p, pair in reference_cases(rng, grid):
+        value, matching = wasserstein(sigma, tau, p, pair)
+        assert value.hex() == augmented_wasserstein(sigma, tau, p, pair)[0].hex(), (
+            pair.kind, p, sigma, tau)
+        assert_witness_rule(matching, sigma, tau, pair)
+        solves += 1
+    assert solves == (300 if grid else 980)
+
+
+def test_reduced_assignment_matches_brute_force_on_euclidean_grids():
+    rng = np.random.default_rng(607)
+    pair = plane_euclidean()
+    for _ in range(300):
+        sigma = grid_plane_diagram(pair, rng, max_points=5)
+        tau = grid_plane_diagram(pair, rng, max_points=5)
+        for p in (1.0, 2.0, 3.5):
+            value, matching = wasserstein(sigma, tau, p, pair)
+            assert value.hex() == brute_force_dp(sigma, tau, p, pair)[0].hex(), (p, sigma, tau)
+            assert_witness_rule(matching, sigma, tau, pair)
 
 
 # -- metric axioms --------------------------------------------------------------
