@@ -100,19 +100,18 @@ def _check_p(p, error=ValueError, name: str = "p") -> float:
 def _power_scale(p: float, *costs: np.ndarray) -> float:
     """The divisor every cost is scaled by before its p-th power is taken.
 
-    It is 1.0 unless the p-th power of some nonzero cost is 0 or subnormal,
-    which loses that cost's weight; then it is the largest cost, so every
-    scaled power lies in [0, 1], the largest is 1, and a p-norm is reported
-    as cmax * (sum of (c / cmax)^p)^(1/p).  With 1.0 the scaled costs are
-    the costs themselves, so inputs in the normal range keep their bits.
-    Raises TooLarge when the largest cost's power overflows either way."""
-    tiny = min((float(np.min(c, initial=np.inf, where=c > 0.0)) for c in costs),
-               default=np.inf)
-    if tiny >= 1.0 or tiny**p >= sys.float_info.min:
-        return 1.0
+    It is the largest cost cmax when cmax < 1 and the p-th power of some
+    nonzero cost is 0 or subnormal, which loses that cost's weight; then
+    every scaled power lies in [0, 1], the largest is 1, and a p-norm is
+    reported as cmax * (sum of (c / cmax)^p)^(1/p).  Otherwise it is 1.0
+    and the scaled costs are the costs themselves, so inputs in the normal
+    range keep their bits.  A divisor above 1 would only shrink the powers
+    and push more of them below the normal range, so there is none."""
     cmax = max(float(np.max(c, initial=0.0)) for c in costs)
-    _power_sum([cmax], p)  # TooLarge when even the largest power overflows
-    return cmax
+    if cmax >= 1.0:
+        return 1.0
+    tiny = min(float(np.min(c, initial=np.inf, where=c > 0.0)) for c in costs)
+    return 1.0 if tiny**p >= sys.float_info.min else cmax
 
 
 def _power_sum(costs: list[float], p: float) -> float:

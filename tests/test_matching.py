@@ -2,7 +2,9 @@
 p-norm structure, and the serialization of matchings."""
 
 import math
+from fractions import Fraction
 from functools import partial
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -129,13 +131,28 @@ def test_bottleneck_evaluates_each_threshold_once(monkeypatch):
             assert value in candidate_thresholds(s, t, pair)
 
 
-def test_overflowing_cost_powers_raise_too_large():
-    pair = plane_sup()
+def test_overflowing_cost_powers_raise_too_large(monkeypatch):
+    def kernel(cost):
+        raise AssertionError("the assignment kernel ran")
+
+    pair, half = plane_sup(), halfline()
     huge = canonicalize([pair.point(0.0, 1e200)], pair)
+    empty = empty_diagram(pair)
+    # a power of a distance to A, on either side, overflows; then only a
+    # pair's power (its route through A, 1.8e154); last, an instance whose
+    # small power also underflows, and which is not scaled since its
+    # largest cost exceeds 1.  TooLarge comes before the kernel runs.
+    far = [canonicalize([pair.point(b, b + 1.8e154)], pair) for b in (0.0, 1e160)]
+    cases = [(huge, empty, pair), (empty, huge, pair), (*far, pair),
+             (canonicalize([half.point(1e-200)], half), canonicalize([half.point(1e200)], half),
+              half)]
+    with monkeypatch.context() as patch:
+        patch.setattr(pdmetric.matching, "solve_assignment", kernel)
+        for s, t, space in cases:
+            with pytest.raises(TooLarge):
+                wasserstein(s, t, 2.0, space)
     with pytest.raises(TooLarge):
-        wasserstein(huge, empty_diagram(pair), 2.0, pair)
-    with pytest.raises(TooLarge):
-        brute_force_dp(huge, empty_diagram(pair), 2.0, pair)
+        brute_force_dp(huge, empty, 2.0, pair)
     # each power is finite, their sum is not
     with pytest.raises(TooLarge):
         p_norm([1e154, 1e154], 2.0)
@@ -143,28 +160,8 @@ def test_overflowing_cost_powers_raise_too_large():
         matching_from_json({"pairs": [{"left": [0.0, 1e200], "right": "A", "cost": 5e199}],
                             "p": 2.0}, pair)
     # the same diagrams stay solvable where the powers fit
-    assert wasserstein(huge, empty_diagram(pair), 1.0, pair)[0] == 5e199
-    assert bottleneck(huge, empty_diagram(pair), pair)[0] == 5e199
-
-
-def test_overflow_is_raised_before_the_kernel(monkeypatch):
-    def kernel(cost):
-        raise AssertionError("the assignment kernel ran")
-
-    monkeypatch.setattr(pdmetric.matching, "solve_assignment", kernel)
-    pair, half = plane_sup(), halfline()
-    huge = canonicalize([pair.point(0.0, 1e200)], pair)
-    empty = empty_diagram(pair)
-    # a power of a distance to A, on either side, overflows; then only a
-    # pair's power (its route through A, 1.8e154); last, an instance that
-    # also underflows, so it is scaled first
-    far = [canonicalize([pair.point(b, b + 1.8e154)], pair) for b in (0.0, 1e160)]
-    cases = [(huge, empty, pair), (empty, huge, pair), (*far, pair),
-             (canonicalize([half.point(1e-200)], half), canonicalize([half.point(1e200)], half),
-              half)]
-    for s, t, space in cases:
-        with pytest.raises(TooLarge):
-            wasserstein(s, t, 2.0, space)
+    assert wasserstein(huge, empty, 1.0, pair)[0] == 5e199
+    assert bottleneck(huge, empty, pair)[0] == 5e199
 
 
 def test_underflowing_cost_powers_keep_their_weight():
@@ -183,16 +180,33 @@ def test_underflowing_cost_powers_keep_their_weight():
     assert total_persistence(canonicalize([pair.point(1e-200)], pair), 2.0, pair) == 1e-200
 
 
-def test_wasserstein_exact_far_from_the_diagonal():
-    """Points of persistence 2e8 lying within 10 of each other: each pair's
-    cost power is tiny next to its distances to A, and the solve must still
-    find the cheapest pairing."""
-    rng = np.random.default_rng(608)
+def test_costs_are_never_scaled_down():
+    """The power of the cost 5e-7 is subnormal at p = 50, but the largest
+    cost, 1e6, exceeds 1: dividing by it would send every power below 0.6
+    to 0 or a subnormal and tie all pairings of the small points.  The value
+    is the unscaled augmented solve's, and the witness's exact sum of cost
+    powers is the least over every matching."""
     pair = plane_sup()
-    for _ in range(20):
-        s, t = (canonicalize([pair.point(b, b + 2e8) for b in rng.uniform(0.0, 10.0, 5).tolist()],
-                             pair) for _ in range(2))
-        assert wasserstein(s, t, 2.0, pair)[0] == brute_force_dp(s, t, 2.0, pair)[0]
+    s = canonicalize([pair.point(b, d) for b, d in
+                      ((0.0, 2e6), (0.0, 1e-6), (0.8, 1.3), (0.6, 1.6), (0.7, 0.9))], pair)
+    t = canonicalize([pair.point(b, d) for b, d in
+                      ((0.2, 2e6 + 0.2), (0.5, 1.1), (0.7, 1.2), (0.8, 1.2))], pair)
+    value, witness = wasserstein(s, t, 50.0, pair)
+    assert value.hex() == augmented_wasserstein(s, t, 50.0, pair)[0].hex()
+
+    def exact(costs):
+        return sum(Fraction(float(c)) ** 50 for c in costs)
+
+    xs, ys = list(s.iter_points()), list(t.iter_points())
+    ax, ay = [pair.dist_to_A(x) for x in xs], [pair.dist_to_A(y) for y in ys]
+    least = min(
+        exact([min(pair.dist(xs[i], ys[j]), ax[i] + ay[j]) for i, j in zip(left, right)]
+              + [ax[i] for i in range(len(xs)) if i not in left]
+              + [ay[j] for j in range(len(ys)) if j not in right])
+        for k in range(len(ys) + 1)
+        for left in combinations(range(len(xs)), k)
+        for right in permutations(range(len(ys)), k))
+    assert exact(q.cost for q in witness.pairs) == least
 
 
 def test_empty_diagrams():
@@ -267,6 +281,14 @@ def spaces_and_generators():
     yield plane_sup(), lambda pair: random_plane_diagram(pair, rng, max_points=4)
     yield plane_euclidean(), lambda pair: random_plane_diagram(pair, rng, max_points=4)
     yield halfline(), lambda pair: random_halfline_diagram(pair, rng, max_points=4)
+    # integer grids: Euclidean pair costs are square roots, and matchings
+    # that tie in the reals may round apart
+    yield plane_euclidean(), lambda pair: grid_plane_diagram(pair, rng, max_points=5)
+    # points of persistence 2e8 within 10 of each other: each pair's cost
+    # power is tiny next to its distances to A, and the solve must still
+    # find the cheapest pairing
+    yield plane_sup(), lambda pair: canonicalize(
+        [pair.point(b, b + 2e8) for b in rng.uniform(0.0, 10.0, 5).tolist()], pair)
 
 
 def test_solvers_match_brute_force():
@@ -275,9 +297,10 @@ def test_solvers_match_brute_force():
             s = gen(pair)
             t = gen(pair)
             for p in (1.0, 2.0, 3.0):
-                ours = wasserstein(s, t, p, pair)[0]
+                ours, matching = wasserstein(s, t, p, pair)
                 ref = brute_force_dp(s, t, p, pair)[0]
                 assert ours == ref, (pair.kind, p, s, t)
+                assert_witness_rule(matching, s, t, pair)
             ours = bottleneck(s, t, pair)[0]
             ref = brute_force_dp(s, t, math.inf, pair)[0]
             assert ours == ref, (pair.kind, s, t)
@@ -385,18 +408,6 @@ def test_reduced_assignment_matches_augmented_reference(grid):
         assert_witness_rule(matching, sigma, tau, pair)
         solves += 1
     assert solves == (300 if grid else 980)
-
-
-def test_reduced_assignment_matches_brute_force_on_euclidean_grids():
-    rng = np.random.default_rng(607)
-    pair = plane_euclidean()
-    for _ in range(300):
-        sigma = grid_plane_diagram(pair, rng, max_points=5)
-        tau = grid_plane_diagram(pair, rng, max_points=5)
-        for p in (1.0, 2.0, 3.5):
-            value, matching = wasserstein(sigma, tau, p, pair)
-            assert value.hex() == brute_force_dp(sigma, tau, p, pair)[0].hex(), (p, sigma, tau)
-            assert_witness_rule(matching, sigma, tau, pair)
 
 
 # -- metric axioms --------------------------------------------------------------
