@@ -21,8 +21,8 @@ the (A, y) pairs of the unmatched y in order.  Reported values are
 recomputed from the witness pairs with compensated summation of the sorted
 cost powers, which makes them insensitive to the order the solver
 discovered the pairs in.  When the power of a nonzero cost would be 0 or
-subnormal, every cost is first divided by the largest one
-(``_power_scale``), so that no cost loses its weight.
+subnormal and the largest cost is below 1, every cost is first divided by
+the largest one (``_power_scale``), which only raises the powers.
 
 ``brute_force_dp`` enumerates every augmented bijection directly from the
 definition (ambient distances, explicit A-assignments) and is the oracle
