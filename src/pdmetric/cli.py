@@ -44,7 +44,7 @@ from .errors import (
     TooLarge,
 )
 from .geodesics import _grid_check, c0_truncation_gap, geodesic_between
-from .matching import _check_p, bottleneck, matching_to_json, wasserstein
+from .matching import _check_p, matching_to_json, wasserstein
 from .probes import (
     ProbeReport,
     Verdict,
@@ -138,11 +138,7 @@ def cmd_dist(args) -> int:
     pair = _load_space(args.space, args.norm)
     sigma = _load_diagram(args.sigma, pair)
     tau = _load_diagram(args.tau, pair)
-    p = _parse_p(args.p)
-    if math.isinf(p):
-        value, matching = bottleneck(sigma, tau, pair)
-    else:
-        value, matching = wasserstein(sigma, tau, p, pair)
+    value, matching = wasserstein(sigma, tau, _parse_p(args.p), pair)
     if args.matching:
         with open(args.matching, "w", encoding="utf-8") as fh:
             json.dump(matching_to_json(matching), fh, sort_keys=True)

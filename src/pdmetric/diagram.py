@@ -122,22 +122,17 @@ def _is_two_column_plane(pair: MetricPair) -> bool:
 # -- parsing ---------------------------------------------------------------
 
 
-def parse_diagram(
-    text: str, fmt: str, pair: MetricPair, strict: bool = False
-) -> Diagram:
-    """Parse JSON or CSV diagram text into canonical form.
-
-    Non-strict parsing fills in a default multiplicity of 1; strict parsing
-    requires every field to be present.
-    """
+def parse_diagram(text: str, fmt: str, pair: MetricPair) -> Diagram:
+    """Parse JSON or CSV diagram text into canonical form.  A missing
+    multiplicity defaults to 1 and a JSON diagram may omit its space."""
     if fmt == "json":
-        return _parse_json(text, pair, strict)
+        return _parse_json(text, pair)
     if fmt == "csv":
-        return _parse_csv(text, pair, strict)
+        return _parse_csv(text, pair)
     raise ParseError(f"unknown diagram format {fmt!r}")
 
 
-def _parse_json(text: str, pair: MetricPair, strict: bool) -> Diagram:
+def _parse_json(text: str, pair: MetricPair) -> Diagram:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
@@ -159,8 +154,6 @@ def _parse_json(text: str, pair: MetricPair, strict: bool) -> Diagram:
                 )
         else:
             raise ParseError('"space" must be an id string or a descriptor object')
-    elif strict:
-        raise ParseError('strict parsing requires a "space" field')
     entries = obj["points"]
     if not isinstance(entries, list):
         raise ParseError('"points" must be a list')
@@ -168,8 +161,6 @@ def _parse_json(text: str, pair: MetricPair, strict: bool) -> Diagram:
     for i, e in enumerate(entries):
         if not isinstance(e, dict) or "coords" not in e:
             raise ParseError(f'points[{i}] must be an object with "coords"')
-        if strict and "mult" not in e:
-            raise ParseError(f"points[{i}] lacks mult (strict mode)")
         mult = e.get("mult", 1)
         if not isinstance(mult, int) or mult < 1:
             raise ParseError(f"points[{i}] has bad multiplicity {mult!r}")
@@ -181,7 +172,7 @@ def _parse_json(text: str, pair: MetricPair, strict: bool) -> Diagram:
     return canonicalize(out, pair)
 
 
-def _parse_csv(text: str, pair: MetricPair, strict: bool) -> Diagram:
+def _parse_csv(text: str, pair: MetricPair) -> Diagram:
     if not _is_two_column_plane(pair):
         raise ParseError("CSV diagrams are only defined for two-coordinate plane pairs")
     out = []
@@ -194,8 +185,8 @@ def _parse_csv(text: str, pair: MetricPair, strict: bool) -> Diagram:
             continue
         if ln == 1 and not _looks_numeric(row[0]):
             continue  # header row
-        if len(row) not in (2, 3) or (strict and len(row) != 3):
-            raise ParseError(f"expected birth,death{',mult' if strict else '[,mult]'}", line=ln)
+        if len(row) not in (2, 3):
+            raise ParseError("expected birth,death[,mult]", line=ln)
         try:
             b, d = float(row[0]), float(row[1])
         except ValueError as e:

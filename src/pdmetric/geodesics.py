@@ -14,6 +14,11 @@ exact solver.  ``c0_truncation_gap`` computes, in the m-coordinate sup
 cube, the bottleneck distance between the diagrams of even-sized and
 odd-sized subset vectors; the gap stays above the infinite-dimensional
 limit 1, which is the obstruction to geodesics in the untruncated space.
+
+Paths come from ``bottleneck`` and share its fixed size cap, which counts
+points with multiplicity before any is expanded; ``c0_truncation_gap``
+enumerates 2^m subsets and refuses m above ``SupCubeTruncatedC0.MAX_DIM``.
+Both refusals raise TooLarge.
 """
 
 from __future__ import annotations
@@ -133,14 +138,13 @@ class DiagramPath:
         return pair.geodesic(x, y, t)
 
 
-def geodesic_between(sigma: Diagram, tau: Diagram, pair: MetricPair,
-                     max_nodes: int | None = None) -> DiagramPath:
+def geodesic_between(sigma: Diagram, tau: Diagram, pair: MetricPair) -> DiagramPath:
     """Build a geodesic for the bottleneck distance from an optimal
-    matching.  Requires a geodesic oracle on the pair."""
+    matching.  Requires a geodesic oracle on the pair; raises TooLarge
+    through ``bottleneck`` when the diagrams exceed its size cap."""
     if not pair.has_geodesic:
         raise NoGeodesicOracle(f"{pair.kind} has no geodesic oracle")
-    kwargs = {} if max_nodes is None else {"max_nodes": max_nodes}
-    value, matching = bottleneck(sigma, tau, pair, **kwargs)
+    value, matching = bottleneck(sigma, tau, pair)
     legs = []
     for mp in matching.pairs:
         legs.append(_classify_leg(pair, mp, value))
@@ -190,22 +194,23 @@ def _grid_check(path: DiagramPath, steps: int):
     )
 
 
-def c0_truncation_gap(m: int, max_m: int = SupCubeTruncatedC0.MAX_DIM):
+def c0_truncation_gap(m: int):
     """Bottleneck gap between the even- and odd-subset diagrams in the
     m-coordinate sup cube.
 
     Coordinates of the vector for a subset F of {1..m} are 1 + 1/i for
     i in F and 0 elsewhere.  The gap exceeds the infinite-dimensional
     limit 1 for every m, certifying that the corresponding pair of points
-    admits no midpoint in the untruncated space.
+    admits no midpoint in the untruncated space.  The 2^m subsets are
+    enumerated, so m above ``SupCubeTruncatedC0.MAX_DIM`` raises TooLarge.
     """
     from .probes import ProbeReport, Verdict
 
     m = int(m)
     if m < 1:
         raise ValueError("m must be at least 1")
-    if m > max_m:
-        raise TooLarge(f"subset enumeration capped at m = {max_m}")
+    if m > SupCubeTruncatedC0.MAX_DIM:
+        raise TooLarge(f"subset enumeration capped at m = {SupCubeTruncatedC0.MAX_DIM}")
     space = SupCubeTruncatedC0(m)
     even_pts: list[Point] = []
     odd_pts: list[Point] = []

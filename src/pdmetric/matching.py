@@ -24,11 +24,17 @@ discovered the pairs in.  When the power of a nonzero cost would be 0 or
 subnormal and the largest cost is below 1, every cost is first divided by
 the largest one (``_power_scale``), which only raises the powers.
 
+Every solver refuses an instance with more than ``DEFAULT_NODE_CAP``
+points in both diagrams together, counted with multiplicity, by raising
+TooLarge.  The count is read from the multiplicities before any point is
+expanded into its copies, so a huge multiplicity costs no memory.
+
 ``brute_force_dp`` enumerates every augmented bijection directly from the
 definition (ambient distances, explicit A-assignments) and is the oracle
-the solvers are validated against.  ``total_persistence``, the distance to
-the empty diagram, is the same p-norm over the batch distances to A that
-the solvers use.
+the solvers are validated against; it refuses more than
+``BRUTE_FORCE_CAP`` points the same way.  ``total_persistence``, the
+distance to the empty diagram, is the same p-norm over the batch distances
+to A that the solvers use.
 """
 
 from __future__ import annotations
@@ -77,15 +83,12 @@ class Matching:
     """A bijection witness between two diagrams' augmented point sets.
 
     ``value`` is the matching's objective: the max cost for p = inf, else
-    the p-norm of the costs.  ``bottleneck_cost`` is always the max cost,
-    ``sum_cost_p`` the sum of p-th cost powers (None for p = inf).
+    the p-norm of the costs.
     """
 
     pairs: tuple[MatchedPair, ...]
     value: float
     p: float
-    bottleneck_cost: float
-    sum_cost_p: float | None = None
 
 
 def _check_p(p, error=ValueError, name: str = "p") -> float:
@@ -126,25 +129,22 @@ def _power_sum(costs: list[float], p: float) -> float:
         raise TooLarge(f"cost powers overflow the float range at p = {p}") from e
 
 
-def p_norm(costs: Iterable[float], p: float) -> tuple[float, float | None]:
-    """(value, sum of p-th powers) of a cost multiset, order-independent.
+def p_norm(costs: Iterable[float], p: float) -> float:
+    """The p-norm of a cost multiset (the max for p = inf), order-independent.
     Costs are scaled by ``_power_scale`` before their powers are summed."""
     costs = list(costs)
     if math.isinf(p):
-        return (max(costs) if costs else 0.0, None)
+        return max(costs, default=0.0)
     if not costs:
-        return 0.0, 0.0
+        return 0.0
     s = _power_scale(p, np.array(costs))
-    total = _power_sum([c / s for c in costs], p)
-    return s * total ** (1.0 / p), total * s**p
+    return s * _power_sum([c / s for c in costs], p) ** (1.0 / p)
 
 
 def _matching(pairs, p: float) -> Matching:
-    """The witness over ``pairs`` with its value, max cost and power sum
-    recomputed from the pair costs; for p = inf the value is the max."""
-    costs = [q.cost for q in pairs]
-    value, sum_p = p_norm(costs, p)
-    return Matching(tuple(pairs), value, p, max(costs, default=0.0), sum_p)
+    """The witness over ``pairs`` with its value recomputed from the pair
+    costs; for p = inf the value is the max."""
+    return Matching(tuple(pairs), p_norm([q.cost for q in pairs], p), p)
 
 
 def total_persistence(diagram: Diagram, p: float, pair: MetricPair) -> float:
@@ -152,7 +152,7 @@ def total_persistence(diagram: Diagram, p: float, pair: MetricPair) -> float:
     the p-norm of the dist-to-A multiset."""
     _, X = _expand(diagram, pair)
     p = _check_p(p)
-    return p_norm(pair.dist_to_A_batch(X).tolist(), p)[0]
+    return p_norm(pair.dist_to_A_batch(X).tolist(), p)
 
 
 def _expand(diagram: Diagram, pair: MetricPair) -> tuple[list[Point], np.ndarray]:
@@ -161,12 +161,21 @@ def _expand(diagram: Diagram, pair: MetricPair) -> tuple[list[Point], np.ndarray
     return pts, pair.coords_matrix(pts)
 
 
-def _cost_data(sigma: Diagram, tau: Diagram, pair: MetricPair, max_nodes: int):
+def _check_size(sigma: Diagram, tau: Diagram, pair: MetricPair, limit: int) -> None:
+    """Raise TooLarge when the two diagrams hold more than ``limit`` points
+    counted with multiplicity.  The count is read from the multiplicities,
+    so a huge one is refused before any copy of its point is built."""
+    _check_same_space(sigma, pair)
+    _check_same_space(tau, pair)
+    n, m = sigma.size, tau.size
+    if n + m > limit:
+        raise TooLarge(f"{n} + {m} points (with multiplicity) exceed the cap of {limit}")
+
+
+def _cost_data(sigma: Diagram, tau: Diagram, pair: MetricPair):
+    _check_size(sigma, tau, pair, DEFAULT_NODE_CAP)
     xs, X = _expand(sigma, pair)
     ys, Y = _expand(tau, pair)
-    n, m = len(xs), len(ys)
-    if n + m > max_nodes:
-        raise TooLarge(f"{n} + {m} expanded points exceed the cap of {max_nodes}")
     ax = pair.dist_to_A_batch(X)
     ay = pair.dist_to_A_batch(Y)
     Q = _quotient_costs(pair.pairwise_dist(X, Y), ax, ay)
@@ -207,11 +216,10 @@ def _candidates(Q: np.ndarray, ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
     return np.unique(np.concatenate((np.array([0.0]), Q.ravel(), ax, ay)))
 
 
-def candidate_thresholds(sigma: Diagram, tau: Diagram, pair: MetricPair,
-                         max_nodes: int = DEFAULT_NODE_CAP) -> list[float]:
+def candidate_thresholds(sigma: Diagram, tau: Diagram, pair: MetricPair) -> list[float]:
     """Sorted distinct values the bottleneck distance can take: 0, the
     pairwise quotient costs, and each point's distance to A."""
-    _, _, Q, ax, ay = _cost_data(sigma, tau, pair, max_nodes)
+    _, _, Q, ax, ay = _cost_data(sigma, tau, pair)
     return _candidates(Q, ax, ay).tolist()
 
 
@@ -220,13 +228,12 @@ def feasible_at_threshold(
     tau: Diagram,
     pair: MetricPair,
     r: float,
-    max_nodes: int = DEFAULT_NODE_CAP,
 ) -> tuple[bool, Matching | None]:
     """Decide whether some augmented bijection keeps every cost <= r; on
     success also return one such matching as a witness."""
     if r < 0.0:
         return False, None
-    xs, ys, Q, ax, ay = _cost_data(sigma, tau, pair, max_nodes)
+    xs, ys, Q, ax, ay = _cost_data(sigma, tau, pair)
     n, m = len(xs), len(ys)
     ml = augmented_matching(Q, ax, ay, float(r))
     if np.any(ml < 0):
@@ -238,7 +245,6 @@ def bottleneck(
     sigma: Diagram,
     tau: Diagram,
     pair: MetricPair,
-    max_nodes: int = DEFAULT_NODE_CAP,
 ) -> tuple[float, Matching]:
     """Exact bottleneck distance and an optimal matching.
 
@@ -250,7 +256,7 @@ def bottleneck(
     same smallest feasible candidate as a search over the whole set.  The
     returned value is exactly the largest cost of the returned matching.
     """
-    xs, ys, Q, ax, ay = _cost_data(sigma, tau, pair, max_nodes)
+    xs, ys, Q, ax, ay = _cost_data(sigma, tau, pair)
     n, m = len(xs), len(ys)
     cands = _candidates(Q, ax, ay)
     cheapest = np.concatenate((np.minimum(ax, Q.min(axis=1, initial=np.inf)),
@@ -277,7 +283,6 @@ def wasserstein(
     tau: Diagram,
     p: float,
     pair: MetricPair,
-    max_nodes: int = DEFAULT_NODE_CAP,
 ) -> tuple[float, Matching]:
     """Exact p-Wasserstein distance (1 <= p < inf) and an optimal matching;
     p = inf gives the bottleneck distance.  The witness lists the points of
@@ -286,8 +291,8 @@ def wasserstein(
     of ``tau`` in order, each with A."""
     p = _check_p(p)
     if math.isinf(p):
-        return bottleneck(sigma, tau, pair, max_nodes)
-    xs, ys, Q, ax, ay = _cost_data(sigma, tau, pair, max_nodes)
+        return bottleneck(sigma, tau, pair)
+    xs, ys, Q, ax, ay = _cost_data(sigma, tau, pair)
     n, m = len(xs), len(ys)
     s = _power_scale(p, Q, ax, ay)
     with np.errstate(over="ignore"):
@@ -328,16 +333,15 @@ def brute_force_dp(
     tau: Diagram,
     p: float,
     pair: MetricPair,
-    cap: int = BRUTE_FORCE_CAP,
 ) -> tuple[float, Matching]:
     """Reference solver straight from the definition: enumerate every
     augmented bijection using ambient distances and explicit A-assignments.
-    Exponential; refuses more than ``cap`` expanded points total."""
+    Exponential; refuses more than ``BRUTE_FORCE_CAP`` points in total,
+    counted with multiplicity."""
+    _check_size(sigma, tau, pair, BRUTE_FORCE_CAP)
     xs, X = _expand(sigma, pair)
     ys, Y = _expand(tau, pair)
     n, m = len(xs), len(ys)
-    if n + m > cap:
-        raise TooLarge(f"brute force capped at {cap} expanded points, got {n + m}")
     D = pair.pairwise_dist(X, Y)
     ax = pair.dist_to_A_batch(X)
     ay = pair.dist_to_A_batch(Y)

@@ -9,7 +9,8 @@ defeats any claimed countable dense set when X is too spread out.
 
 Probes never extrapolate: a WITNESSED or REFUTED verdict is only emitted
 when the defining inequality was actually checked by the exact solver, and
-everything else reports INCONCLUSIVE.
+everything else reports INCONCLUSIVE.  The Cauchy limit extraction uses
+the fixed tolerances ``CONV_TOL`` and ``ENVELOPE_FLOOR``.
 """
 
 from __future__ import annotations
@@ -47,6 +48,11 @@ __all__ = [
     "approximate_from_family",
     "separability_adversary",
 ]
+
+# trajectories settle when their last three positions lie this close, and
+# envelope extraction stops once a stage's bound falls to the floor
+CONV_TOL = 1e-6
+ENVELOPE_FLOOR = 1e-9
 
 
 class Verdict(str, Enum):
@@ -195,19 +201,14 @@ def vanishing_pair_demo(
 # -- Cauchy limits -------------------------------------------------------
 
 
-def cauchy_chain_limit(
-    diagrams: Sequence[Diagram],
-    pair: MetricPair,
-    conv_tol: float = 1e-6,
-    envelope_floor: float = 1e-9,
-):
+def cauchy_chain_limit(diagrams: Sequence[Diagram], pair: MetricPair):
     """Extract the limit of a Cauchy sequence of diagrams by tracking
     point trajectories through composed optimal matchings.
 
     A geometric envelope is extracted first: stage k is the earliest index
     N_k with d(sigma_{N_k}, sigma_n) <= 2^(1-k) for every later sampled n.
     Optimal matchings between consecutive stages compose into trajectories;
-    a trajectory whose last positions settle (within conv_tol) contributes
+    a trajectory whose last positions settle (within CONV_TOL) contributes
     its final point to the limit, one whose distance to A falls below the
     tolerance is absorbed, and anything unresolved downgrades the verdict
     to INCONCLUSIVE.  Raises NotCauchy when fewer than three envelope
@@ -245,7 +246,7 @@ def cauchy_chain_limit(
         stages.append((k, found, bound))
         start = found
         k += 1
-        if bound <= envelope_floor:
+        if bound <= ENVELOPE_FLOOR:
             break
     if len(stages) < 3:
         raise NotCauchy(
@@ -281,7 +282,7 @@ def cauchy_chain_limit(
         live = new_live
 
     final_bound = stages[-1][2]
-    absorb_tol = final_bound + conv_tol
+    absorb_tol = final_bound + CONV_TOL
     limit_pts: list[Point] = []
     unresolved = 0
     for ti in live:
@@ -291,7 +292,7 @@ def cauchy_chain_limit(
             continue  # vanishing trajectory, absorbed by A
         window = positions[-3:]
         if len(window) == 3 and all(
-            pair.dist(a, b) <= conv_tol for a in window for b in window
+            pair.dist(a, b) <= CONV_TOL for a in window for b in window
         ):
             limit_pts.append(last)
         else:
@@ -303,7 +304,7 @@ def cauchy_chain_limit(
     for k_idx, (k, idx, bound) in enumerate(stages):
         d_lim, _ = bottleneck(diags[idx], limit, pair)
         trace.append((float(k), d_lim))
-        if d_lim > 2.0 * bound + conv_tol:
+        if d_lim > 2.0 * bound + CONV_TOL:
             verified = False
     verdict = Verdict.WITNESSED if verified and unresolved == 0 else Verdict.INCONCLUSIVE
     report = ProbeReport(

@@ -345,7 +345,10 @@ class FiniteExplicit(MetricPair):
 
     has_geodesic = False
 
-    def __init__(self, matrix: Sequence[Sequence[float]], A: Sequence[int], tol: float = 1e-9):
+    # slack allowed in the triangle inequality for rounded input distances
+    TRIANGLE_TOL = 1e-9
+
+    def __init__(self, matrix: Sequence[Sequence[float]], A: Sequence[int]):
         M = np.asarray(matrix, dtype=np.float64)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise InvalidMetric("distance matrix must be square")
@@ -360,9 +363,8 @@ class FiniteExplicit(MetricPair):
             raise InvalidMetric("diagonal must be zero")
         if not np.array_equal(M, M.T):
             raise InvalidMetric("distance matrix must be symmetric")
-        # triangle inequality, allowing float slack
         for k in range(n):
-            if np.any(M > M[:, k, None] + M[None, k, :] + tol):
+            if np.any(M > M[:, k, None] + M[None, k, :] + self.TRIANGLE_TOL):
                 raise InvalidMetric("triangle inequality violated")
         a_idx = sorted({int(i) for i in A})
         if not a_idx:

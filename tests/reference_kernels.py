@@ -200,11 +200,11 @@ def augmented_wasserstein(sigma, tau, p, pair):
     package's; what is frozen is this matrix and how its assignment is read.
     The kernel is the vectorized one, which returns the same arrays as
     ``solve_assignment`` above in a fraction of the time."""
-    xs, ys, Q, ax, ay = matching._cost_data(sigma, tau, pair, matching.DEFAULT_NODE_CAP)
+    xs, ys, Q, ax, ay = matching._cost_data(sigma, tau, pair)
     n, m = len(xs), len(ys)
     N = n + m
     if N == 0:
-        return 0.0, matching.Matching((), 0.0, p, 0.0, 0.0)
+        return 0.0, matching.Matching((), 0.0, p)
     C = np.zeros((N, N), dtype=np.float64)
     with np.errstate(over="ignore"):
         C[:n, :m] = Q**p

@@ -144,6 +144,23 @@ def test_overflowing_cost_power_exits_4():
     assert "Traceback" not in out.stderr and out.stderr.strip()
 
 
+@pytest.mark.parametrize("command", ["dist", "geodesic"])
+def test_huge_multiplicity_exits_4(command):
+    """A point of multiplicity 10^12 is refused from the count, before any
+    copy is built: exit 4 with a one-line message, not an exhausted memory
+    and a traceback."""
+    huge = '{"points":[{"coords":[0,1],"mult":1000000000000}]}'
+    out = subprocess.run(
+        [sys.executable, "-m", "pdmetric.cli", command, huge, '{"points":[]}',
+         "--space", PLANE],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 4
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
+    assert len(out.stderr.strip().splitlines()) == 1
+
+
 def test_no_geodesic_oracle_exits_5(capsys):
     empty = '{"points": []}'
     code, _, err = run_main(

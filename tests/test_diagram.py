@@ -176,13 +176,10 @@ def test_json_space_id_string_accepted():
     assert parse_diagram(text, "json", pair) == d
 
 
-def test_json_default_multiplicity_and_strict():
+def test_json_default_multiplicity():
     pair = plane()
-    lax = '{"points": [{"coords": [0, 4]}]}'
-    d = parse_diagram(lax, "json", pair)
+    d = parse_diagram('{"points": [{"coords": [0, 4]}]}', "json", pair)
     assert d.points[0][1] == 1
-    with pytest.raises(ParseError):
-        parse_diagram(lax, "json", pair, strict=True)
 
 
 def test_json_errors():
@@ -210,12 +207,6 @@ def test_csv_round_trip_with_header_and_default_mult():
     assert d2.points[0][1] == 1
     out = write_diagram(d, "csv", pair)
     assert parse_diagram(out, "csv", pair) == d
-
-
-def test_csv_strict_requires_mult():
-    pair = plane()
-    with pytest.raises(ParseError):
-        parse_diagram("0,10\n", "csv", pair, strict=True)
 
 
 def test_csv_error_carries_line_number():

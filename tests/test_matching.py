@@ -2,12 +2,15 @@
 p-norm structure, and the serialization of matchings."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pdmetric.matching
 
@@ -26,6 +29,7 @@ from pdmetric import (
     canonicalize,
     empty_diagram,
     feasible_at_threshold,
+    geodesic_between,
     matching_from_json,
     matching_to_json,
     total_persistence,
@@ -176,7 +180,7 @@ def test_underflowing_cost_powers_keep_their_weight():
     assert value >= bottleneck(s, t, pair)[0]
     assert value == brute_force_dp(s, t, 400.0, pair)[0]
     # the one rule also serves p_norm and total_persistence
-    assert p_norm([1e-200], 2.0)[0] == 1e-200
+    assert p_norm([1e-200], 2.0) == 1e-200
     assert total_persistence(canonicalize([pair.point(1e-200)], pair), 2.0, pair) == 1e-200
 
 
@@ -253,15 +257,39 @@ def test_p_validation():
 
 def test_too_large():
     pair = plane_sup()
-    s = canonicalize([pair.point(0.0, 4.0), pair.point(1.0, 5.0)], pair)
-    t = canonicalize([pair.point(2.0, 6.0), pair.point(3.0, 7.0)], pair)
+    # one point over the cap of 10,000, counted with multiplicity
+    s = canonicalize([(pair.point(0.0, 4.0), 5000), (pair.point(1.0, 5.0), 1)], pair)
+    t = canonicalize([(pair.point(2.0, 6.0), 4999), (pair.point(3.0, 7.0), 1)], pair)
     with pytest.raises(TooLarge):
-        bottleneck(s, t, pair, max_nodes=3)
+        bottleneck(s, t, pair)
     with pytest.raises(TooLarge):
-        wasserstein(s, t, 2.0, pair, max_nodes=3)
+        wasserstein(s, t, 2.0, pair)
     big = canonicalize([(pair.point(0.0, 4.0), 11)], pair)
     with pytest.raises(TooLarge):
         brute_force_dp(big, t, 1.0, pair)
+
+
+@pytest.mark.parametrize("solve", [
+    pytest.param(bottleneck, id="bottleneck"),
+    pytest.param(lambda s, t, pair: wasserstein(s, t, 2.0, pair), id="wasserstein"),
+    pytest.param(lambda s, t, pair: feasible_at_threshold(s, t, pair, 1.0), id="feasible"),
+    pytest.param(candidate_thresholds, id="candidates"),
+    pytest.param(geodesic_between, id="geodesic"),
+    pytest.param(lambda s, t, pair: brute_force_dp(s, t, 1.0, pair), id="brute_force"),
+])
+def test_huge_multiplicity_is_refused_before_expansion(solve):
+    """The size cap counts a point's copies from its multiplicity, so one
+    point of multiplicity 10^12 is refused without building any copy."""
+    pair = plane_sup()
+    huge = canonicalize([(pair.point(0.0, 1.0), 10**12)], pair)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            solve(huge, empty_diagram(pair), pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_multiplicity_expansion():
@@ -438,6 +466,35 @@ def test_zero_distance_iff_equal():
         for p in (1.0, math.inf):
             dist = wasserstein(a, b, p, pair)[0]
             assert (dist == 0.0) == (a == b)
+
+
+# -- scaling and translation ------------------------------------------------------
+
+
+# up to 8 integer-grid points (birth, death) with death > birth
+grid_points = st.lists(st.tuples(st.integers(-50, 50), st.integers(1, 20)), max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["sup", "euclidean"]), grid_points, grid_points,
+       st.integers(-6, 6), st.integers(-1000, 1000))
+def test_values_scale_and_translate_exactly(norm, a, b, k, t):
+    """Scaling every coordinate by 2^k scales bottleneck and W1 values by
+    exactly 2^k, and the shift (b, d) -> (b + t, d + t) moves no bit: both
+    maps commute with every rounding the solvers make on these inputs."""
+    pair = PlaneDiagonal(1, norm)
+
+    def diagram(points, scale=1.0, shift=0):
+        return canonicalize([pair.point(scale * (x + shift), scale * (x + g + shift))
+                             for x, g in points], pair)
+
+    factor = 2.0**k
+    for p in (math.inf, 1.0):  # p = inf is the bottleneck distance
+        value = wasserstein(diagram(a), diagram(b), p, pair)[0]
+        scaled = wasserstein(diagram(a, scale=factor), diagram(b, scale=factor), p, pair)[0]
+        shifted = wasserstein(diagram(a, shift=t), diagram(b, shift=t), p, pair)[0]
+        assert scaled == factor * value
+        assert shifted == value
 
 
 # -- p-norm structure ------------------------------------------------------------
