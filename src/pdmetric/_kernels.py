@@ -6,7 +6,8 @@ side holds the n points of one diagram followed by m slots of A, the right
 side the m points of the other diagram followed by n slots of A.
 Point-to-point edges cost the quotient distance, point-to-slot edges cost
 the distance to A (each point owns a dedicated slot), and slot-to-slot
-edges are free.
+edges are free.  It can start from a given matching (``init``), as the
+bottleneck search does from its previous trial's; the answer is the same.
 
 ``solve_assignment`` finds an exact min-cost perfect assignment of any
 square matrix (Hungarian algorithm with potentials).  The p-Wasserstein
@@ -18,7 +19,8 @@ order of the element-by-element loops it replaced: neighbours are visited
 in ascending column order, ties go to the first candidate, and every
 floating-point operation happens in the same order.  The returned arrays
 are therefore identical to that scalar reference (kept as
-``tests/reference_kernels.py``) on every input, which the tests check.
+``tests/reference_kernels.py``) on every input, which the tests check;
+for ``augmented_matching`` this holds for the cold start, without ``init``.
 
 The Hungarian kernel spends its time in the inner search step, and many
 steps of a Wasserstein instance have delta = 0 (the padding rows or
@@ -56,10 +58,18 @@ def _admissible(Q, ax, ay, r):
     return adj
 
 
-def augmented_matching(Q, ax, ay, r):
+def augmented_matching(Q, ax, ay, r, init=None):
     """Maximum matching at threshold r; returns the left-to-right match
     array (int64) with -1 for unmatched left nodes.  The threshold is
-    feasible exactly when no -1 remains."""
+    feasible exactly when no -1 remains.
+
+    ``init``, a left-to-right match array of the same instance (a matching
+    found at another threshold, say), seeds the search: its pairs that are
+    admissible at r are kept, and only the left nodes it leaves free take
+    part in the greedy step.  Hopcroft-Karp reaches a maximum matching from
+    any start, so the cardinality, and with it the answer, does not depend
+    on ``init``; the matching returned may.  Without ``init`` (or with an
+    all -1 one) the search starts cold."""
     N = Q.shape[0] + Q.shape[1]
     INF = N + 1
     adj = _admissible(Q, ax, ay, r)
@@ -70,9 +80,14 @@ def augmented_matching(Q, ax, ay, r):
     ml = np.empty(N, np.int64)
     ml.fill(-1)
     mr = ml.copy()
+    if init is not None:
+        u = np.flatnonzero(init >= 0)
+        u = u[adj[u, init[u]]]
+        ml[u] = init[u]
+        mr[init[u]] = u
 
-    # greedy warm start: each left node takes its first free neighbour
-    for u in range(N):
+    # greedy step: each free left node takes its first free neighbour
+    for u in (ml < 0).nonzero()[0].tolist():
         s, e = starts[u], starts[u + 1]
         if s < e:
             nb = cols[s:e]

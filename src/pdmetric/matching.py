@@ -11,6 +11,10 @@ Q entry equals d(x, A) + d(y, A) is reported as its two A-assignments.
 The bottleneck value is found by binary search over the finite set of
 candidate costs, deciding each threshold exactly with a bipartite matching
 kernel, so the result is one of the candidate floats with no tolerance.
+The search decides the lower end LB first, starts every later decision
+from the previous trial's matching and lowers its upper end to each
+feasible matching's largest cost; the witness is always a cold kernel
+matching at the optimal candidate, so none of this shows in the output.
 Wasserstein values come from an exact min-cost assignment.  Every point
 left unmatched goes to A, so a matching costs the fixed sum of all powers
 d(x, A)^p and d(y, A)^p plus, per matched pair, Q^p - d(x, A)^p - d(y, A)^p;
@@ -34,7 +38,8 @@ definition (ambient distances, explicit A-assignments) and is the oracle
 the solvers are validated against; it refuses more than
 ``BRUTE_FORCE_CAP`` points the same way.  ``total_persistence``, the
 distance to the empty diagram, is the same p-norm over the batch distances
-to A that the solvers use.
+to A that the solvers use, taken over the distinct points weighted by
+their multiplicities.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterable
 
@@ -149,10 +155,25 @@ def _matching(pairs, p: float) -> Matching:
 
 def total_persistence(diagram: Diagram, p: float, pair: MetricPair) -> float:
     """Distance to the empty diagram: sup of dist-to-A for p = inf, else
-    the p-norm of the dist-to-A multiset."""
-    _, X = _expand(diagram, pair)
+    the p-norm of the dist-to-A multiset.
+
+    No point is expanded into its copies: each distinct point's power is
+    taken once and weighted by its multiplicity in an exact rational sum,
+    rounded once.  That is the correctly rounded sum of the expanded
+    powers, so the value equals ``p_norm`` of the expanded distances to the
+    bit (its compensated sum is correctly rounded too)."""
+    _check_same_space(diagram, pair)
     p = _check_p(p)
-    return p_norm(pair.dist_to_A_batch(X).tolist(), p)
+    costs = pair.dist_to_A_batch(pair.coords_matrix([q for q, _ in diagram.points]))
+    if math.isinf(p) or not diagram.points:
+        return float(costs.max(initial=0.0))
+    s = _power_scale(p, costs)
+    try:
+        total = sum((Fraction((c / s) ** p) * k
+                     for c, (_, k) in zip(costs.tolist(), diagram.points)), Fraction(0))
+        return s * float(total) ** (1.0 / p)
+    except OverflowError as e:
+        raise TooLarge(f"cost powers overflow the float range at p = {p}") from e
 
 
 def _expand(diagram: Diagram, pair: MetricPair) -> tuple[list[Point], np.ndarray]:
@@ -253,8 +274,16 @@ def bottleneck(
     below LB = max over points of min(distance to A, cheapest partner) is
     feasible, while sending every point to A makes UB = the largest
     distance to A feasible.  Both are candidates, so the search finds the
-    same smallest feasible candidate as a search over the whole set.  The
-    returned value is exactly the largest cost of the returned matching.
+    same smallest feasible candidate as a search over the whole set.
+
+    The first decision is a cold kernel run at LB, which is often the
+    answer; then its matching is the witness and the search is over.
+    Otherwise every later decision starts from the previous trial's
+    matching, and a feasible trial lowers the upper end to the candidate
+    index of its matching's largest cost, which is feasible and no larger
+    than the threshold tried.  The witness is the cold kernel matching at
+    the smallest feasible candidate, whatever the trials found on the way.
+    The returned value is exactly the largest cost of the returned matching.
     """
     xs, ys, Q, ax, ay = _cost_data(sigma, tau, pair)
     n, m = len(xs), len(ys)
@@ -263,19 +292,31 @@ def bottleneck(
                                np.minimum(ay, Q.min(axis=0, initial=np.inf))))
     dist_to_A = np.concatenate((ax, ay))
     lo, hi = cands.searchsorted((cheapest.max(initial=0.0), dist_to_A.max(initial=0.0))).tolist()
-    ml, ml_at = None, -1  # last feasible matching and its candidate index
-    while lo < hi:
-        mid = (lo + hi) // 2
-        trial = augmented_matching(Q, ax, ay, float(cands[mid]))
-        if np.any(trial < 0):
-            lo = mid + 1
-        else:
-            hi = mid
-            ml, ml_at = trial, mid
-    if ml_at != lo:
+    ml = augmented_matching(Q, ax, ay, float(cands[lo]))
+    if np.any(ml < 0):
+        lo += 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            ml = augmented_matching(Q, ax, ay, float(cands[mid]), init=ml)
+            if np.any(ml < 0):
+                lo = mid + 1
+            else:
+                hi = int(cands.searchsorted(_largest_cost(ml, Q, ax, ay)))
         ml = augmented_matching(Q, ax, ay, float(cands[lo]))
     matching = _matching(_build_pairs(xs, ys, ml, n, m, Q, ax, ay), math.inf)
     return matching.value, matching
+
+
+def _largest_cost(ml: np.ndarray, Q: np.ndarray, ax: np.ndarray, ay: np.ndarray) -> float:
+    """The largest edge cost of an augmented matching ``ml`` (left-to-right
+    match array, every node matched): Q for a point pair, the distance to
+    A for a point matched with a slot, 0 for a slot pair."""
+    n, m = Q.shape
+    left, slots = ml[:n], ml[n:]
+    paired = np.flatnonzero(left < m)
+    return max(Q[paired, left[paired]].max(initial=0.0),
+               ax[left >= m].max(initial=0.0),
+               ay[slots[slots < m]].max(initial=0.0))
 
 
 def wasserstein(

@@ -187,8 +187,8 @@ def _lerp(x: tuple[float, ...], y: tuple[float, ...], t: float) -> tuple[float, 
     return tuple((1.0 - t) * a + t * b for a, b in zip(x, y))
 
 
-# Byte budget of the (rows, m, dim) difference array that pairwise
-# distances build per block of rows; bounds their peak memory.
+# Byte budget of the temporary array that pairwise distances build per
+# block of rows, (rows, m, dim) or (rows, m); bounds their peak memory.
 _PAIRWISE_BLOCK_BYTES = 8 << 20
 
 
@@ -202,15 +202,29 @@ def _norm_batch(diffs: np.ndarray, norm: str) -> np.ndarray:
 def _pairwise_norm(xs: np.ndarray, ys: np.ndarray, norm: str) -> np.ndarray:
     """Matrix of norm(x - y) over the rows of xs and ys.
 
-    Works through xs in blocks of rows so the difference array stays
-    within _PAIRWISE_BLOCK_BYTES; every entry comes from the same
-    expression as in one unblocked pass, so the result is bit-identical.
+    Works through xs in blocks of rows so the temporary arrays stay within
+    _PAIRWISE_BLOCK_BYTES.  The Euclidean norm reduces a (rows, m, dim)
+    difference array.  The sup norm keeps a running maximum of |x_k - y_k|
+    one coordinate k at a time in a (rows, m) buffer: the maximum of
+    non-negative floats does not depend on the order they are compared in.
+    Either way every entry is, bit for bit, that of one unblocked pass.
     """
-    n, m = xs.shape[0], ys.shape[0]
-    rows = max(1, _PAIRWISE_BLOCK_BYTES // (8 * max(1, m * xs.shape[1])))
+    n, m, dim = xs.shape[0], ys.shape[0], xs.shape[1]
     out = np.empty((n, m), dtype=np.float64)
+    if norm == EUCLIDEAN:
+        rows = max(1, _PAIRWISE_BLOCK_BYTES // (8 * max(1, m * dim)))
+        for s in range(0, n, rows):
+            out[s : s + rows] = _norm_batch(xs[s : s + rows, None, :] - ys[None, :, :], norm)
+        return out
+    rows = max(1, _PAIRWISE_BLOCK_BYTES // (8 * max(1, m)))
+    buf = np.empty((min(rows, n), m), dtype=np.float64)
     for s in range(0, n, rows):
-        out[s : s + rows] = _norm_batch(xs[s : s + rows, None, :] - ys[None, :, :], norm)
+        x, block = xs[s : s + rows], out[s : s + rows]
+        tmp = buf[: len(x)]
+        np.abs(np.subtract(x[:, :1], ys[:, 0], out=block), out=block)
+        for k in range(1, dim):
+            np.abs(np.subtract(x[:, k : k + 1], ys[:, k], out=tmp), out=tmp)
+            np.maximum(block, tmp, out=block)
     return out
 
 

@@ -1,5 +1,6 @@
-"""Frozen references for the kernels in ``pdmetric._kernels`` and for the
-assignment instance ``pdmetric.matching.wasserstein`` builds.
+"""Frozen references for the kernels in ``pdmetric._kernels``, for the
+assignment instance ``pdmetric.matching.wasserstein`` builds and for the
+search ``pdmetric.matching.bottleneck`` runs.
 
 ``augmented_matching`` and ``solve_assignment`` are the element-by-element
 Hopcroft-Karp and Hungarian loops the package shipped before its kernels
@@ -7,7 +8,10 @@ were vectorized; the vectorized kernels must return exactly the same
 arrays.  ``augmented_wasserstein`` is the p-Wasserstein solve on the
 (n+m) x (n+m) augmented matrix that the package used before it moved to the
 reduced max(n, m) x max(n, m) instance; the reduced solve must report the
-same values.  They are kept only as test oracles.  Do not edit them to
+same values.  ``cold_bottleneck`` is the bottleneck search the package used
+before its decisions were warm-started: a plain binary search in which
+every decision is a cold kernel run; the warm search must return the same
+value and the same witness.  They are kept only as test oracles.  Do not edit them to
 follow changes in the package.
 """
 
@@ -216,4 +220,32 @@ def augmented_wasserstein(sigma, tau, p, pair):
     assign_l = np.empty(N, dtype=np.int64)
     assign_l[row_of_col] = np.arange(N)
     result = matching._matching(matching._build_pairs(xs, ys, assign_l, n, m, Q, ax, ay), p)
+    return result.value, result
+
+
+def cold_bottleneck(sigma, tau, pair):
+    """(value, matching) of the binary search over the candidates in the
+    bracket [LB, UB], every decision a cold kernel run; the witness is the
+    last feasible trial's matching when it was made at the final threshold,
+    else a cold run there.  The cost data, candidate set and witness
+    assembly are the package's; what is frozen is the search."""
+    xs, ys, Q, ax, ay = matching._cost_data(sigma, tau, pair)
+    n, m = len(xs), len(ys)
+    cands = matching._candidates(Q, ax, ay)
+    cheapest = np.concatenate((np.minimum(ax, Q.min(axis=1, initial=np.inf)),
+                               np.minimum(ay, Q.min(axis=0, initial=np.inf))))
+    dist_to_A = np.concatenate((ax, ay))
+    lo, hi = cands.searchsorted((cheapest.max(initial=0.0), dist_to_A.max(initial=0.0))).tolist()
+    ml, ml_at = None, -1  # last feasible matching and its candidate index
+    while lo < hi:
+        mid = (lo + hi) // 2
+        trial = _kernels.augmented_matching(Q, ax, ay, float(cands[mid]))
+        if np.any(trial < 0):
+            lo = mid + 1
+        else:
+            hi = mid
+            ml, ml_at = trial, mid
+    if ml_at != lo:
+        ml = _kernels.augmented_matching(Q, ax, ay, float(cands[lo]))
+    result = matching._matching(matching._build_pairs(xs, ys, ml, n, m, Q, ax, ay), np.inf)
     return result.value, result

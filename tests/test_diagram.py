@@ -2,6 +2,9 @@
 
 import json
 import math
+import time
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +28,7 @@ from pdmetric import (
     wasserstein,
     write_diagram,
 )
+from pdmetric.matching import p_norm
 
 
 def plane():
@@ -154,6 +158,37 @@ def test_total_persistence_overflow_is_typed():
     with pytest.raises(TooLarge):
         wasserstein(d, empty_diagram(pair), 2.0, pair)
     assert total_persistence(d, math.inf, pair) == 5e199
+
+
+def test_total_persistence_weighs_multiplicities_without_expanding():
+    pair = plane()
+    d = canonicalize([(pair.point(0.0, 2.0), 10**12)], pair)
+    start = time.perf_counter()
+    assert total_persistence(d, 2.0, pair) == 1e6  # sqrt(10^12 * 1^2)
+    assert time.perf_counter() - start < 1.0
+    assert total_persistence(d, math.inf, pair) == 1.0
+    # every power is finite, their weighted sum is not
+    with pytest.raises(TooLarge):
+        total_persistence(canonicalize([(pair.point(0.0, 2e154), 10**12)], pair), 2.0, pair)
+
+
+def test_total_persistence_equals_the_expanded_sum():
+    """Bit for bit the p-norm of the expanded distances to A, on random
+    small diagrams with multiplicities, ties and tiny (scaled) costs."""
+    rng = np.random.default_rng(5)
+    for pair in (plane(), PlaneDiagonal(1, "euclidean"), PlaneDiagonal(2, "sup"),
+                 HalfLineOrigin()):
+        for _ in range(60):
+            k = int(rng.integers(0, 6))
+            scale = float(rng.choice([1.0, 10.0, 1e-200]))
+            coords = rng.integers(0, 4, (k, pair.dim)).astype(float)  # ties
+            if pair.dim > 1:  # deaths at or above births
+                coords[:, 1::2] = coords[:, 0::2] + rng.uniform(0.0, 5.0, (k, pair.dim // 2))
+            pts = [(pair.point(*(scale * c).tolist()), int(rng.integers(1, 6))) for c in coords]
+            d = canonicalize(pts, pair)
+            dist = pair.dist_to_A_batch(pair.coords_matrix(list(d.iter_points())))
+            for p in (1.0, 2.0, 3.5, math.inf):
+                assert total_persistence(d, p, pair).hex() == p_norm(dist.tolist(), p).hex()
 
 
 # -- json ---------------------------------------------------------------------

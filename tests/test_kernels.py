@@ -107,6 +107,50 @@ def test_matching_identical_to_scalar_reference():
     assert checked > 10_000
 
 
+def assert_valid_at(ml, Q, ax, ay, r):
+    """``ml`` is a matching (no right node twice) whose every pair is an
+    edge admissible at r; unmatched left nodes are allowed."""
+    n, m = Q.shape
+    u = np.flatnonzero(ml >= 0)
+    v = ml[u]
+    assert len(set(v.tolist())) == len(v)
+    for a, b in zip(u.tolist(), v.tolist()):
+        if a < n:
+            assert Q[a, b] <= r if b < m else (b == m + a and ax[a] <= r)
+        else:
+            assert (b == a - n and ay[b] <= r) if b < m else b >= m
+
+
+def test_warm_start_keeps_the_cold_cardinality():
+    """Seeded with no pairs, with the cold matching of another threshold,
+    or with random pairs (many inadmissible at r), the kernel returns a
+    matching valid at r of the cold matching's size; seeded with no pairs
+    it returns the cold array itself."""
+    rng = np.random.default_rng(41)
+    checked = 0
+    for _ in range(2000):
+        n = int(rng.integers(0, 7))
+        m = int(rng.integers(0, 7))
+        N = n + m
+        Q, ax, ay = random_instance(rng, n, m, int(rng.integers(1, 6)))
+        cands = np.unique(np.concatenate(([0.0], Q.ravel(), ax, ay))).tolist()
+        cold = [augmented_matching(Q, ax, ay, r) for r in cands]
+        for i, r in enumerate(cands):
+            size = int((cold[i] >= 0).sum())
+            other = cold[int(rng.integers(0, len(cands)))]
+            random_pairs = np.full(N, -1, np.int64)
+            k = int(rng.integers(0, N + 1))
+            random_pairs[rng.permutation(N)[:k]] = rng.permutation(N)[:k]
+            blank = np.full(N, -1, np.int64)
+            assert np.array_equal(augmented_matching(Q, ax, ay, r, init=blank), cold[i])
+            for init in (other, random_pairs):
+                ml = augmented_matching(Q, ax, ay, r, init=init.copy())
+                assert_valid_at(ml, Q, ax, ay, r)
+                assert int((ml >= 0).sum()) == size, (Q, ax, ay, r, init)
+                checked += 1
+    assert checked > 10_000
+
+
 def assert_same_as_reference(cost):
     got = solve_assignment(cost)
     want = ref.solve_assignment(cost)

@@ -207,23 +207,32 @@ def test_scalar_and_batch_distances_agree():
 
 
 @pytest.mark.parametrize("norm", [SUP, EUCLIDEAN])
-@pytest.mark.parametrize("dim", [2, 11])
+@pytest.mark.parametrize("dim", [1, 2, 11])
 def test_blocked_pairwise_distances_are_bit_identical(norm, dim):
-    """Row-blocked distances equal one unblocked pass bit for bit, on
-    inputs spanning several blocks of the real byte budget."""
+    """Row-blocked distances (the sup norm one coordinate at a time) equal
+    one unblocked pass bit for bit, on inputs spanning several blocks of
+    the real byte budget, with exact zeros, signed zeros and ties."""
     from pdmetric.spaces import _PAIRWISE_BLOCK_BYTES, _pairwise_norm
 
     rng = np.random.default_rng(dim)
     m = 300
-    n = 3 * _PAIRWISE_BLOCK_BYTES // (8 * m * dim) + 7
+    n = 3 * _PAIRWISE_BLOCK_BYTES // (8 * m) + 7
     xs = rng.uniform(-50.0, 50.0, (n, dim))
     ys = rng.uniform(-50.0, 50.0, (m, dim))
     ys[:5] = xs[:5]  # exact zeros
-    diffs = xs[:, None, :] - ys[None, :, :]
-    if norm == EUCLIDEAN:
-        want = np.sqrt((diffs * diffs).sum(axis=-1))
-    else:
-        want = np.abs(diffs).max(axis=-1)
+    xs[5:40] = np.round(xs[5:40])  # integer grids: tied coordinates and
+    ys[5:40] = np.round(ys[5:40])  # differences tied across coordinates
+    xs[40:60] = rng.choice([0.0, -0.0], (20, dim))
+    ys[40:60] = rng.choice([0.0, -0.0], (20, dim))
+    # the unblocked expression, evaluated 1000 rows at a time (each entry
+    # reduces its own row of differences) to bound the test's memory
+    want = np.empty((n, m))
+    for s in range(0, n, 1000):
+        diffs = xs[s : s + 1000, None, :] - ys[None, :, :]
+        if norm == EUCLIDEAN:
+            want[s : s + 1000] = np.sqrt((diffs * diffs).sum(axis=-1))
+        else:
+            want[s : s + 1000] = np.abs(diffs).max(axis=-1)
     got = _pairwise_norm(xs, ys, norm)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
