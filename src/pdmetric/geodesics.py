@@ -30,6 +30,7 @@ from enum import Enum
 from .diagram import Diagram, canonicalize
 from .errors import NoGeodesicOracle, TooLarge
 from .matching import Matching, MatchedPair, _expand, bottleneck
+from .probes import ProbeReport, Verdict
 from .spaces import (
     BASEPOINT,
     BasepointTag,
@@ -63,9 +64,9 @@ class GoodnessReason(str, Enum):
 class GoodnessCertificate:
     """Whether a matched pair admits a canonical-form geodesic leg.
 
-    A pair (x, y) is good when y is the basepoint or when the quotient
-    distance between x and y is smaller than max(d(x, A), d(y, A)); good
-    pairs never need rerouting through A.
+    A pair (x, y) is good when either end is the basepoint or when the
+    quotient distance between x and y is smaller than max(d(x, A),
+    d(y, A)); good pairs never need rerouting through A.
     """
 
     left: Point | BasepointTag
@@ -75,9 +76,7 @@ class GoodnessCertificate:
 
 
 def goodness(pair: MetricPair, x, y) -> GoodnessCertificate:
-    if isinstance(y, BasepointTag):
-        return GoodnessCertificate(x, y, True, GoodnessReason.BASEPOINT_TARGET)
-    if isinstance(x, BasepointTag):
+    if isinstance(x, BasepointTag) or isinstance(y, BasepointTag):
         return GoodnessCertificate(x, y, True, GoodnessReason.BASEPOINT_TARGET)
     q = quotient_distance(pair, x, y)
     bound = max(pair.dist_to_A(x), pair.dist_to_A(y))
@@ -173,8 +172,6 @@ def midpoint_check(sigma: Diagram, tau: Diagram, pair: MetricPair, grid: int = 1
 def _grid_check(path: DiagramPath, steps: int):
     """Frames (t, path.at(t)) at t = i / steps for i = 0..steps, and the
     midpoint_check report verifying them with the exact solver."""
-    from .probes import ProbeReport, Verdict
-
     frames = [(i / steps, path.at(i / steps)) for i in range(steps + 1)]
     sigma, tau, pair, base = path.source, path.target, path.pair, path.value
     trace = []
@@ -204,8 +201,6 @@ def c0_truncation_gap(m: int):
     admits no midpoint in the untruncated space.  The 2^m subsets are
     enumerated, so m above ``SupCubeTruncatedC0.MAX_DIM`` raises TooLarge.
     """
-    from .probes import ProbeReport, Verdict
-
     m = int(m)
     if m < 1:
         raise ValueError("m must be at least 1")

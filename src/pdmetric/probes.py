@@ -477,7 +477,7 @@ def approximate_from_family(sigma: Diagram, family: DenseFamily):
     radius = family.radius
     coords = pair.coords_matrix(list(family.centers))
     snapped = []
-    for p in sigma.iter_points():
+    for p, m in sigma.points:
         if pair.dist_to_A(p) < radius:
             continue
         dists = pair.pairwise_dist(pair.coords_matrix([p]), coords)[0]
@@ -486,7 +486,7 @@ def approximate_from_family(sigma: Diagram, family: DenseFamily):
             raise CoverageGap(
                 f"{p!r} is {float(dists[j])} from the nearest center, beyond {radius}"
             )
-        snapped.append(family.centers[j])
+        snapped.append((family.centers[j], m))
     tau = canonicalize(snapped, pair)
     d, _ = bottleneck(sigma, tau, pair)
     return tau, d
@@ -536,7 +536,7 @@ def separability_adversary(
     for i, sig in enumerate(candidates):
         if sig.space_id != pair.space_id:
             raise SpaceMismatch("candidate diagram over a different space")
-        if all(pair.dist(p, xs[i]) >= half for p in sig.iter_points()):
+        if all(pair.dist(p, xs[i]) >= half for p, _ in sig.points):
             kept.append(xs[i])
     tau = canonicalize(kept, pair)
     trace = []

@@ -9,13 +9,19 @@ closed subset A.  Each descriptor exposes:
   ``has_geodesic`` is set, a constant-speed geodesic oracle (``geodesic``),
 - its JSON descriptor ``to_json``, read back by ``space_from_json``.
 
+``MetricPair`` holds the rules every pair shares: a point has exactly
+``dim`` finite coordinates (each subclass adds only its own condition),
+and the scalar ``dist`` and ``dist_to_A`` are derived from the batch
+queries, with BASEPOINT at either end answered by distance to A.
+
 The vector pairs share one base: the plane and its products override
 distance to the diagonal and its projection, while the half-line and the
 sup cube keep the base's A = {0} under the sup norm.
 
 Collapsing A to a single basepoint gives the quotient space X/A carrying
 the metric ``min(d(x, y), d(x, A) + d(y, A))``; ``QuotientOf`` wraps any
-descriptor as that quotient, and the free functions ``quotient_distance``
+descriptor as that quotient, its scalar distances coming from its batch
+formula like every pair's, and the free functions ``quotient_distance``
 and ``quotient_geodesic`` evaluate the quotient metric and its geodesics
 over the original pair.  ``_quotient_costs`` is the one home of the
 quotient cost matrix and ``_through_A`` of the arclength path
@@ -93,10 +99,16 @@ class MetricPair:
     """Abstract base for metric pair descriptors.
 
     Subclasses set ``kind``, ``dim``, ``space_id`` and ``has_geodesic``
-    and implement ``_validate_coords``, ``pairwise_dist``,
-    ``dist_to_A_batch`` and ``proj_to_A``; pairs with ``has_geodesic`` set
-    also implement ``geodesic``.  Scalar distance queries are derived from
-    the vectorized ones, so the two can never disagree.
+    and implement ``pairwise_dist``, ``dist_to_A_batch`` and
+    ``proj_to_A``; pairs with ``has_geodesic`` set also implement
+    ``geodesic``.
+
+    One point rule holds for every pair: ``point`` takes exactly ``dim``
+    finite coordinates, then hands them to ``_validate_coords`` for the
+    pair's own condition (by default none).  Scalar distance queries are
+    derived from the vectorized ones, so the two can never disagree; they
+    also answer for BASEPOINT, which only a quotient pair accepts:
+    d(A, y) = d(y, A) and d(A, A) = 0.
     """
 
     kind: str
@@ -108,12 +120,16 @@ class MetricPair:
     # -- points -------------------------------------------------------
 
     def point(self, *coords: float) -> Point:
-        c = tuple(float(v) for v in coords)
+        c = tuple(map(float, coords))
+        if len(c) != self.dim:
+            raise ValueError(f"expected {self.dim} coordinates, got {len(c)}")
+        if not all(map(math.isfinite, c)):
+            raise ValueError("coordinates must be finite")
         self._validate_coords(c)
         return Point(self.space_id, c)
 
     def _validate_coords(self, coords: tuple[float, ...]) -> None:
-        raise NotImplementedError
+        """The pair's own condition on dim finite coordinates."""
 
     def check_point(self, p: Point | BasepointTag) -> None:
         if isinstance(p, BasepointTag):
@@ -144,12 +160,18 @@ class MetricPair:
     def dist(self, x: Point | BasepointTag, y: Point | BasepointTag) -> float:
         self.check_point(x)
         self.check_point(y)
+        if isinstance(x, BasepointTag):
+            return self.dist_to_A(y)
+        if isinstance(y, BasepointTag):
+            return self.dist_to_A(x)
         a = np.array([x.coords], dtype=np.float64)
         b = np.array([y.coords], dtype=np.float64)
         return float(self.pairwise_dist(a, b)[0, 0])
 
     def dist_to_A(self, x: Point | BasepointTag) -> float:
         self.check_point(x)
+        if isinstance(x, BasepointTag):
+            return 0.0
         a = np.array([x.coords], dtype=np.float64)
         return float(self.dist_to_A_batch(a)[0])
 
@@ -254,6 +276,9 @@ class _VectorPair(MetricPair):
         t = _check_t(t)
         return Point(self.space_id, _lerp(x.coords, y.coords, t))
 
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "dim": self.dim}
+
 
 class PlaneDiagonal(_VectorPair):
     """Half-plane pairs {(b, d) : b <= d} with A the diagonal, and their
@@ -277,12 +302,8 @@ class PlaneDiagonal(_VectorPair):
         self.space_id = f"plane{self.dim}:{norm}"
 
     def _validate_coords(self, coords: tuple[float, ...]) -> None:
-        if len(coords) != self.dim:
-            raise ValueError(f"expected {self.dim} coordinates, got {len(coords)}")
         for k in range(self.n_pairs):
             b, d = coords[2 * k], coords[2 * k + 1]
-            if not (math.isfinite(b) and math.isfinite(d)):
-                raise ValueError("coordinates must be finite")
             if d < b:
                 raise ValueError(f"coordinate pair ({b}, {d}) lies below the diagonal")
 
@@ -316,13 +337,8 @@ class HalfLineOrigin(_VectorPair):
         self.space_id = "halfline"
 
     def _validate_coords(self, coords: tuple[float, ...]) -> None:
-        if len(coords) != 1:
-            raise ValueError(f"expected 1 coordinate, got {len(coords)}")
-        if not math.isfinite(coords[0]) or coords[0] < 0.0:
+        if coords[0] < 0.0:
             raise ValueError("half-line points are finite reals >= 0")
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "dim": self.dim}
 
 
 class SupCubeTruncatedC0(_VectorPair):
@@ -340,15 +356,6 @@ class SupCubeTruncatedC0(_VectorPair):
         self.kind = "SupCubeTruncatedC0"
         self.dim = m
         self.space_id = f"supcube{m}"
-
-    def _validate_coords(self, coords: tuple[float, ...]) -> None:
-        if len(coords) != self.dim:
-            raise ValueError(f"expected {self.dim} coordinates, got {len(coords)}")
-        if not all(math.isfinite(c) for c in coords):
-            raise ValueError("coordinates must be finite")
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "dim": self.dim}
 
 
 class FiniteExplicit(MetricPair):
@@ -397,8 +404,6 @@ class FiniteExplicit(MetricPair):
         self._a_nearest = np.asarray(a_idx, dtype=np.int64)[M[:, a_idx].argmin(axis=1)]
 
     def _validate_coords(self, coords: tuple[float, ...]) -> None:
-        if len(coords) != 1:
-            raise ValueError("finite-space points are single indices")
         i = coords[0]
         if i != int(i) or not 0 <= int(i) < self.size:
             raise ValueError(f"index {i} out of range for {self.size} points")
@@ -455,7 +460,6 @@ class QuotientOf(MetricPair):
         """Map an inner point into the quotient, collapsing A to BASEPOINT."""
         if isinstance(p, BasepointTag):
             return BASEPOINT
-        self.inner.check_point(p)
         if self.inner.dist_to_A(p) == 0.0:
             return BASEPOINT
         return Point(self.space_id, p.coords)
@@ -477,25 +481,6 @@ class QuotientOf(MetricPair):
 
     def dist_to_A_batch(self, xs: np.ndarray) -> np.ndarray:
         return self.inner.dist_to_A_batch(xs)
-
-    def dist(self, x, y) -> float:
-        self.check_point(x)
-        self.check_point(y)
-        x_base = isinstance(x, BasepointTag)
-        y_base = isinstance(y, BasepointTag)
-        if x_base and y_base:
-            return 0.0
-        if x_base:
-            return self.inner.dist_to_A(self.lift(y))
-        if y_base:
-            return self.inner.dist_to_A(self.lift(x))
-        return quotient_distance(self.inner, self.lift(x), self.lift(y))
-
-    def dist_to_A(self, x) -> float:
-        self.check_point(x)
-        if isinstance(x, BasepointTag):
-            return 0.0
-        return self.inner.dist_to_A(self.lift(x))
 
     def proj_to_A(self, x) -> BasepointTag:
         self.check_point(x)
@@ -549,8 +534,6 @@ def quotient_geodesic(pair: MetricPair, x, y, t: float):
     if not pair.has_geodesic:
         raise NoGeodesicOracle(f"{pair.kind} has no geodesic oracle")
     t = _check_t(t)
-    pair.check_point(x)
-    pair.check_point(y)
     ax = pair.dist_to_A(x)
     ay = pair.dist_to_A(y)
     if pair.dist(x, y) <= ax + ay:
@@ -591,6 +574,16 @@ def _point_to_json(p: Point | BasepointTag):
     return [float(c) for c in p.coords]
 
 
+def _int_field(obj: dict, key: str, default=None) -> int:
+    """obj[key], or default when absent, as an int; any value that int()
+    refuses (null, inf, text) is a ParseError."""
+    value = obj.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ParseError(f"{key} must be an integer, got {value!r}") from e
+
+
 def space_from_json(obj: dict | str) -> MetricPair:
     """Build a descriptor from its JSON form (dict or JSON text)."""
     if isinstance(obj, (str, bytes)):
@@ -603,7 +596,7 @@ def space_from_json(obj: dict | str) -> MetricPair:
     kind = obj.get("kind")
     if kind in _PLANE_KINDS:
         norm = obj.get("norm", SUP)
-        dim = int(obj.get("dim", 2))
+        dim = _int_field(obj, "dim", 2)
         if dim % 2 != 0 or dim < 2:
             raise ParseError(f"plane-kind spaces need even dim >= 2, got {dim}")
         if kind == "EuclideanPlaneDiagonal" and dim != 2:
@@ -617,8 +610,9 @@ def space_from_json(obj: dict | str) -> MetricPair:
     if kind == "SupCubeTruncatedC0":
         if "dim" not in obj:
             raise ParseError("SupCubeTruncatedC0 needs a dim field")
+        dim = _int_field(obj, "dim")
         try:
-            return SupCubeTruncatedC0(int(obj["dim"]))
+            return SupCubeTruncatedC0(dim)
         except ValueError as e:
             raise ParseError(str(e)) from e
     if kind == "FiniteExplicit":
@@ -628,7 +622,7 @@ def space_from_json(obj: dict | str) -> MetricPair:
             return FiniteExplicit(obj["matrix"], obj["A"])
         except InvalidMetric:
             raise
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise ParseError(f"bad FiniteExplicit descriptor: {e}") from e
     if kind == "QuotientOf":
         if "inner" not in obj:

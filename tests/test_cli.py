@@ -161,6 +161,51 @@ def test_huge_multiplicity_exits_4(command):
     assert len(out.stderr.strip().splitlines()) == 1
 
 
+EMPTY = '{"points": []}'
+
+MALFORMED = [
+    pytest.param(["dist", '{"points": [{"coords": [1e999]}]}', EMPTY, "--space", FINITE],
+                 id="finite-index-inf"),
+    pytest.param(["dist", EMPTY, '{"points": [{"coords": [-1e999]}]}', "--space", FINITE],
+                 id="finite-index-minus-inf"),
+    pytest.param(["dist", EMPTY, EMPTY, "--space",
+                  '{"kind": "EuclideanPlaneDiagonal", "dim": null}'], id="plane-dim-null"),
+    pytest.param(["dist", EMPTY, EMPTY, "--space",
+                  '{"kind": "SupCubeTruncatedC0", "dim": null}'], id="supcube-dim-null"),
+    pytest.param(["dist", EMPTY, EMPTY, "--space",
+                  '{"kind": "HalfPlane2nDiagonal", "dim": 1e999}'], id="plane-dim-inf"),
+    pytest.param(["dist", EMPTY, EMPTY, "--space",
+                  '{"kind": "SupCubeTruncatedC0", "dim": 1e999}'], id="supcube-dim-inf"),
+    pytest.param(["dist", EMPTY, EMPTY, "--space",
+                  '{"kind": "FiniteExplicit", "matrix": [[0, 1], [1, 0]], "A": [1e999]}'],
+                 id="finite-A-inf"),
+    pytest.param(["dist", SIGMA, TAU, "--space", PLANE, "--p", "0.5"], id="p-below-1"),
+    pytest.param(["dist", SIGMA, TAU, "--space", PLANE, "--p=nan"], id="p-nan"),
+    pytest.param(["dist", SIGMA, TAU, "--space", PLANE, "--p=two"], id="p-text"),
+    pytest.param(["dist", EMPTY, EMPTY, "--space", '{"kind": "NoSuchKind"}'], id="unknown-kind"),
+    pytest.param(["dist", '{"points": [{"coords": [0, 4], "mult": 0}]}', TAU, "--space", PLANE],
+                 id="mult-zero"),
+    pytest.param(["dist", '{"points": [{"coords": [0, 4], "mult": 1.5}]}', TAU, "--space", PLANE],
+                 id="mult-fraction"),
+    pytest.param(["dist", '{"space": "halfline", "points": []}', TAU, "--space", PLANE],
+                 id="space-mismatch"),
+    pytest.param(["probe", "c0-gap", "--m", "13"], id="too-large"),
+    pytest.param(["geodesic", EMPTY, EMPTY, "--space", FINITE], id="no-geodesic-oracle"),
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED)
+def test_malformed_input_ends_in_one_error_line(argv, capsys):
+    """No malformed input reaches the user as a traceback: each ends with a
+    typed exit code, no stdout and a single "pdmetric: error:" line."""
+    code = main(argv)  # an exception escaping here fails the test
+    out = capsys.readouterr()
+    assert code in {2, 3, 4, 5}
+    assert out.out == ""
+    lines = out.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pdmetric: error: ")
+
+
 def test_no_geodesic_oracle_exits_5(capsys):
     empty = '{"points": []}'
     code, _, err = run_main(

@@ -636,6 +636,17 @@ def test_matching_json_errors_are_typed(obj):
         matching_from_json(obj, plane_sup())
 
 
+def test_matching_json_infinite_finite_index_is_typed():
+    """An infinite index into a finite space is a ParseError, like every
+    malformed field, not an OverflowError from int()."""
+    fin = FiniteExplicit([[0.0, 1.0], [1.0, 0.0]], [1])
+    for end in ([1e999], [-1e999], [float("nan")]):
+        with pytest.raises(ParseError):
+            matching_from_json({"pairs": [{"left": end, "right": "A", "cost": 1}]}, fin)
+    with pytest.raises(ParseError):
+        matching_from_json('{"pairs": [{"left": "A", "right": [1e999], "cost": 1}]}', fin)
+
+
 def test_matching_json_accepts_infinite_p_spellings():
     pair = plane_sup()
     pairs = [{"left": [0, 1], "right": "A", "cost": 0.5}]

@@ -1,5 +1,8 @@
 """Probe behavior on hand-built scenarios, plus their refusal paths."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from pdmetric import (
     NotCauchy,
     PreconditionViolated,
     SpaceMismatch,
+    TooLarge,
     Verdict,
     approximate_from_family,
     bottleneck,
@@ -329,6 +333,40 @@ def test_adversary_preconditions():
     foreign = [canonicalize([hl.point(1.5)], hl), empty_diagram(pair)]
     with pytest.raises(SpaceMismatch):
         separability_adversary(pair, foreign, 1.0, 2.0, 1.0, xs)
+
+
+def huge_dense_family_case():
+    hl, fam = build_halfline_family(2)
+    huge = canonicalize([(hl.point(1.5), 10**12)], hl)
+    return lambda: approximate_from_family(huge, fam)
+
+
+def huge_adversary_case():
+    pair = plane_sup()
+    # the candidate's point is far from x, so every copy of it would be tested
+    huge = canonicalize([(pair.point(0.0, 6.0), 10**12)], pair)
+    return lambda: separability_adversary(pair, [huge], 1.0, 2.0, 1.0, [pair.point(3.0, 6.0)])
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(huge_dense_family_case, id="dense-family"),
+    pytest.param(huge_adversary_case, id="adversary"),
+])
+def test_probes_refuse_huge_multiplicity_before_expansion(case):
+    """A probe visits each distinct point once, so one point of
+    multiplicity 10^12 reaches the solver's size cap at once, with no copy
+    of it built."""
+    run = case()
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(TooLarge):
+            run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 1.0
+    assert peak < 1 << 20
 
 
 # -- report serialization ---------------------------------------------------------------

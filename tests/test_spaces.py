@@ -323,6 +323,97 @@ def test_quotient_matches_quotient_distance():
     assert q.space_id == "quotient(plane2:sup)"
 
 
+def deleted_quotient_dist(q, x, y):
+    """The scalar formula QuotientOf.dist had before its scalar distances
+    came from its batch formula; kept here only as the reference."""
+    if isinstance(x, BasepointTag) and isinstance(y, BasepointTag):
+        return 0.0
+    if isinstance(x, BasepointTag):
+        return q.inner.dist_to_A(q.lift(y))
+    if isinstance(y, BasepointTag):
+        return q.inner.dist_to_A(q.lift(x))
+    return quotient_distance(q.inner, q.lift(x), q.lift(y))
+
+
+# integers give ties d(x, y) = d(x, A) + d(y, A); tiny floats reach subnormals
+tie_heavy_coord = st.one_of(
+    st.integers(-4, 4).map(float),
+    finite_coord,
+    st.floats(-1e-300, 1e-300, allow_nan=False),
+)
+
+
+@st.composite
+def quotient_pairs(draw):
+    kind = draw(st.sampled_from(["plane", "product", "halfline", "supcube", "finite"]))
+    if kind == "plane":
+        return QuotientOf(PlaneDiagonal(1, draw(st.sampled_from([SUP, EUCLIDEAN]))))
+    if kind == "product":
+        return QuotientOf(PlaneDiagonal(2, draw(st.sampled_from([SUP, EUCLIDEAN]))))
+    if kind == "halfline":
+        return QuotientOf(HalfLineOrigin())
+    if kind == "supcube":
+        return QuotientOf(SupCubeTruncatedC0(draw(st.integers(1, 4))))
+    # distances between points of a line: a metric with many ties
+    line = draw(st.lists(st.one_of(st.integers(0, 6).map(float), st.floats(0, 50)),
+                         min_size=2, max_size=5))
+    matrix = [[abs(a - b) for b in line] for a in line]
+    A = draw(st.lists(st.integers(0, len(line) - 1), min_size=1, max_size=len(line)))
+    return QuotientOf(FiniteExplicit(matrix, A))
+
+
+def draw_quotient_point(draw, q):
+    if draw(st.integers(0, 3)) == 0:
+        return BASEPOINT
+    inner = q.inner
+    if isinstance(inner, FiniteExplicit):
+        return q.point(draw(st.integers(0, inner.size - 1)))
+    coords = [draw(tie_heavy_coord) for _ in range(inner.dim)]
+    if isinstance(inner, HalfLineOrigin):
+        coords = [abs(c) for c in coords]
+    if isinstance(inner, PlaneDiagonal):
+        coords[1::2] = [b + abs(g) for b, g in zip(coords[0::2], coords[1::2])]
+    return q.point(*coords)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_quotient_scalar_distances_match_the_deleted_formula(data):
+    """QuotientOf answers dist and dist_to_A from its batch formula; on
+    every inner kind, with BASEPOINT ends, ties and subnormal coordinates,
+    the answers are bit for bit those of the scalar formula it replaced."""
+    q = data.draw(quotient_pairs())
+    x = draw_quotient_point(data.draw, q)
+    y = draw_quotient_point(data.draw, q)
+    for a, b in ((x, y), (y, x), (x, x)):
+        assert q.dist(a, b).hex() == deleted_quotient_dist(q, a, b).hex()
+    for a in (x, y):
+        ref = 0.0 if isinstance(a, BasepointTag) else q.inner.dist_to_A(q.lift(a))
+        assert q.dist_to_A(a).hex() == ref.hex()
+
+
+def test_quotient_scalar_distance_is_its_batch_entry_at_signed_zeros():
+    """A finite matrix may hold -0.0.  Every scalar quotient distance is
+    the batch entry bit for bit, sign of zero included; a separate scalar
+    formula picked the other zero of a tie."""
+    fin = FiniteExplicit([[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [1.0, 1.0, 0.0]], [0, 1])
+    q = QuotientOf(fin)
+    X = np.array([[0.0], [1.0], [2.0]])
+    batch = q.pairwise_dist(X, X)
+    for i in range(3):
+        for j in range(3):
+            assert q.dist(q.point(i), q.point(j)).hex() == float(batch[i, j]).hex()
+
+
+def test_basepoint_outside_a_quotient_is_a_mismatch():
+    pair = PlaneDiagonal()
+    x = pair.point(0.0, 4.0)
+    for call in (lambda: pair.dist(BASEPOINT, x), lambda: pair.dist(x, BASEPOINT),
+                 lambda: pair.dist_to_A(BASEPOINT)):
+        with pytest.raises(SpaceMismatch):
+            call()
+
+
 def test_quotient_geodesic_from_basepoint():
     pair = PlaneDiagonal()
     q = QuotientOf(pair)
@@ -339,6 +430,35 @@ def test_quotient_distance_idempotent_on_quotient():
     x = q.point(0.0, 4.0)
     y = q.point(10.0, 14.0)
     assert quotient_distance(q, x, y) == q.dist(x, y)
+
+
+@pytest.mark.parametrize(
+    "pair, coords",
+    [
+        (PlaneDiagonal(1, SUP), (0.0, 1.0)),
+        (PlaneDiagonal(2, EUCLIDEAN), (0.0, 1.0, -2.0, 3.0)),
+        (HalfLineOrigin(), (1.5,)),
+        (SupCubeTruncatedC0(3), (1.0, -2.0, 0.5)),
+        (FiniteExplicit(good_matrix(), [2]), (1.0,)),
+        (QuotientOf(PlaneDiagonal(1, EUCLIDEAN)), (0.0, 1.0)),
+        (QuotientOf(FiniteExplicit(good_matrix(), [2])), (0.0,)),
+    ],
+    ids=["plane", "product", "halfline", "supcube", "finite", "quotient-plane",
+         "quotient-finite"],
+)
+def test_one_point_rule_for_every_pair(pair, coords):
+    """Every pair takes exactly dim finite coordinates: a wrong count and
+    each of +inf, -inf and nan in any position raise ValueError."""
+    assert pair.point(*coords).coords == coords
+    for wrong in (coords + (0.0,), coords[:-1]):
+        with pytest.raises(ValueError, match=f"expected {pair.dim} coordinates"):
+            pair.point(*wrong)
+    for k in range(len(coords)):
+        for bad in (math.inf, -math.inf, math.nan):
+            c = list(coords)
+            c[k] = bad
+            with pytest.raises(ValueError, match="coordinates must be finite"):
+                pair.point(*c)
 
 
 # -- serialization ---------------------------------------------------------------
@@ -380,3 +500,21 @@ def test_space_from_json_errors():
         space_from_json({"kind": "SupCubeTruncatedC0"})
     with pytest.raises(InvalidMetric):
         space_from_json({"kind": "FiniteExplicit", "matrix": [[0, 1], [2, 0]], "A": [0]})
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        '{"kind": "EuclideanPlaneDiagonal", "dim": null}',
+        '{"kind": "HalfPlane2nDiagonal", "dim": 1e999}',
+        '{"kind": "HalfPlane2nDiagonal", "dim": "four"}',
+        '{"kind": "SupCubeTruncatedC0", "dim": null}',
+        '{"kind": "SupCubeTruncatedC0", "dim": -1e999}',
+        '{"kind": "FiniteExplicit", "matrix": [[0, 1], [1, 0]], "A": [1e999]}',
+        '{"kind": "QuotientOf", "inner": {"kind": "SupCubeTruncatedC0", "dim": [3]}}',
+    ],
+)
+def test_integer_descriptor_fields_are_typed(obj):
+    """A dim or an index of A that int() refuses is a ParseError."""
+    with pytest.raises(ParseError):
+        space_from_json(obj)
