@@ -225,7 +225,10 @@ def _diagram_points_to_json(diagram: Diagram) -> list[dict]:
 
 def write_diagram(diagram: Diagram, fmt: str, pair: MetricPair | None = None) -> str:
     """Serialize a diagram; the inverse of parse_diagram up to canonical
-    form (exactly: parse(write(d)) == d)."""
+    form (exactly: parse(write(d)) == d).  A given pair must be the
+    diagram's own space."""
+    if pair is not None:
+        _check_same_space(diagram, pair)
     if fmt == "json":
         obj = {
             "space": pair.to_json() if pair is not None else diagram.space_id,
@@ -233,10 +236,8 @@ def write_diagram(diagram: Diagram, fmt: str, pair: MetricPair | None = None) ->
         }
         return json.dumps(obj, sort_keys=True)
     if fmt == "csv":
-        if pair is not None:
-            _check_same_space(diagram, pair)
-            if not _is_two_column_plane(pair):
-                raise ParseError("CSV diagrams are only defined for two-coordinate plane pairs")
+        if pair is not None and not _is_two_column_plane(pair):
+            raise ParseError("CSV diagrams are only defined for two-coordinate plane pairs")
         lines = ["birth,death,mult"]
         for p, m in diagram.points:
             if len(p.coords) != 2:

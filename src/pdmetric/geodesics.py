@@ -27,9 +27,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .diagram import Diagram, canonicalize
 from .errors import NoGeodesicOracle, TooLarge
-from .matching import Matching, MatchedPair, _expand, bottleneck
+from .matching import Matching, MatchedPair, bottleneck
 from .probes import ProbeReport, Verdict
 from .spaces import (
     BASEPOINT,
@@ -222,14 +224,11 @@ def c0_truncation_gap(m: int):
     tau = canonicalize(odd_pts, space)
     gap, matching = bottleneck(sigma, tau, space)
 
-    xs, X = _expand(sigma, space)
-    ys, Y = _expand(tau, space)
-    min_cross = float(space.pairwise_dist(X, Y).min()) if xs and ys else math.inf
-    min_to_A = math.inf
-    if xs:
-        min_to_A = min(min_to_A, float(space.dist_to_A_batch(X).min()))
-    if ys:
-        min_to_A = min(min_to_A, float(space.dist_to_A_batch(Y).min()))
+    # minima over the distinct points: multiplicity does not change a minimum
+    X = space.coords_matrix([p for p, _ in sigma.points])
+    Y = space.coords_matrix([p for p, _ in tau.points])
+    min_cross = float(space.pairwise_dist(X, Y).min(initial=math.inf))
+    min_to_A = float(space.dist_to_A_batch(np.vstack([X, Y])).min(initial=math.inf))
     ok = gap > 1.0 and min_cross > 1.0 and min_to_A > 1.0
     report = ProbeReport(
         probe_name="c0_truncation_gap",

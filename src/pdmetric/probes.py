@@ -7,6 +7,10 @@ limits recovered by trajectory tracking, total boundedness of annuli
 around A, countable dense families, and the adversarial diagram that
 defeats any claimed countable dense set when X is too spread out.
 
+Each probe asks the metric pair one batch query per point set (its
+samples, its separated points, a candidate diagram, a settle window)
+rather than one scalar query per point.
+
 Probes never extrapolate: a WITNESSED or REFUTED verdict is only emitted
 when the defining inequality was actually checked by the exact solver, and
 everything else reports INCONCLUSIVE.  The Cauchy limit extraction uses
@@ -24,13 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .diagram import Diagram, _check_same_space, _diagram_points_to_json, canonicalize
-from .errors import (
-    CoverageGap,
-    EmptyAnnulus,
-    NotCauchy,
-    PreconditionViolated,
-    SpaceMismatch,
-)
+from .errors import CoverageGap, EmptyAnnulus, NotCauchy, PreconditionViolated
 from .matching import bottleneck
 from .spaces import BasepointTag, FiniteExplicit, MetricPair, Point, _point_to_json
 
@@ -114,6 +112,8 @@ def isolated_point_bound(pair: FiniteExplicit, sigma: Diagram, tau: Diagram):
     """
     if not isinstance(pair, FiniteExplicit):
         raise PreconditionViolated("isolated_point_bound needs a FiniteExplicit pair")
+    _check_same_space(sigma, pair)
+    _check_same_space(tau, pair)
     if sigma == tau:
         raise PreconditionViolated("diagrams must be distinct")
 
@@ -122,17 +122,13 @@ def isolated_point_bound(pair: FiniteExplicit, sigma: Diagram, tau: Diagram):
 
     ms, mt = mults(sigma), mults(tau)
     differing = sorted(set(ms) ^ set(mt) | {i for i in set(ms) & set(mt) if ms[i] != mt[i]})
-    a_set = set(pair.A_indices)
-    off_A = [i for i in range(pair.size) if i not in a_set]
-    eps = math.inf
-    per_point = []
-    for i in differing:
-        iso = min(
-            (float(pair.matrix[i, j]) for j in off_A if j != i), default=math.inf
-        )
-        eps_i = min(iso, float(pair._a_dist[i]))
-        per_point.append((i, eps_i))
-        eps = min(eps, eps_i)
+    X = np.array(differing, dtype=np.float64).reshape(-1, 1)
+    off_A = pair.coords_matrix(pair.points_off_A())
+    # a point is not isolated from itself
+    iso = np.where(X == off_A.T, math.inf, pair.pairwise_dist(X, off_A))
+    eps_i = np.minimum(iso.min(axis=1, initial=math.inf), pair.dist_to_A_batch(X)).tolist()
+    per_point = list(zip(differing, eps_i))
+    eps = min(eps_i, default=math.inf)
     dist, _ = bottleneck(sigma, tau, pair)
     ok = dist >= eps
     report = ProbeReport(
@@ -166,10 +162,11 @@ def vanishing_pair_demo(
         raise PreconditionViolated(
             f"tail exhausted: need {n_max + 1} points, got {len(tail)}"
         )
-    pair.check_point(limit_point)
-    for q in tail[: n_max + 1]:
-        if pair.dist(limit_point, q) == 0.0:
-            raise PreconditionViolated("tail points must differ from the limit point")
+    swap_bounds = pair.pairwise_dist(
+        pair.coords_matrix([limit_point]), pair.coords_matrix(tail[: n_max + 1])
+    )[0].tolist()
+    if 0.0 in swap_bounds:
+        raise PreconditionViolated("tail points must differ from the limit point")
     trace = []
     bounds = []
     all_bounded = True
@@ -177,7 +174,7 @@ def vanishing_pair_demo(
         sigma = canonicalize([limit_point] + tail[:N], pair)
         tau = canonicalize(tail[: N + 1], pair)
         d, _ = bottleneck(sigma, tau, pair)
-        bound = pair.dist(limit_point, tail[N])
+        bound = swap_bounds[N]
         trace.append((float(N), d))
         bounds.append((float(N), bound))
         if d > bound or not d > 0.0:
@@ -256,7 +253,6 @@ def cauchy_chain_limit(diagrams: Sequence[Diagram], pair: MetricPair):
     # trajectories through composed optimal matchings between stages
     stage_diags = [diags[idx] for _, idx, _ in stages]
     trajs: list[list[Point]] = [[pt] for pt in stage_diags[0].iter_points()]
-    ended: list[list[Point]] = []
     live = list(range(len(trajs)))
     for s in range(len(stage_diags) - 1):
         _, mt = bottleneck(stage_diags[s], stage_diags[s + 1], pair)
@@ -271,9 +267,7 @@ def cauchy_chain_limit(diagrams: Sequence[Diagram], pair: MetricPair):
         new_live = []
         for ti in live:
             nxt = takes[trajs[ti][-1].coords].popleft()
-            if isinstance(nxt, BasepointTag):
-                ended.append(trajs[ti])
-            else:
+            if not isinstance(nxt, BasepointTag):
                 trajs[ti].append(nxt)
                 new_live.append(ti)
         for b in births:
@@ -285,16 +279,13 @@ def cauchy_chain_limit(diagrams: Sequence[Diagram], pair: MetricPair):
     absorb_tol = final_bound + CONV_TOL
     limit_pts: list[Point] = []
     unresolved = 0
-    for ti in live:
-        positions = trajs[ti]
-        last = positions[-1]
-        if pair.dist_to_A(last) <= absorb_tol:
+    to_A = pair.dist_to_A_batch(pair.coords_matrix([trajs[ti][-1] for ti in live]))
+    for ti, a in zip(live, to_A):
+        if a <= absorb_tol:
             continue  # vanishing trajectory, absorbed by A
-        window = positions[-3:]
-        if len(window) == 3 and all(
-            pair.dist(a, b) <= CONV_TOL for a in window for b in window
-        ):
-            limit_pts.append(last)
+        window = pair.coords_matrix(trajs[ti][-3:])
+        if len(window) == 3 and np.all(pair.pairwise_dist(window, window) <= CONV_TOL):
+            limit_pts.append(trajs[ti][-1])
         else:
             unresolved += 1
     limit = canonicalize(limit_pts, pair)
@@ -324,6 +315,14 @@ def cauchy_chain_limit(diagrams: Sequence[Diagram], pair: MetricPair):
 # -- total boundedness ---------------------------------------------------
 
 
+def _check_annulus(delta: float, D: float) -> tuple[float, float]:
+    """delta and D as floats bounding a nonempty annulus 0 < delta < D."""
+    delta, D = float(delta), float(D)
+    if not 0.0 < delta < D:
+        raise PreconditionViolated(f"need 0 < delta < D, got delta={delta}, D={D}")
+    return delta, D
+
+
 @dataclass(frozen=True)
 class EpsNet:
     """Centers pairwise >= epsilon apart covering the sampled annulus
@@ -345,20 +344,18 @@ def greedy_eps_net(
     the first in-region sample.  Stops when every sample is within epsilon
     of a center, so the result is an epsilon-net of the samples whose
     centers are pairwise at least epsilon apart."""
-    delta, D, epsilon = float(delta), float(D), float(epsilon)
-    if not 0.0 < delta < D:
-        raise PreconditionViolated(f"need 0 < delta < D, got delta={delta}, D={D}")
+    epsilon = float(epsilon)
+    delta, D = _check_annulus(delta, D)
     if epsilon <= 0.0:
         raise PreconditionViolated("epsilon must be positive")
-    pts = []
-    for p in samples:
-        pair.check_point(p)
-        a = pair.dist_to_A(p)
-        if delta <= a < D:
-            pts.append(p)
+    samples = list(samples)
+    X = pair.coords_matrix(samples)
+    a = pair.dist_to_A_batch(X)
+    inside = (delta <= a) & (a < D)
+    pts = [p for p, keep in zip(samples, inside) if keep]
     if not pts:
         raise EmptyAnnulus(f"no sample lies in the annulus [{delta}, {D})")
-    coords = pair.coords_matrix(pts)
+    coords = X[inside]
     min_to_center = np.full(len(pts), np.inf)
     center_idx = [0]
     current = 0
@@ -445,24 +442,28 @@ def dense_family(
         raise PreconditionViolated(
             f"net region {net.region} does not cover the level-{n} annulus"
         )
-    for c in net.centers:
-        pair.check_point(c)
+    pair.coords_matrix(net.centers)  # refuses centers of another space
     centers = tuple(sorted(net.centers, key=lambda p: p.coords))
     if not centers:
         raise PreconditionViolated("net has no centers")
-    fam = DenseFamily(pair, n, centers)
-    coords = pair.coords_matrix(list(centers))
-    for s in validation_samples:
-        pair.check_point(s)
-        a = pair.dist_to_A(s)
-        if not radius <= a < float(n):
-            continue
-        dists = pair.pairwise_dist(pair.coords_matrix([s]), coords)[0]
-        if float(dists.min()) > radius:
-            raise CoverageGap(
-                f"validation sample {s!r} is {float(dists.min())} from the family"
-            )
-    return fam
+    samples = list(validation_samples)
+    X = pair.coords_matrix(samples)
+    a = pair.dist_to_A_batch(X)
+    inside = np.flatnonzero((radius <= a) & (a < float(n)))
+    _, dists = _nearest(pair, X[inside], centers)
+    gaps = np.flatnonzero(dists > radius)
+    if gaps.size:
+        s, d = samples[inside[gaps[0]]], float(dists[gaps[0]])
+        raise CoverageGap(f"validation sample {s!r} is {d} from the family")
+    return DenseFamily(pair, n, centers)
+
+
+def _nearest(pair: MetricPair, xs: np.ndarray, centers: Sequence[Point]):
+    """For each row of xs, the index of its nearest center (ties to the
+    first center) and the distance to it."""
+    dists = pair.pairwise_dist(xs, pair.coords_matrix(centers))
+    idx = dists.argmin(axis=1)
+    return idx, dists[np.arange(len(xs)), idx]
 
 
 def approximate_from_family(sigma: Diagram, family: DenseFamily):
@@ -470,23 +471,16 @@ def approximate_from_family(sigma: Diagram, family: DenseFamily):
     lexicographically first), dropping points within 1/n of A; returns the
     approximant and its exact distance to sigma, which stays <= 1/n."""
     pair = family.pair
-    if sigma.space_id != pair.space_id:
-        raise SpaceMismatch(
-            f"diagram over {sigma.space_id!r} used with family over {pair.space_id!r}"
-        )
+    _check_same_space(sigma, pair)
     radius = family.radius
-    coords = pair.coords_matrix(list(family.centers))
-    snapped = []
-    for p, m in sigma.points:
-        if pair.dist_to_A(p) < radius:
-            continue
-        dists = pair.pairwise_dist(pair.coords_matrix([p]), coords)[0]
-        j = int(np.argmin(dists))
-        if float(dists[j]) > radius:
-            raise CoverageGap(
-                f"{p!r} is {float(dists[j])} from the nearest center, beyond {radius}"
-            )
-        snapped.append((family.centers[j], m))
+    X = pair.coords_matrix([p for p, _ in sigma.points])
+    kept = np.flatnonzero(pair.dist_to_A_batch(X) >= radius)
+    nearest, dists = _nearest(pair, X[kept], family.centers)
+    gaps = np.flatnonzero(dists > radius)
+    if gaps.size:
+        p, d = sigma.points[kept[gaps[0]]][0], float(dists[gaps[0]])
+        raise CoverageGap(f"{p!r} is {d} from the nearest center, beyond {radius}")
+    snapped = [(family.centers[j], sigma.points[i][1]) for i, j in zip(kept, nearest)]
     tau = canonicalize(snapped, pair)
     d, _ = bottleneck(sigma, tau, pair)
     return tau, d
@@ -509,9 +503,8 @@ def separability_adversary(
     delta), the diagram tau keeping exactly those x_i that are >= epsilon/2
     from every point of sigma_i satisfies d(tau, sigma_i) >= epsilon/2 for
     all i.  The inequalities are then checked with the exact solver."""
-    delta, D, epsilon = float(delta), float(D), float(epsilon)
-    if not 0.0 < delta < D:
-        raise PreconditionViolated(f"need 0 < delta < D, got delta={delta}, D={D}")
+    epsilon = float(epsilon)
+    delta, D = _check_annulus(delta, D)
     if not 0.0 < epsilon <= delta:
         raise PreconditionViolated("need 0 < epsilon <= delta")
     k = len(candidates)
@@ -519,25 +512,27 @@ def separability_adversary(
         raise PreconditionViolated(
             f"{k} candidates but only {len(separated_points)} separated points"
         )
+    for sig in candidates:
+        _check_same_space(sig, pair)
     xs = list(separated_points[:k])
-    for x in xs:
-        pair.check_point(x)
-        a = pair.dist_to_A(x)
-        if not delta <= a < D:
-            raise PreconditionViolated(f"{x!r} lies outside the annulus [{delta}, {D})")
-    for i in range(k):
-        for j in range(i + 1, k):
-            if pair.dist(xs[i], xs[j]) < epsilon:
-                raise PreconditionViolated(
-                    f"points {i} and {j} are {pair.dist(xs[i], xs[j])} apart, below {epsilon}"
-                )
+    X = pair.coords_matrix(xs)
+    a = pair.dist_to_A_batch(X)
+    outside = np.flatnonzero((a < delta) | (a >= D))
+    if outside.size:
+        raise PreconditionViolated(f"{xs[outside[0]]!r} lies outside the annulus [{delta}, {D})")
+    between = pair.pairwise_dist(X, X)
+    close = np.argwhere(np.triu(between < epsilon, 1))  # row-major: first pair i < j
+    if close.size:
+        i, j = close[0]
+        raise PreconditionViolated(
+            f"points {i} and {j} are {float(between[i, j])} apart, below {epsilon}"
+        )
     half = epsilon / 2.0
     kept = []
-    for i, sig in enumerate(candidates):
-        if sig.space_id != pair.space_id:
-            raise SpaceMismatch("candidate diagram over a different space")
-        if all(pair.dist(p, xs[i]) >= half for p, _ in sig.points):
-            kept.append(xs[i])
+    for x, row, sig in zip(xs, X, candidates):
+        ps = pair.coords_matrix([p for p, _ in sig.points])
+        if np.all(pair.pairwise_dist(ps, row[None, :]) >= half):
+            kept.append(x)
     tau = canonicalize(kept, pair)
     trace = []
     ok = True

@@ -142,11 +142,13 @@ class MetricPair:
             )
 
     def coords_matrix(self, points: Sequence[Point]) -> np.ndarray:
-        out = np.empty((len(points), self.dim), dtype=np.float64)
-        for i, p in enumerate(points):
+        """The (len(points), dim) coordinate array of points of this pair;
+        BASEPOINT has no coordinates and is a ValueError."""
+        for p in points:
             self.check_point(p)
-            out[i, :] = p.coords
-        return out
+            if isinstance(p, BasepointTag):
+                raise ValueError("BASEPOINT has no coordinates")
+        return np.array([p.coords for p in points], dtype=np.float64).reshape(len(points), self.dim)
 
     # -- distances ----------------------------------------------------
 
@@ -370,7 +372,8 @@ class FiniteExplicit(MetricPair):
     TRIANGLE_TOL = 1e-9
 
     def __init__(self, matrix: Sequence[Sequence[float]], A: Sequence[int]):
-        M = np.asarray(matrix, dtype=np.float64)
+        # + 0.0 turns -0.0 into 0.0, so one metric has one space_id
+        M = np.asarray(matrix, dtype=np.float64) + 0.0
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise InvalidMetric("distance matrix must be square")
         n = M.shape[0]
@@ -574,14 +577,16 @@ def _point_to_json(p: Point | BasepointTag):
     return [float(c) for c in p.coords]
 
 
-def _int_field(obj: dict, key: str, default=None) -> int:
-    """obj[key], or default when absent, as an int; any value that int()
-    refuses (null, inf, text) is a ParseError."""
-    value = obj.get(key, default)
+def _int_field(value, name: str) -> int:
+    """An integer field of a descriptor as an int.  Booleans, numbers with
+    a fractional part and any value that int() refuses (null, inf, text)
+    are a ParseError; integral values such as 4.0 are read exactly."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ParseError(f"{name} must be an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError, OverflowError) as e:
-        raise ParseError(f"{key} must be an integer, got {value!r}") from e
+        raise ParseError(f"{name} must be an integer, got {value!r}") from e
 
 
 def space_from_json(obj: dict | str) -> MetricPair:
@@ -596,7 +601,7 @@ def space_from_json(obj: dict | str) -> MetricPair:
     kind = obj.get("kind")
     if kind in _PLANE_KINDS:
         norm = obj.get("norm", SUP)
-        dim = _int_field(obj, "dim", 2)
+        dim = _int_field(obj.get("dim", 2), "dim")
         if dim % 2 != 0 or dim < 2:
             raise ParseError(f"plane-kind spaces need even dim >= 2, got {dim}")
         if kind == "EuclideanPlaneDiagonal" and dim != 2:
@@ -610,7 +615,7 @@ def space_from_json(obj: dict | str) -> MetricPair:
     if kind == "SupCubeTruncatedC0":
         if "dim" not in obj:
             raise ParseError("SupCubeTruncatedC0 needs a dim field")
-        dim = _int_field(obj, "dim")
+        dim = _int_field(obj["dim"], "dim")
         try:
             return SupCubeTruncatedC0(dim)
         except ValueError as e:
@@ -619,7 +624,7 @@ def space_from_json(obj: dict | str) -> MetricPair:
         if "matrix" not in obj or "A" not in obj:
             raise ParseError("FiniteExplicit needs matrix and A fields")
         try:
-            return FiniteExplicit(obj["matrix"], obj["A"])
+            return FiniteExplicit(obj["matrix"], [_int_field(i, "A index") for i in obj["A"]])
         except InvalidMetric:
             raise
         except (TypeError, ValueError, OverflowError) as e:

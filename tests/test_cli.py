@@ -179,6 +179,16 @@ MALFORMED = [
     pytest.param(["dist", EMPTY, EMPTY, "--space",
                   '{"kind": "FiniteExplicit", "matrix": [[0, 1], [1, 0]], "A": [1e999]}'],
                  id="finite-A-inf"),
+    pytest.param(["dist", EMPTY, EMPTY, "--space",
+                  '{"kind": "SupCubeTruncatedC0", "dim": true}'], id="supcube-dim-true"),
+    pytest.param(["dist", EMPTY, EMPTY, "--space",
+                  '{"kind": "HalfPlane2nDiagonal", "dim": 4.9}'], id="plane-dim-fraction"),
+    pytest.param(["dist", EMPTY, EMPTY, "--space",
+                  '{"kind": "FiniteExplicit", "matrix": [[0, 1], [1, 0]], "A": [1.5]}'],
+                 id="finite-A-fraction"),
+    pytest.param(["dist", EMPTY, EMPTY, "--space",
+                  '{"kind": "FiniteExplicit", "matrix": [[0, 1], [1, 0]], "A": [true]}'],
+                 id="finite-A-true"),
     pytest.param(["dist", SIGMA, TAU, "--space", PLANE, "--p", "0.5"], id="p-below-1"),
     pytest.param(["dist", SIGMA, TAU, "--space", PLANE, "--p=nan"], id="p-nan"),
     pytest.param(["dist", SIGMA, TAU, "--space", PLANE, "--p=two"], id="p-text"),

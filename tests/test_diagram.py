@@ -260,6 +260,15 @@ def test_csv_rejected_off_plane():
         write_diagram(d, "csv", hl)
 
 
+def test_json_write_refuses_another_space():
+    """A JSON diagram written with a pair declares that pair's space, so a
+    pair over another space is refused, as for CSV."""
+    sup, euc = PlaneDiagonal(1, "sup"), PlaneDiagonal(1, "euclidean")
+    d = canonicalize([sup.point(0.0, 4.0)], sup)
+    with pytest.raises(SpaceMismatch):
+        write_diagram(d, "json", euc)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(

@@ -10,6 +10,7 @@ from pdmetric import (
     CoverageGap,
     EmptyAnnulus,
     FiniteExplicit,
+    MetricPair,
     NotCauchy,
     PreconditionViolated,
     SpaceMismatch,
@@ -79,6 +80,17 @@ def test_isolated_point_bound_preconditions():
     d = empty_diagram(plane)
     with pytest.raises(PreconditionViolated):
         isolated_point_bound(plane, d, d)
+
+
+def test_isolated_point_bound_refuses_another_space():
+    pair = FiniteExplicit([[0.0, 4.0, 3.0], [4.0, 0.0, 5.0], [3.0, 5.0, 0.0]], [2])
+    hl = halfline()
+    s = canonicalize([hl.point(5.0)], hl)  # no index 5 in the 3-point space
+    t = canonicalize([pair.point(0)], pair)
+    with pytest.raises(SpaceMismatch):
+        isolated_point_bound(pair, s, t)
+    with pytest.raises(SpaceMismatch):
+        isolated_point_bound(pair, t, s)
 
 
 # -- vanishing pairs --------------------------------------------------------------
@@ -367,6 +379,79 @@ def test_probes_refuse_huge_multiplicity_before_expansion(case):
         tracemalloc.stop()
     assert time.perf_counter() - t0 < 1.0
     assert peak < 1 << 20
+
+
+# -- one batch query per point set ------------------------------------------------------
+
+
+def worked_examples():
+    """Every probe that reads distances, on the worked examples above; a
+    refusal is kept as its type and message."""
+    pair, hl = plane_sup(), halfline()
+    fin = FiniteExplicit([[0.0, 4.0, 3.0], [4.0, 0.0, 5.0], [3.0, 5.0, 0.0]], [2])
+    x = pair.point(0.0, 4.0)
+    tail = [pair.point(1.0 / n, 4.0 + 1.0 / n) for n in range(1, 60)]
+    samples = [hl.point(float(v)) for v in np.arange(0.05, 3.0, 0.05)]
+    strip = [pair.point(float(b), float(b) + 3.0) for b in np.arange(0.0, 16.0, 0.5)]
+    xs = [pair.point(3.0 * i, 3.0 * i + 3.0) for i in range(4)]
+    candidates = [
+        canonicalize([xs[0]], pair),
+        empty_diagram(pair),
+        canonicalize([pair.point(3.0 * 2, 3.0 * 2 + 3.2)], pair),
+        canonicalize([pair.point(50.0, 53.0)], pair),
+    ]
+    close = [pair.point(0.0, 3.0), pair.point(5.0, 8.0), pair.point(0.2, 3.2)]
+    sigma = canonicalize([hl.point(0.7), hl.point(1.5), hl.point(0.2)], hl)
+
+    def chain(point):
+        return lambda: cauchy_chain_limit([canonicalize([point(k)], pair) for k in range(26)], pair)
+
+    runs = {
+        "isolated": lambda: isolated_point_bound(
+            fin, canonicalize([fin.point(0)], fin), canonicalize([fin.point(1)], fin)),
+        "vanishing": lambda: vanishing_pair_demo(pair, x, tail, n_max=50, target=0.05),
+        "cauchy-converging": chain(lambda k: pair.point(0.0, 4.0 + 2.0**-k)),
+        "cauchy-absorbing": chain(lambda k: pair.point(2.0**-k, 2.0 * 2.0**-k)),
+        "cauchy-slow": lambda: cauchy_chain_limit(
+            [canonicalize([pair.point(0.0, 4.0 + 2.0**-k)], pair) for k in range(11)], pair),
+        "eps-net": lambda: greedy_eps_net(hl, 1.0, 2.0, 0.25, samples),
+        "net-growth": lambda: net_growth_probe(
+            pair, 1.0, 2.0, 1.0, [strip[:8], strip[:16], strip]),
+        "dense-family": lambda: build_halfline_family(2)[1],
+        "validation-gap": lambda: dense_family(
+            hl, 2, greedy_eps_net(hl, 0.5, 2.5, 0.5, [hl.point(0.6)]), [hl.point(1.8)]),
+        "snap": lambda: approximate_from_family(sigma, build_halfline_family(2)[1]),
+        "coverage-gap": lambda: approximate_from_family(
+            canonicalize([hl.point(40.0)], hl), build_halfline_family(2)[1]),
+        "adversary": lambda: separability_adversary(pair, candidates, 1.0, 2.0, 1.0, xs),
+        "not-separated": lambda: separability_adversary(
+            pair, candidates[:3], 1.0, 2.0, 1.0, close),
+    }
+    out = {}
+    for name, run in runs.items():
+        try:
+            out[name] = run()
+        except (CoverageGap, PreconditionViolated) as e:
+            out[name] = (type(e).__name__, str(e))
+    return out
+
+
+def test_probes_make_no_scalar_queries(monkeypatch):
+    """The probes ask the pair one batch query per point set: with the
+    scalar dist and dist_to_A refusing every call, each worked example
+    gives the same reports, values and refusals."""
+    expected = worked_examples()
+
+    def refuse(*args):
+        raise AssertionError("a probe made a scalar distance query")
+
+    monkeypatch.setattr(MetricPair, "dist", refuse)
+    monkeypatch.setattr(MetricPair, "dist_to_A", refuse)
+    assert worked_examples() == expected
+    assert expected["validation-gap"][0] == "CoverageGap"
+    assert expected["coverage-gap"][0] == "CoverageGap"
+    assert expected["not-separated"] == (
+        "PreconditionViolated", "points 0 and 2 are 0.20000000000000018 apart, below 1.0")
 
 
 # -- report serialization ---------------------------------------------------------------

@@ -307,6 +307,32 @@ def test_finite_explicit_validation():
         FiniteExplicit(good_matrix(), [5])  # A out of range
 
 
+def test_finite_explicit_signed_zeros_give_one_space():
+    """-0.0 and 0.0 spell the same metric, so they give one space_id and
+    equal pairs."""
+    neg = FiniteExplicit([[-0.0, 1.0], [1.0, 0.0]], [1])
+    pos = FiniteExplicit([[0.0, 1.0], [1.0, 0.0]], [1])
+    assert neg.space_id == pos.space_id
+    assert neg == pos
+
+
+def test_integral_descriptor_fields_are_read_exactly():
+    """Integral numbers such as 4.0 stay accepted as integer fields;
+    fractions and booleans are refused in tests/test_cli.py."""
+    assert space_from_json({"kind": "HalfPlane2nDiagonal", "dim": 4.0}) == PlaneDiagonal(2)
+    assert space_from_json({"kind": "SupCubeTruncatedC0", "dim": 3.0}) == SupCubeTruncatedC0(3)
+    fin = space_from_json({"kind": "FiniteExplicit", "matrix": [[0, 1], [1, 0]], "A": [1.0]})
+    assert fin.A_indices == (1,)
+
+
+def test_coords_matrix_refuses_basepoint():
+    q = QuotientOf(PlaneDiagonal())
+    with pytest.raises(ValueError, match="BASEPOINT has no coordinates"):
+        q.coords_matrix([BASEPOINT])
+    with pytest.raises(ValueError):
+        q.coords_matrix([q.point(0.0, 4.0), BASEPOINT])
+
+
 # -- quotient wrapper -----------------------------------------------------------
 
 
