@@ -1,26 +1,38 @@
 """Combinatorial kernels behind the exact distance solvers.
 
-``augmented_matching`` decides threshold feasibility for the bottleneck
-distance via Hopcroft-Karp on the augmented bipartite instance: the left
-side holds the n points of one diagram followed by m slots of A, the right
-side the m points of the other diagram followed by n slots of A.
-Point-to-point edges cost the quotient distance, point-to-slot edges cost
-the distance to A (each point owns a dedicated slot), and slot-to-slot
-edges are free.  It can start from a given matching (``init``), as the
-bottleneck search does from its previous trial's; the answer is the same.
+``augmented_matching`` finds a maximum matching of the augmented bipartite
+instance of the bottleneck distance at a threshold r: the left side holds
+the n points of one diagram followed by m slots of A, the right side the m
+points of the other diagram followed by n slots of A.  Point-to-point
+edges cost the quotient distance, point-to-slot edges cost the distance
+to A (each point owns a dedicated slot), and slot-to-slot edges are free;
+r is feasible exactly when the matching is perfect.  The bottleneck solver
+takes its witness from it.  With ``decide=True`` it only decides
+feasibility, by the must-match rule: r is feasible exactly when the point
+graph {Q <= r} has a matching covering the left points with ax > r and
+one covering the right points with ay > r (Mendelsohn-Dulmage; Lovasz
+and Plummer, Matching Theory, 1.3).  That decision builds no slot; it
+matches only the rows of the points that must be matched.
+
+Both modes run one Hopcroft-Karp body, ``_max_matching``, on a boolean
+biadjacency: the (n+m) x (n+m) one of ``_admissible`` for the augmented
+matching, or the must-match rows of {Q <= r} for a decision.  The body
+holds every set of columns as a bit set in a Python int, so each step of
+its scans is one integer operation instead of a few numpy calls.
 
 ``solve_assignment`` finds an exact min-cost perfect assignment of any
 square matrix (Hungarian algorithm with potentials).  The p-Wasserstein
 solver hands it a max(n, m) x max(n, m) matrix, not the (n+m) x (n+m)
 augmented one: see ``pdmetric.matching.wasserstein``.
 
-There is one kernel path, written with numpy.  Each kernel keeps the scan
-order of the element-by-element loops it replaced: neighbours are visited
-in ascending column order, ties go to the first candidate, and every
-floating-point operation happens in the same order.  The returned arrays
-are therefore identical to that scalar reference (kept as
-``tests/reference_kernels.py``) on every input, which the tests check;
-for ``augmented_matching`` this holds for the cold start, without ``init``.
+There is one kernel path, in numpy and plain Python: no compiler or JIT.
+Each kernel keeps the scan order of the element-by-element loops it
+replaced: neighbours are visited in ascending column order, ties go to
+the first candidate, and every floating-point operation happens in the
+same order.  The augmented matching and the assignment are therefore
+identical to that scalar reference (kept as ``tests/reference_kernels.py``)
+on every input, which the tests check.  A decision's matchings have no
+reference; only its yes/no answer is used.
 
 The Hungarian kernel spends its time in the inner search step, and many
 steps of a Wasserstein instance have delta = 0 (the padding rows or
@@ -58,104 +70,146 @@ def _admissible(Q, ax, ay, r):
     return adj
 
 
-def augmented_matching(Q, ax, ay, r, init=None):
-    """Maximum matching at threshold r; returns the left-to-right match
-    array (int64) with -1 for unmatched left nodes.  The threshold is
-    feasible exactly when no -1 remains.
+def augmented_matching(Q, ax, ay, r, decide=False):
+    """Maximum matching of the augmented instance at threshold r; returns
+    the left-to-right match array (int64) with -1 for unmatched left
+    nodes.  The threshold is feasible exactly when no -1 remains.
 
-    ``init``, a left-to-right match array of the same instance (a matching
-    found at another threshold, say), seeds the search: its pairs that are
-    admissible at r are kept, and only the left nodes it leaves free take
-    part in the greedy step.  Hopcroft-Karp reaches a maximum matching from
-    any start, so the cardinality, and with it the answer, does not depend
-    on ``init``; the matching returned may.  Without ``init`` (or with an
-    all -1 one) the search starts cold."""
-    N = Q.shape[0] + Q.shape[1]
-    INF = N + 1
-    adj = _admissible(Q, ax, ay, r)
-    # adjacency lists, each in ascending column order
-    cols = adj.nonzero()[1]
-    starts = [0]
-    starts += adj.sum(axis=1).cumsum().tolist()
-    ml = np.empty(N, np.int64)
-    ml.fill(-1)
-    mr = ml.copy()
-    if init is not None:
-        u = np.flatnonzero(init >= 0)
-        u = u[adj[u, init[u]]]
-        ml[u] = init[u]
-        mr[init[u]] = u
+    With ``decide`` it only decides feasibility, by the must-match rule
+    (see the module docstring), and builds no slot.  The returned array
+    then holds each point's partner as a node of the augmented instance:
+    entry u < n is left point u's partner v < m in the first matching or
+    its A slot m + u, entry n + k is right point k's partner u < n in the
+    second matching or its A slot n + k, and -1 marks a point that must be
+    matched and is not.  No -1 remains exactly when r is feasible, as for
+    the augmented array.  A must-match point with no edge at all answers
+    at once, and the right side is not matched when the left one fails;
+    their must-match points then stay -1."""
+    if not decide:
+        return _max_matching(_admissible(Q, ax, ay, r))
+    n, m = Q.shape
+    below = Q <= r
+    must_x, must_y = np.flatnonzero(ax > r), np.flatnonzero(ay > r)
+    sides = ((below[must_x], must_x), (below[:, must_y].T, n + must_y))
+    partner = np.concatenate((m + np.arange(n), n + np.arange(m)))
+    partner[must_x] = -1
+    partner[n + must_y] = -1
+    if all(adj.any(axis=1).all() for adj, _ in sides):
+        for adj, nodes in sides:
+            partner[nodes] = _max_matching(adj)
+            if np.any(partner[nodes] < 0):
+                break
+    return partner
 
-    # greedy step: each free left node takes its first free neighbour
-    for u in (ml < 0).nonzero()[0].tolist():
-        s, e = starts[u], starts[u + 1]
-        if s < e:
-            nb = cols[s:e]
-            free = mr[nb] < 0
-            k = free.argmax()
-            if free[k]:
-                v = nb[k]
-                ml[u] = v
-                mr[v] = u
 
-    # layer[N] answers for the -1 of a free right node, see the DFS below
-    layer = np.empty(N + 1, np.int64)
+def _max_matching(adj):
+    """Hopcroft-Karp maximum matching of the bipartite graph with boolean
+    biadjacency ``adj`` (rows on the left); returns the row-to-column
+    match array (int64) with -1 for unmatched rows.
+
+    Every set of columns is a bit set held in a Python int, bit v standing
+    for column v: each row's neighbours, the free columns, and in the DFS
+    the columns whose partner sits on a given layer.  The lowest set bit of
+    an intersection is the first column of that set in ascending order,
+    which is the neighbour a scan in column order picks."""
+    k, c = adj.shape
+    INF = k + 1
+    width = (c + 7) // 8
+    packed = np.packbits(adj, axis=1, bitorder="little").tobytes()
+    nbrs = [int.from_bytes(packed[i * width : (i + 1) * width], "little") for i in range(k)]
+    ml = [-1] * k
+    mr = [-1] * c
+
+    # greedy step: each row takes its first free neighbour
+    free = (1 << c) - 1
+    for u in range(k):
+        hit = nbrs[u] & free
+        if hit:
+            low = hit & -hit
+            free ^= low
+            v = low.bit_length() - 1
+            ml[u] = v
+            mr[v] = u
+
     while True:
         # BFS phase, one whole layer at a time, up to the first layer that
-        # reaches a free right node
-        layer.fill(INF)
-        frontier = (ml < 0).nonzero()[0]
-        layer[frontier] = 0
+        # reaches a free column; a column reached before has its partner
+        # layered already
+        layer = [INF] * k
+        roots = [u for u in range(k) if ml[u] < 0]
+        for u in roots:
+            layer[u] = 0
+        frontier, seen = roots, 0
         free_layer = INF
         depth = 0
-        while frontier.size:
-            reached = mr[adj[frontier].any(axis=0)]
-            w = reached[reached >= 0]
-            if w.size < reached.size:  # a free right node was reached
+        while frontier:
+            reached = 0
+            for u in frontier:
+                reached |= nbrs[u]
+            new = reached & ~seen
+            seen |= reached
+            if new & free:
                 free_layer = depth + 1
-            w = w[layer[w] == INF]
-            layer[w] = depth + 1
+            new &= ~free
+            frontier = []
+            while new:
+                low = new & -new
+                new ^= low
+                w = mr[low.bit_length() - 1]
+                layer[w] = depth + 1
+                frontier.append(w)
             if free_layer != INF:
                 break
-            frontier = w
             depth += 1
         if free_layer == INF:
             break
 
         # DFS phase: vertex-disjoint shortest augmenting paths.  A step from
-        # u may take neighbour v when layer[mr[v]] == layer[u] + 1; with
-        # layer[N] = free_layer this also admits a free v (mr[v] == -1)
-        # exactly when u sits on the last layer.
-        layer[N] = free_layer
-        cursor = starts[:N]
-        for u0 in (ml < 0).nonzero()[0].tolist():
+        # u may take neighbour v when v's partner sits on layer[u] + 1, or
+        # when v is free and layer[u] + 1 == free_layer.  at[L] holds the
+        # columns whose partner sits on layer L, and the free ones in
+        # at[free_layer]; rest[u] holds the neighbours of u not tried yet
+        # in this phase.
+        at = [0] * (free_layer + 2)
+        for u in range(k):
+            if ml[u] >= 0 and layer[u] <= free_layer:
+                at[layer[u]] |= 1 << ml[u]
+        at[free_layer] |= free
+        rest = nbrs.copy()
+        for u0 in roots:
             stack = [u0]
             chosen = []
             while stack:
                 u = stack[-1]
-                c, e = cursor[u], starts[u + 1]
-                if c < e:
-                    ok = layer[mr[cols[c:e]]] == layer[u] + 1
-                    k = int(ok.argmax())
-                    if ok[k]:
-                        cursor[u] = c + k + 1
-                        v = int(cols[c + k])
-                        chosen.append(v)
-                        w = int(mr[v])
-                        if w < 0:
-                            break
-                        stack.append(w)
-                        continue
-                    cursor[u] = e
+                hit = rest[u] & at[layer[u] + 1]
+                if hit:
+                    low = hit & -hit
+                    rest[u] &= -(low << 1)  # drop the columns up to v
+                    v = low.bit_length() - 1
+                    chosen.append(v)
+                    w = mr[v]
+                    if w < 0:
+                        break
+                    stack.append(w)
+                    continue
+                rest[u] = 0
+                if ml[u] >= 0:
+                    at[layer[u]] ^= 1 << ml[u]
                 layer[u] = INF
                 stack.pop()
                 if chosen:
                     chosen.pop()
             if stack:
-                for u, v in zip(stack, chosen):
+                # augment; each column on the path moves to the layer of its
+                # new partner, one below its old partner's (or free_layer)
+                free ^= 1 << chosen[-1]
+                for L, (u, v) in enumerate(zip(stack, chosen)):
+                    bit = 1 << v
+                    at[L + 1] ^= bit
+                    at[L] |= bit
                     mr[v] = u
                     ml[u] = v
-    return ml
+    return np.array(ml, np.int64)
 
 
 def solve_assignment(cost):

@@ -11,10 +11,12 @@ Q entry equals d(x, A) + d(y, A) is reported as its two A-assignments.
 The bottleneck value is found by binary search over the finite set of
 candidate costs, deciding each threshold exactly with a bipartite matching
 kernel, so the result is one of the candidate floats with no tolerance.
-The search decides the lower end LB first, starts every later decision
-from the previous trial's matching and lowers its upper end to each
-feasible matching's largest cost; the witness is always a cold kernel
-matching at the optimal candidate, so none of this shows in the output.
+The search runs the augmented kernel at the lower end LB first.  Only when
+LB is infeasible does it build the candidates in (LB, UB], decide them by
+the must-match rule, which matches only the points farther than the
+threshold from A, and lower its upper end to each feasible decision's
+largest cost.  The witness is always an augmented kernel matching at the
+optimal candidate, so none of this shows in the output.
 Wasserstein values come from an exact min-cost assignment.  Every point
 left unmatched goes to A, so a matching costs the fixed sum of all powers
 d(x, A)^p and d(y, A)^p plus, per matched pair, Q^p - d(x, A)^p - d(y, A)^p;
@@ -231,10 +233,13 @@ def _build_pairs(xs, ys, assign_l, n, m, Q, ax, ay) -> tuple[MatchedPair, ...]:
     return tuple(out)
 
 
-def _candidates(Q: np.ndarray, ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
+def _candidates(Q: np.ndarray, ax: np.ndarray, ay: np.ndarray,
+                above: float = -math.inf, upto: float = math.inf) -> np.ndarray:
     """Sorted distinct values the bottleneck distance can take: 0, the
-    pairwise quotient costs, and each point's distance to A."""
-    return np.unique(np.concatenate((np.array([0.0]), Q.ravel(), ax, ay)))
+    pairwise quotient costs, and each point's distance to A; only those in
+    (above, upto] when a bracket is given, and only they are copied."""
+    values = (np.array([0.0]), Q.ravel(), ax, ay)
+    return np.unique(np.concatenate([v[(v > above) & (v <= upto)] for v in values]))
 
 
 def candidate_thresholds(sigma: Diagram, tau: Diagram, pair: MetricPair) -> list[float]:
@@ -276,47 +281,50 @@ def bottleneck(
     distance to A feasible.  Both are candidates, so the search finds the
     same smallest feasible candidate as a search over the whole set.
 
-    The first decision is a cold kernel run at LB, which is often the
+    The first run is the augmented kernel at LB, which is often the
     answer; then its matching is the witness and the search is over.
-    Otherwise every later decision starts from the previous trial's
-    matching, and a feasible trial lowers the upper end to the candidate
-    index of its matching's largest cost, which is feasible and no larger
-    than the threshold tried.  The witness is the cold kernel matching at
-    the smallest feasible candidate, whatever the trials found on the way.
-    The returned value is exactly the largest cost of the returned matching.
+    Otherwise only the candidates in (LB, UB] are built, and halving over
+    them decides each threshold by the must-match rule
+    (``augmented_matching(..., decide=True)``).  A feasible decision lowers
+    the upper end to its largest cost (``_largest_cost``), which is
+    feasible and no larger than the threshold tried.  The witness is the
+    augmented matching at the smallest feasible candidate, so the returned
+    value is exactly the largest cost of the returned matching.
     """
     xs, ys, Q, ax, ay = _cost_data(sigma, tau, pair)
     n, m = len(xs), len(ys)
-    cands = _candidates(Q, ax, ay)
     cheapest = np.concatenate((np.minimum(ax, Q.min(axis=1, initial=np.inf)),
                                np.minimum(ay, Q.min(axis=0, initial=np.inf))))
-    dist_to_A = np.concatenate((ax, ay))
-    lo, hi = cands.searchsorted((cheapest.max(initial=0.0), dist_to_A.max(initial=0.0))).tolist()
-    ml = augmented_matching(Q, ax, ay, float(cands[lo]))
+    lb = float(cheapest.max(initial=0.0))
+    ml = augmented_matching(Q, ax, ay, lb)
     if np.any(ml < 0):
-        lo += 1
+        ub = float(max(ax.max(initial=0.0), ay.max(initial=0.0)))
+        cands = _candidates(Q, ax, ay, lb, ub)
+        lo, hi = 0, len(cands) - 1
         while lo < hi:
             mid = (lo + hi) // 2
-            ml = augmented_matching(Q, ax, ay, float(cands[mid]), init=ml)
-            if np.any(ml < 0):
+            partner = augmented_matching(Q, ax, ay, float(cands[mid]), decide=True)
+            if np.any(partner < 0):
                 lo = mid + 1
             else:
-                hi = int(cands.searchsorted(_largest_cost(ml, Q, ax, ay)))
+                hi = int(cands.searchsorted(_largest_cost(partner, Q, ax, ay)))
         ml = augmented_matching(Q, ax, ay, float(cands[lo]))
     matching = _matching(_build_pairs(xs, ys, ml, n, m, Q, ax, ay), math.inf)
     return matching.value, matching
 
 
-def _largest_cost(ml: np.ndarray, Q: np.ndarray, ax: np.ndarray, ay: np.ndarray) -> float:
-    """The largest edge cost of an augmented matching ``ml`` (left-to-right
-    match array, every node matched): Q for a point pair, the distance to
-    A for a point matched with a slot, 0 for a slot pair."""
+def _largest_cost(partner: np.ndarray, Q: np.ndarray, ax: np.ndarray, ay: np.ndarray) -> float:
+    """The largest cost among the points' partners in a feasible must-match
+    decision ``partner`` (see ``augmented_matching``): Q for a partner
+    point, the distance to A for an A slot.  That threshold is feasible
+    too: every point that must be matched there has a partner point in the
+    decision, and the decision's two matchings restricted to those points
+    still cover them with edges no dearer than it."""
     n, m = Q.shape
-    left, slots = ml[:n], ml[n:]
-    paired = np.flatnonzero(left < m)
-    return max(Q[paired, left[paired]].max(initial=0.0),
-               ax[left >= m].max(initial=0.0),
-               ay[slots[slots < m]].max(initial=0.0))
+    x, y = partner[:n], partner[n:]
+    px, py = np.flatnonzero(x < m), np.flatnonzero(y < n)
+    return max(Q[px, x[px]].max(initial=0.0), Q[y[py], py].max(initial=0.0),
+               ax[x >= m].max(initial=0.0), ay[y >= n].max(initial=0.0))
 
 
 def wasserstein(

@@ -51,6 +51,8 @@ __all__ = [
 # envelope extraction stops once a stage's bound falls to the floor
 CONV_TOL = 1e-6
 ENVELOPE_FLOOR = 1e-9
+# separability_adversary checks separation in row blocks of this many bytes
+_SEPARATION_BLOCK_BYTES = 1 << 20
 
 
 class Verdict(str, Enum):
@@ -520,13 +522,17 @@ def separability_adversary(
     outside = np.flatnonzero((a < delta) | (a >= D))
     if outside.size:
         raise PreconditionViolated(f"{xs[outside[0]]!r} lies outside the annulus [{delta}, {D})")
-    between = pair.pairwise_dist(X, X)
-    close = np.argwhere(np.triu(between < epsilon, 1))  # row-major: first pair i < j
-    if close.size:
-        i, j = close[0]
-        raise PreconditionViolated(
-            f"points {i} and {j} are {float(between[i, j])} apart, below {epsilon}"
-        )
+    # the separation matrix a block of rows at a time; the first close pair
+    # i < j in row-major order lies in the first block that has one
+    rows = max(1, _SEPARATION_BLOCK_BYTES // (8 * max(1, k)))
+    for s in range(0, k, rows):
+        between = pair.pairwise_dist(X[s : s + rows], X)
+        close = np.argwhere(np.triu(between < epsilon, s + 1))
+        if close.size:
+            i, j = close[0]
+            raise PreconditionViolated(
+                f"points {s + i} and {j} are {float(between[i, j])} apart, below {epsilon}"
+            )
     half = epsilon / 2.0
     kept = []
     for x, row, sig in zip(xs, X, candidates):

@@ -623,6 +623,8 @@ def space_from_json(obj: dict | str) -> MetricPair:
     if kind == "FiniteExplicit":
         if "matrix" not in obj or "A" not in obj:
             raise ParseError("FiniteExplicit needs matrix and A fields")
+        if not isinstance(obj["A"], list):
+            raise ParseError(f"FiniteExplicit A must be a list of indices, got {obj['A']!r}")
         try:
             return FiniteExplicit(obj["matrix"], [_int_field(i, "A index") for i in obj["A"]])
         except InvalidMetric:

@@ -189,6 +189,12 @@ MALFORMED = [
     pytest.param(["dist", EMPTY, EMPTY, "--space",
                   '{"kind": "FiniteExplicit", "matrix": [[0, 1], [1, 0]], "A": [true]}'],
                  id="finite-A-true"),
+    pytest.param(["dist", EMPTY, EMPTY, "--space",
+                  '{"kind": "FiniteExplicit", "matrix": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "A": "12"}'],
+                 id="finite-A-string"),
+    pytest.param(["dist", EMPTY, EMPTY, "--space",
+                  '{"kind": "FiniteExplicit", "matrix": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "A": {"2": 0}}'],
+                 id="finite-A-object"),
     pytest.param(["dist", SIGMA, TAU, "--space", PLANE, "--p", "0.5"], id="p-below-1"),
     pytest.param(["dist", SIGMA, TAU, "--space", PLANE, "--p=nan"], id="p-nan"),
     pytest.param(["dist", SIGMA, TAU, "--space", PLANE, "--p=two"], id="p-text"),

@@ -107,48 +107,51 @@ def test_matching_identical_to_scalar_reference():
     assert checked > 10_000
 
 
-def assert_valid_at(ml, Q, ax, ay, r):
-    """``ml`` is a matching (no right node twice) whose every pair is an
-    edge admissible at r; unmatched left nodes are allowed."""
+def assert_decision_valid(partner, Q, ax, ay, r):
+    """``partner`` is a must-match decision at r: each point that need not
+    be matched (distance to A <= r) holds its own A slot, each other point
+    a partner point at cost <= r or -1, and no point is the partner of two
+    points of the same side."""
     n, m = Q.shape
-    u = np.flatnonzero(ml >= 0)
-    v = ml[u]
-    assert len(set(v.tolist())) == len(v)
-    for a, b in zip(u.tolist(), v.tolist()):
-        if a < n:
-            assert Q[a, b] <= r if b < m else (b == m + a and ax[a] <= r)
-        else:
-            assert (b == a - n and ay[b] <= r) if b < m else b >= m
+    x, y = partner[:n], partner[n:]
+    assert np.array_equal(x >= m, ax <= r) and np.array_equal(x[x >= m], m + np.flatnonzero(ax <= r))
+    assert np.array_equal(y >= n, ay <= r) and np.array_equal(y[y >= n], n + np.flatnonzero(ay <= r))
+    for u, v in enumerate(x.tolist()):
+        assert v >= m or v < 0 or Q[u, v] <= r
+    for k, u in enumerate(y.tolist()):
+        assert u >= n or u < 0 or Q[u, k] <= r
+    for side in (x[(x >= 0) & (x < m)], y[(y >= 0) & (y < n)]):
+        assert len(set(side.tolist())) == len(side)
 
 
-def test_warm_start_keeps_the_cold_cardinality():
-    """Seeded with no pairs, with the cold matching of another threshold,
-    or with random pairs (many inadmissible at r), the kernel returns a
-    matching valid at r of the cold matching's size; seeded with no pairs
-    it returns the cold array itself."""
+def test_must_match_decision_equals_cold_answer():
+    """At every candidate threshold, plus one below and one above them all,
+    the must-match decision answers as the cold augmented kernel does, on
+    tie-heavy instances; a feasible decision's largest partner cost is a
+    feasible threshold no larger than r (the search's upper-end cut)."""
     rng = np.random.default_rng(41)
-    checked = 0
+    checked = feasible = 0
     for _ in range(2000):
-        n = int(rng.integers(0, 7))
-        m = int(rng.integers(0, 7))
-        N = n + m
-        Q, ax, ay = random_instance(rng, n, m, int(rng.integers(1, 6)))
-        cands = np.unique(np.concatenate(([0.0], Q.ravel(), ax, ay))).tolist()
-        cold = [augmented_matching(Q, ax, ay, r) for r in cands]
-        for i, r in enumerate(cands):
-            size = int((cold[i] >= 0).sum())
-            other = cold[int(rng.integers(0, len(cands)))]
-            random_pairs = np.full(N, -1, np.int64)
-            k = int(rng.integers(0, N + 1))
-            random_pairs[rng.permutation(N)[:k]] = rng.permutation(N)[:k]
-            blank = np.full(N, -1, np.int64)
-            assert np.array_equal(augmented_matching(Q, ax, ay, r, init=blank), cold[i])
-            for init in (other, random_pairs):
-                ml = augmented_matching(Q, ax, ay, r, init=init.copy())
-                assert_valid_at(ml, Q, ax, ay, r)
-                assert int((ml >= 0).sum()) == size, (Q, ax, ay, r, init)
-                checked += 1
-    assert checked > 10_000
+        n = int(rng.integers(0, 9))
+        m = int(rng.integers(0, 9))
+        hi = int(rng.integers(1, 7))
+        Q, ax, ay = random_instance(rng, n, m, hi)
+        if n and rng.integers(0, 3) == 0:  # repeated points, as multiplicities give
+            rows = rng.integers(0, n, n)
+            Q, ax = Q[rows], ax[rows]
+        cands = np.unique(np.concatenate(([-1.0, 0.0, 2.0 * hi], Q.ravel(), ax, ay)))
+        for r in cands.tolist():
+            partner = augmented_matching(Q, ax, ay, r, decide=True)
+            assert partner.dtype == np.int64 and partner.shape == (n + m,)
+            assert_decision_valid(partner, Q, ax, ay, r)
+            ok = not np.any(partner < 0)
+            assert ok == (not np.any(augmented_matching(Q, ax, ay, r) < 0)), (Q, ax, ay, r)
+            if ok and r >= 0.0:  # the search tries no negative threshold
+                cut = matching._largest_cost(partner, Q, ax, ay)
+                assert cut <= r and not np.any(augmented_matching(Q, ax, ay, cut) < 0)
+            feasible += ok
+            checked += 1
+    assert checked > 10_000 and 0.2 < feasible / checked < 0.8
 
 
 def assert_same_as_reference(cost):

@@ -35,6 +35,7 @@ from pdmetric import (
     total_persistence,
     wasserstein,
 )
+from pdmetric._kernels import augmented_matching
 from pdmetric.matching import p_norm
 from reference_kernels import augmented_wasserstein, cold_bottleneck
 
@@ -112,18 +113,19 @@ def test_candidate_thresholds_and_feasibility():
 
 
 def test_bottleneck_evaluates_each_threshold_once(monkeypatch):
-    """The search opens with a cold decision at LB, never decides a
-    threshold twice, and adds at most one cold call, at the returned value,
-    for the witness; over these 80 instances it makes fewer kernel calls
-    than the plain binary search (174 calls)."""
+    """The search opens with a cold augmented run at LB, decides every
+    later threshold with the must-match rule and never twice, and adds at
+    most one cold augmented run, at the returned value, for the witness;
+    over these 80 instances it makes fewer kernel calls than the plain
+    binary search (174 calls)."""
     import pdmetric.matching as pm
 
-    calls = []  # (threshold, warm)
+    calls = []  # (threshold, kind): "cold" augmented run or must-match "decision"
     kernel = pm.augmented_matching
 
-    def counting(Q, ax, ay, r, init=None):
-        calls.append((r, init is not None))
-        return kernel(Q, ax, ay, r, init=init)
+    def counting(Q, ax, ay, r, decide=False):
+        calls.append((r, "decision" if decide else "cold"))
+        return kernel(Q, ax, ay, r, decide=decide)
 
     def lb_threshold(s, t, pair):
         # no point can do better than its distance to A or cheapest partner
@@ -143,11 +145,11 @@ def test_bottleneck_evaluates_each_threshold_once(monkeypatch):
             value, _ = bottleneck(s, t, pair)
             total += len(calls)
             assert value in candidate_thresholds(s, t, pair)
-            assert calls[0] == (lb_threshold(s, t, pair), False)
-            if len(calls) > 1:  # LB was infeasible: warm trials, then the witness
-                assert calls[-1] == (value, False)
+            assert calls[0] == (lb_threshold(s, t, pair), "cold")
+            if len(calls) > 1:  # LB was infeasible: decisions, then the witness
+                assert calls[-1] == (value, "cold")
                 decisions = [r for r, _ in calls[:-1]]
-                assert all(warm for _, warm in calls[1:-1])
+                assert all(kind == "decision" for _, kind in calls[1:-1])
             else:
                 assert calls[0][0] == value
                 decisions = [calls[0][0]]
@@ -458,11 +460,12 @@ def test_reduced_assignment_matches_augmented_reference(grid):
     assert solves == (300 if grid else 980)
 
 
-def test_warm_bottleneck_matches_cold_search():
-    """The LB-first, warm-started search with its cut upper end returns the
-    value (to the bit) and the witness of the plain cold binary search, on
-    tie-heavy integer grids, float planes (sup and Euclidean), the
-    half-line, finite spaces, a quotient pair and empty diagrams."""
+def test_bottleneck_matches_cold_search():
+    """The LB-first search of must-match decisions with its cut upper end
+    returns the value (to the bit) and the witness of the plain binary
+    search of cold augmented runs, on tie-heavy integer grids, float planes
+    (sup and Euclidean), the half-line, finite spaces, a quotient pair and
+    empty diagrams."""
     rng = np.random.default_rng(808)
     cases = []
     for grid in (False, True):
@@ -483,6 +486,89 @@ def test_warm_bottleneck_matches_cold_search():
         assert value.hex() == want_value.hex(), (pair.kind, s, t)
         assert witness == want_witness, (pair.kind, s, t)
     assert len(cases) > 500
+
+
+def assert_decisions_match_cold_kernel(s, t, pair):
+    """At every candidate threshold the must-match decision answers as the
+    cold augmented kernel does."""
+    _, _, Q, ax, ay = pdmetric.matching._cost_data(s, t, pair)
+    for r in candidate_thresholds(s, t, pair):
+        decided = augmented_matching(Q, ax, ay, r, decide=True)
+        cold = augmented_matching(Q, ax, ay, r)
+        assert np.all(decided >= 0) == np.all(cold >= 0), (pair.kind, s, t, r)
+
+
+def with_multiplicities(diagram, pair, rng):
+    return canonicalize([(q, k * int(rng.integers(1, 4))) for q, k in diagram.points], pair)
+
+
+def test_must_match_decisions_match_cold_kernel():
+    """Tie-heavy integer grids (sup plane, half-line, finite spaces), float
+    draws (both planes, the half-line, finite spaces, a quotient pair),
+    multiplicities and empty diagrams."""
+    rng = np.random.default_rng(909)
+    draws = 0
+    for grid in (False, True):
+        for s, t, p, pair in reference_cases(rng, grid):
+            if p != 1.0 and not (pair.kind == "HalfLineOrigin" and p == 2.0):
+                continue  # one check per draw
+            assert_decisions_match_cold_kernel(s, t, pair)
+            assert_decisions_match_cold_kernel(with_multiplicities(s, pair, rng), t, pair)
+            assert_decisions_match_cold_kernel(s, empty_diagram(pair), pair)
+            assert_decisions_match_cold_kernel(empty_diagram(pair), t, pair)
+            draws += 1
+    assert draws > 400
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["sup", "euclidean", "half"]),
+       st.lists(st.tuples(st.integers(0, 12), st.integers(1, 6), st.integers(1, 3)), max_size=7),
+       st.lists(st.tuples(st.integers(0, 12), st.integers(1, 6), st.integers(1, 3)), max_size=7))
+def test_must_match_decisions_match_cold_kernel_on_grids(kind, a, b):
+    pair = halfline() if kind == "half" else PlaneDiagonal(1, kind)
+
+    def diagram(points):
+        if kind == "half":
+            return canonicalize([(pair.point(float(x + g)), k) for x, g, k in points], pair)
+        return canonicalize([(pair.point(float(x), float(x + g)), k) for x, g, k in points], pair)
+
+    assert_decisions_match_cold_kernel(diagram(a), diagram(b), pair)
+
+
+def finite_sup_pair(rng, k):
+    coords = rng.uniform(0.0, 10.0, (k, 2))
+    return FiniteExplicit(np.abs(coords[:, None, :] - coords[None, :, :]).max(axis=-1), [k - 1])
+
+
+@pytest.mark.parametrize("kind", ["sup", "euclidean", "half", "finite"])
+def test_bottleneck_matches_cold_search_up_to_300_points(kind):
+    """Value (to the bit) and witness of ``cold_bottleneck`` at 300 points
+    per diagram, where the search makes many decisions; the finite space
+    has 40 points, so its diagrams carry multiplicities."""
+    rng = np.random.default_rng(["sup", "euclidean", "half", "finite"].index(kind))
+    if kind == "finite":
+        pair = finite_sup_pair(rng, 40)
+        off_A = pair.points_off_A()
+
+        def draw(n):
+            return canonicalize([off_A[i] for i in rng.integers(0, len(off_A), n).tolist()], pair)
+    elif kind == "half":
+        pair = halfline()
+
+        def draw(n):
+            return canonicalize([pair.point(x) for x in rng.uniform(0.0, 100.0, n).tolist()], pair)
+    else:
+        pair = PlaneDiagonal(1, kind)
+
+        def draw(n):
+            births, gaps = rng.uniform(0.0, 100.0, n).tolist(), rng.uniform(0.0, 10.0, n).tolist()
+            return canonicalize([pair.point(b, b + g) for b, g in zip(births, gaps)], pair)
+    for n in (30, 120, 300):
+        s, t = draw(n), draw(n)
+        value, witness = bottleneck(s, t, pair)
+        want_value, want_witness = cold_bottleneck(s, t, pair)
+        assert value.hex() == want_value.hex(), (kind, n)
+        assert witness == want_witness, (kind, n)
 
 
 # -- metric axioms --------------------------------------------------------------

@@ -347,6 +347,60 @@ def test_adversary_preconditions():
         separability_adversary(pair, foreign, 1.0, 2.0, 1.0, xs)
 
 
+def first_close_pair_message(pair, xs, epsilon):
+    """The refusal of an unblocked check: the first pair i < j in row-major
+    order closer than epsilon."""
+    X = pair.coords_matrix(xs)
+    between = pair.pairwise_dist(X, X)
+    i, j = np.argwhere(np.triu(between < epsilon, 1))[0]
+    return f"points {i} and {j} are {float(between[i, j])} apart, below {epsilon}"
+
+
+def test_adversary_reports_the_first_close_pair_across_blocks(monkeypatch):
+    """With two rows per block the refusal names the pair an unblocked check
+    names: a close pair whose smaller index comes later, or lies in the
+    block's lower triangle, is not reported first."""
+    import pdmetric.probes
+
+    pair = plane_sup()
+    xs = [pair.point(3.0 * i, 3.0 * i + 3.0) for i in range(9)]
+    xs[5] = pair.point(6.2, 9.2)  # close to x_2
+    xs[7] = pair.point(12.1, 15.1)  # close to x_4
+    xs[3] = pair.point(0.3, 3.3)  # close to x_0, in a later block than x_0
+    cands = [empty_diagram(pair)] * len(xs)
+    want = first_close_pair_message(pair, xs, 1.0)
+    assert want.startswith("points 0 and 3 ")
+    monkeypatch.setattr(pdmetric.probes, "_SEPARATION_BLOCK_BYTES", 8 * len(xs) * 2)
+    with pytest.raises(PreconditionViolated) as e:
+        separability_adversary(pair, cands, 1.0, 2.0, 1.0, xs)
+    assert str(e.value) == want
+    xs[3] = pair.point(9.0, 12.0)
+    want = first_close_pair_message(pair, xs, 1.0)
+    assert want.startswith("points 2 and 5 ")
+    with pytest.raises(PreconditionViolated) as e:
+        separability_adversary(pair, cands, 1.0, 2.0, 1.0, xs)
+    assert str(e.value) == want
+
+
+def test_adversary_separation_check_memory_is_bounded():
+    """1500 points whose last two are close: the check scans every row
+    block before it refuses, with a peak far below the 25 MiB that the
+    whole 1500 x 1500 matrix and its mask take."""
+    pair = plane_sup()
+    k = 1500
+    xs = [pair.point(3.0 * i, 3.0 * i + 3.0) for i in range(k - 1)]
+    xs.append(pair.point(3.0 * (k - 2) + 0.5, 3.0 * (k - 2) + 3.5))
+    cands = [empty_diagram(pair)] * k
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionViolated, match=f"points {k - 2} and {k - 1} "):
+            separability_adversary(pair, cands, 1.0, 2.0, 1.0, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20
+
+
 def huge_dense_family_case():
     hl, fam = build_halfline_family(2)
     huge = canonicalize([(hl.point(1.5), 10**12)], hl)

@@ -526,6 +526,11 @@ def test_space_from_json_errors():
         space_from_json({"kind": "SupCubeTruncatedC0"})
     with pytest.raises(InvalidMetric):
         space_from_json({"kind": "FiniteExplicit", "matrix": [[0, 1], [2, 0]], "A": [0]})
+    # A is a list of indices: a string or an object is not iterated as one
+    matrix = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+    for A in ("12", {"2": 0}, 2, None):
+        with pytest.raises(ParseError, match="A must be a list"):
+            space_from_json({"kind": "FiniteExplicit", "matrix": matrix, "A": A})
 
 
 @pytest.mark.parametrize(
