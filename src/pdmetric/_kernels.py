@@ -14,11 +14,12 @@ one covering the right points with ay > r (Mendelsohn-Dulmage; Lovasz
 and Plummer, Matching Theory, 1.3).  That decision builds no slot; it
 matches only the rows of the points that must be matched.
 
-Both modes run one Hopcroft-Karp body, ``_max_matching``, on a boolean
-biadjacency: the (n+m) x (n+m) one of ``_admissible`` for the augmented
-matching, or the must-match rows of {Q <= r} for a decision.  The body
-holds every set of columns as a bit set in a Python int, so each step of
-its scans is one integer operation instead of a few numpy calls.
+Both modes run one Hopcroft-Karp body, ``_max_matching``, on the rows of
+a boolean biadjacency: the (n+m) x (n+m) one of ``_admissible`` for the
+augmented matching, or the must-match rows of {Q <= r} for a decision.
+The body holds every set of columns as a bit set in a Python int
+(``_bitsets`` packs the rows), so each step of its scans is one integer
+operation instead of a few numpy calls.
 
 ``solve_assignment`` finds an exact min-cost perfect assignment of any
 square matrix (Hungarian algorithm with potentials).  The p-Wasserstein
@@ -86,37 +87,46 @@ def augmented_matching(Q, ax, ay, r, decide=False):
     at once, and the right side is not matched when the left one fails;
     their must-match points then stay -1."""
     if not decide:
-        return _max_matching(_admissible(Q, ax, ay, r))
+        N = Q.shape[0] + Q.shape[1]
+        return np.array(_max_matching(_bitsets(_admissible(Q, ax, ay, r)), N), np.int64)
     n, m = Q.shape
     below = Q <= r
-    must_x, must_y = np.flatnonzero(ax > r), np.flatnonzero(ay > r)
-    sides = ((below[must_x], must_x), (below[:, must_y].T, n + must_y))
-    partner = np.concatenate((m + np.arange(n), n + np.arange(m)))
-    partner[must_x] = -1
-    partner[n + must_y] = -1
-    if all(adj.any(axis=1).all() for adj, _ in sides):
-        for adj, nodes in sides:
-            partner[nodes] = _max_matching(adj)
-            if np.any(partner[nodes] < 0):
+    need_x, need_y = (ax > r).nonzero()[0], (ay > r).nonzero()[0]
+    sides = ((_bitsets(below[need_x]), m, need_x), (_bitsets(below[:, need_y].T), n, n + need_y))
+    partner = np.arange(n + m)
+    partner[:n] += m
+    partner[need_x] = -1
+    partner[n + need_y] = -1
+    if all(0 not in rows for rows, _, _ in sides):
+        for rows, c, nodes in sides:
+            matched = _max_matching(rows, c)
+            partner[nodes] = matched
+            if -1 in matched:
                 break
     return partner
 
 
-def _max_matching(adj):
-    """Hopcroft-Karp maximum matching of the bipartite graph with boolean
-    biadjacency ``adj`` (rows on the left); returns the row-to-column
-    match array (int64) with -1 for unmatched rows.
-
-    Every set of columns is a bit set held in a Python int, bit v standing
-    for column v: each row's neighbours, the free columns, and in the DFS
-    the columns whose partner sits on a given layer.  The lowest set bit of
-    an intersection is the first column of that set in ascending order,
-    which is the neighbour a scan in column order picks."""
-    k, c = adj.shape
-    INF = k + 1
-    width = (c + 7) // 8
+def _bitsets(adj):
+    """Each row of a boolean matrix as a bit set in a Python int, bit v
+    standing for column v."""
+    width = (adj.shape[1] + 7) // 8
     packed = np.packbits(adj, axis=1, bitorder="little").tobytes()
-    nbrs = [int.from_bytes(packed[i * width : (i + 1) * width], "little") for i in range(k)]
+    return [int.from_bytes(packed[i * width : (i + 1) * width], "little") for i in range(len(adj))]
+
+
+def _max_matching(nbrs, c):
+    """Hopcroft-Karp maximum matching of a bipartite graph with rows on the
+    left and c columns on the right, ``nbrs[u]`` holding the neighbours of
+    row u as a bit set; returns the row-to-column match list with -1 for
+    unmatched rows.
+
+    Every set of columns is such a bit set: the neighbours, the free
+    columns, and in the DFS the columns whose partner sits on a given
+    layer.  The lowest set bit of an intersection is the first column of
+    that set in ascending order, which is the neighbour a scan in column
+    order picks."""
+    k = len(nbrs)
+    INF = k + 1
     ml = [-1] * k
     mr = [-1] * c
 
@@ -209,7 +219,7 @@ def _max_matching(adj):
                     at[L] |= bit
                     mr[v] = u
                     ml[u] = v
-    return np.array(ml, np.int64)
+    return ml
 
 
 def solve_assignment(cost):
