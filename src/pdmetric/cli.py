@@ -164,8 +164,8 @@ def cmd_geodesic(args) -> int:
             raise ParseError("CSV frames are only defined for two-coordinate plane pairs")
         lines = ["t,birth,death,mult"]
         for t, frame in frames:
-            for pt, m in frame.points:
-                lines.append(f"{t!r},{pt.coords[0]!r},{pt.coords[1]!r},{m}")
+            for (b, d), m in zip(frame.coords.tolist(), frame.mults):
+                lines.append(f"{t!r},{b!r},{d!r},{m}")
         lines.append(
             f"# midpoint_check={check.verdict.value}"
             f" max_deviation={fmt_real(check.witnesses['max_deviation'])}"

@@ -6,6 +6,14 @@ keeps only points at positive distance from A, merges duplicates into
 multiplicities, and sorts by coordinates.  Two diagrams are equal exactly
 when their canonical forms coincide.
 
+A ``Diagram`` holds its canonical form as arrays: ``coords``, the distinct
+points as a read-only k x dim float64 array in lexicographic order, and
+``mults``, their multiplicities as a tuple of ints, exact at any size.
+The ``points`` view, a tuple of (Point, multiplicity) pairs, is built on
+first use and kept.  Every diagram is built by ``_canonical``; the parsers
+call it on the parsed arrays, ``canonicalize`` on the coordinates of its
+entries.
+
 Serialization formats:
 
 - JSON: ``{"space": <id or descriptor>, "points": [{"coords": [...],
@@ -21,13 +29,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .errors import ParseError, SpaceMismatch
-from .spaces import BASEPOINT, BasepointTag, MetricPair, Point, space_from_json
+from .spaces import BasepointTag, MetricPair, Point, space_from_json
 
 __all__ = [
     "Diagram",
@@ -37,22 +46,39 @@ __all__ = [
     "write_diagram",
 ]
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Diagram:
-    """Canonical diagram: sorted ((point, multiplicity), ...) off A."""
+    """Canonical diagram: the distinct points off A in lexicographic order
+    (``coords``, k x dim) and their multiplicities (``mults``).
+
+    Equality and hashing read the space id, the coordinate values (0.0
+    and -0.0 are equal) and the multiplicities."""
 
     space_id: str
-    points: tuple[tuple[Point, int], ...]
+    coords: np.ndarray
+    mults: tuple[int, ...]
+    _points: tuple | None = field(default=None, init=False)
+
+    @property
+    def points(self) -> tuple[tuple[Point, int], ...]:
+        """The (point, multiplicity) pairs in canonical order."""
+        if self._points is None:
+            sid = self.space_id
+            pts = tuple((Point(sid, tuple(c)), m) for c, m in zip(self.coords.tolist(), self.mults))
+            object.__setattr__(self, "_points", pts)
+        return self._points
 
     @property
     def size(self) -> int:
         """Number of points counted with multiplicity."""
-        return sum(m for _, m in self.points)
+        return sum(self.mults)
 
     @property
     def is_empty(self) -> bool:
-        return not self.points
+        return not self.mults
 
     def iter_points(self) -> Iterator[Point]:
         """Points expanded by multiplicity, in canonical order."""
@@ -61,18 +87,54 @@ class Diagram:
                 yield p
 
     def multiplicity(self, p: Point) -> int:
-        for q, m in self.points:
-            if q.coords == p.coords:
-                return m
-        return 0
+        c, k = p.coords, len(self.mults)
+        i = bisect_left(range(k), c, key=lambda j: tuple(self.coords[j].tolist()))
+        return self.mults[i] if i < k and tuple(self.coords[i].tolist()) == c else 0
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Diagram):
+            return NotImplemented
+        return (self.space_id == other.space_id and self.mults == other.mults
+                and np.array_equal(self.coords, other.coords))
+
+    def __hash__(self) -> int:
+        # + 0.0 turns -0.0 into 0.0, which compares equal to it
+        return hash((self.space_id, self.mults, (self.coords + 0.0).tobytes()))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{p!r}x{m}" if m > 1 else repr(p) for p, m in self.points)
         return f"{{{inner}}}"
 
 
+def _canonical(coords: np.ndarray, mults: list[int], pair: MetricPair) -> Diagram:
+    """The canonical diagram of the rows of the (k, dim) array coords,
+    row i with multiplicity mults[i] >= 1.
+
+    A stable lexicographic sort brings equal rows together; each run keeps
+    its first row's bits (so 0.0 and -0.0 merge and the first sign stays)
+    and sums its multiplicities, in int64 unless a sum could pass its
+    range.  One batch query then drops the rows at distance 0 from A.
+    """
+    k = len(mults)
+    order = np.lexsort(coords.T[::-1])
+    # take and compress: the same gathers as fancy indexing at a lower
+    # fixed cost, which small diagrams pay on every call
+    rows = coords.take(order, axis=0)
+    first = np.empty(k, dtype=bool)
+    first[:1] = True
+    first[1:] = np.not_equal(rows[1:], rows[:-1]).any(axis=1)
+    starts = first.nonzero()[0]
+    wide = k > 0 and max(mults) > _INT64_MAX // k
+    sums = np.add.reduceat(np.array(mults, dtype=object if wide else np.int64).take(order), starts)
+    rows = rows.take(starts, axis=0)
+    keep = pair.dist_to_A_batch(rows) != 0.0
+    rows = rows.compress(keep, axis=0)
+    rows.setflags(write=False)
+    return Diagram(pair.space_id, rows, tuple(sums.compress(keep).tolist()))
+
+
 def empty_diagram(pair: MetricPair) -> Diagram:
-    return Diagram(pair.space_id, ())
+    return _canonical(np.empty((0, pair.dim)), [], pair)
 
 
 def canonicalize(
@@ -82,10 +144,10 @@ def canonicalize(
 
     Entries at distance zero from A (including BASEPOINT tags) are dropped,
     duplicates are merged, and the result is sorted by coordinates.  Entry
-    errors are raised in input order; the distinct coordinates are then
-    tested against A in one batch.
+    errors are raised in input order; the coordinates of the remaining
+    entries are then canonicalized as one array.
     """
-    counts: dict[tuple[float, ...], int] = {}
+    rows, mults = [], []
     for entry in points:
         if isinstance(entry, tuple):
             p, mult = entry
@@ -99,13 +161,9 @@ def canonicalize(
         if isinstance(p, BasepointTag):
             continue
         pair.check_point(p)
-        counts[p.coords] = counts.get(p.coords, 0) + mult
-    keys = sorted(counts)
-    to_A = pair.dist_to_A_batch(np.array(keys, dtype=np.float64).reshape(len(keys), pair.dim))
-    ordered = tuple(
-        (Point(pair.space_id, c), counts[c]) for c, a in zip(keys, to_A.tolist()) if a != 0.0
-    )
-    return Diagram(pair.space_id, ordered)
+        rows.append(p.coords)
+        mults.append(mult)
+    return _canonical(np.array(rows, dtype=np.float64).reshape(len(rows), pair.dim), mults, pair)
 
 
 def _check_same_space(diagram: Diagram, pair: MetricPair) -> None:
@@ -157,54 +215,82 @@ def _parse_json(text: str, pair: MetricPair) -> Diagram:
     entries = obj["points"]
     if not isinstance(entries, list):
         raise ParseError('"points" must be a list')
-    out = []
+    rows, mults = [], []
+
+    def at(i: int, why: str) -> ParseError:
+        return ParseError(f"points[{i}]: {why}")
+
+    def bad_entry(message: str) -> ParseError:
+        _point_rows(rows, pair, at)  # a bad point in an earlier entry comes first
+        return ParseError(message)
+
     for i, e in enumerate(entries):
         if not isinstance(e, dict) or "coords" not in e:
-            raise ParseError(f'points[{i}] must be an object with "coords"')
+            raise bad_entry(f'points[{i}] must be an object with "coords"')
         mult = e.get("mult", 1)
         if not isinstance(mult, int) or mult < 1:
-            raise ParseError(f"points[{i}] has bad multiplicity {mult!r}")
+            raise bad_entry(f"points[{i}] has bad multiplicity {mult!r}")
         try:
-            p = pair.point(*[float(c) for c in e["coords"]])
+            c = [float(x) for x in e["coords"]]
         except (TypeError, ValueError) as err:
-            raise ParseError(f"points[{i}]: {err}") from err
-        out.append((p, mult))
-    return canonicalize(out, pair)
+            raise bad_entry(f"points[{i}]: {err}") from err
+        if len(c) != pair.dim:
+            raise bad_entry(f"points[{i}]: expected {pair.dim} coordinates, got {len(c)}")
+        rows.append(c)
+        mults.append(int(mult))
+    return _canonical(_point_rows(rows, pair, at), mults, pair)
 
 
 def _parse_csv(text: str, pair: MetricPair) -> Diagram:
     if not _is_two_column_plane(pair):
         raise ParseError("CSV diagrams are only defined for two-coordinate plane pairs")
-    out = []
-    reader = csv.reader(io.StringIO(text))
-    for ln, row in enumerate(reader, start=1):
+    cells, mults, lines = [], [], []  # cells: birth, death of each row in turn
+
+    def at(i: int, why: str) -> ParseError:
+        return ParseError(why, line=lines[i])
+
+    def bad_line(message: str, ln: int) -> ParseError:
+        _point_rows(cells, pair, at)  # a bad point on an earlier line comes first
+        return ParseError(message, line=ln)
+
+    for ln, row in enumerate(csv.reader(io.StringIO(text)), start=1):
         row = [cell.strip() for cell in row]
-        if not row or not any(row):
+        if not any(row):
             continue
         if row[0].startswith("#"):
             continue
         if ln == 1 and not _looks_numeric(row[0]):
             continue  # header row
         if len(row) not in (2, 3):
-            raise ParseError("expected birth,death[,mult]", line=ln)
+            raise bad_line("expected birth,death[,mult]", ln)
         try:
             b, d = float(row[0]), float(row[1])
         except ValueError as e:
-            raise ParseError(str(e), line=ln) from e
+            raise bad_line(str(e), ln) from e
         mult = 1
         if len(row) == 3:
             try:
                 mult = int(row[2])
             except ValueError as e:
-                raise ParseError(f"bad multiplicity {row[2]!r}", line=ln) from e
+                raise bad_line(f"bad multiplicity {row[2]!r}", ln) from e
             if mult < 1:
-                raise ParseError(f"bad multiplicity {mult}", line=ln)
-        try:
-            p = pair.point(b, d)
-        except ValueError as e:
-            raise ParseError(str(e), line=ln) from e
-        out.append((p, mult))
-    return canonicalize(out, pair)
+                raise bad_line(f"bad multiplicity {mult}", ln)
+        cells.append(b)
+        cells.append(d)
+        mults.append(mult)
+        lines.append(ln)
+    return _canonical(_point_rows(cells, pair, at), mults, pair)
+
+
+def _point_rows(rows: list, pair: MetricPair, at: Callable[[int, str], ParseError]) -> np.ndarray:
+    """The parsed rows, a list of rows or of their cells in turn, as a
+    (k, dim) array; the first row that is not a point of the pair raises
+    ``at(row index, reason)``."""
+    X = np.array(rows, dtype=np.float64).reshape(-1, pair.dim)
+    bad = pair._first_bad_row(X)
+    if bad is not None:
+        raise at(*bad)
+    return X
 
 
 def _looks_numeric(cell: str) -> bool:
@@ -220,7 +306,7 @@ def _looks_numeric(cell: str) -> bool:
 
 def _diagram_points_to_json(diagram: Diagram) -> list[dict]:
     """JSON form of a diagram's points: [{"coords": [...], "mult": k}, ...]."""
-    return [{"coords": [float(c) for c in p.coords], "mult": m} for p, m in diagram.points]
+    return [{"coords": c, "mult": m} for c, m in zip(diagram.coords.tolist(), diagram.mults)]
 
 
 def write_diagram(diagram: Diagram, fmt: str, pair: MetricPair | None = None) -> str:
@@ -236,12 +322,11 @@ def write_diagram(diagram: Diagram, fmt: str, pair: MetricPair | None = None) ->
         }
         return json.dumps(obj, sort_keys=True)
     if fmt == "csv":
-        if pair is not None and not _is_two_column_plane(pair):
+        if (pair is not None and not _is_two_column_plane(pair)) or (
+                diagram.mults and diagram.coords.shape[1] != 2):
             raise ParseError("CSV diagrams are only defined for two-coordinate plane pairs")
         lines = ["birth,death,mult"]
-        for p, m in diagram.points:
-            if len(p.coords) != 2:
-                raise ParseError("CSV diagrams are only defined for two-coordinate plane pairs")
-            lines.append(f"{p.coords[0]!r},{p.coords[1]!r},{m}")
+        rows = zip(diagram.coords.tolist(), diagram.mults)
+        lines.extend(f"{b!r},{d!r},{m}" for (b, d), m in rows)
         return "\n".join(lines) + "\n"
     raise ParseError(f"unknown diagram format {fmt!r}")

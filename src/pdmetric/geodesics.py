@@ -39,8 +39,8 @@ from .spaces import (
     MetricPair,
     Point,
     SupCubeTruncatedC0,
+    _PAIRWISE_BLOCK_BYTES,
     _through_A,
-    quotient_distance,
 )
 
 __all__ = [
@@ -78,13 +78,42 @@ class GoodnessCertificate:
 
 
 def goodness(pair: MetricPair, x, y) -> GoodnessCertificate:
-    if isinstance(x, BasepointTag) or isinstance(y, BasepointTag):
-        return GoodnessCertificate(x, y, True, GoodnessReason.BASEPOINT_TARGET)
-    q = quotient_distance(pair, x, y)
-    bound = max(pair.dist_to_A(x), pair.dist_to_A(y))
-    if q < bound:
-        return GoodnessCertificate(x, y, True, GoodnessReason.CLOSE_PAIR)
-    return GoodnessCertificate(x, y, False, GoodnessReason.NOT_GOOD)
+    return _certify(pair, [(x, y)])[0][0]
+
+
+def _paired_dist(pair: MetricPair, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """d(X[i], Y[i]) for each i: the diagonals of square pairwise
+    distance blocks of at most _PAIRWISE_BLOCK_BYTES, each entry that of a
+    one-pair query."""
+    k = len(X)
+    out = np.empty(k)
+    rows = int((_PAIRWISE_BLOCK_BYTES // 8) ** 0.5)
+    for s in range(0, k, rows):
+        out[s : s + rows] = np.diagonal(pair.pairwise_dist(X[s : s + rows], Y[s : s + rows]))
+    return out
+
+
+def _certify(pair: MetricPair, pairs) -> list[tuple[GoodnessCertificate, float, float]]:
+    """Each pair (x, y)'s goodness certificate with d(x, A) and d(y, A).
+
+    The distances to A come from one batch query over the pairs' points
+    (BASEPOINT is at 0, its row a placeholder).  A pair with a BASEPOINT
+    end is good; any other pair is good when its quotient distance
+    min(d(x, y), d(x, A) + d(y, A)) is below max(d(x, A), d(y, A)).
+    """
+    ends = [q for xy in pairs for q in xy]
+    base = np.array([isinstance(q, BasepointTag) for q in ends], dtype=bool)
+    P = np.zeros((len(ends), pair.dim))
+    P[~base] = pair.coords_matrix([q for q, b in zip(ends, base) if not b])
+    to_A = np.where(base, 0.0, pair.dist_to_A_batch(P)).reshape(-1, 2)
+    close = np.minimum(_paired_dist(pair, P[0::2], P[1::2]), to_A.sum(axis=1)) < to_A.max(axis=1)
+    out = []
+    for (x, y), b, c, (ax, ay) in zip(pairs, base.reshape(-1, 2).any(axis=1).tolist(),
+                                      close.tolist(), to_A.tolist()):
+        reason = (GoodnessReason.BASEPOINT_TARGET if b else
+                  GoodnessReason.CLOSE_PAIR if c else GoodnessReason.NOT_GOOD)
+        out.append((GoodnessCertificate(x, y, b or c, reason), ax, ay))
+    return out
 
 
 class Route(str, Enum):
@@ -94,11 +123,16 @@ class Route(str, Enum):
 
 @dataclass(frozen=True)
 class PathLeg:
+    """One matched pair of the path, with d(left, A) and d(right, A)
+    (0 at BASEPOINT)."""
+
     left: Point | BasepointTag
     right: Point | BasepointTag
     cost: float
     route: Route
     certificate: GoodnessCertificate
+    left_to_A: float
+    right_to_A: float
 
 
 @dataclass(frozen=True)
@@ -135,7 +169,7 @@ class DiagramPath:
         if isinstance(y, BasepointTag):
             return pair.geodesic(x, pair.proj_to_A(x), t)
         if leg.route is Route.THROUGH_A:
-            return _through_A(pair, x, y, pair.dist_to_A(x), pair.dist_to_A(y), t)
+            return _through_A(pair, x, y, leg.left_to_A, leg.right_to_A, t)
         return pair.geodesic(x, y, t)
 
 
@@ -146,20 +180,19 @@ def geodesic_between(sigma: Diagram, tau: Diagram, pair: MetricPair) -> DiagramP
     if not pair.has_geodesic:
         raise NoGeodesicOracle(f"{pair.kind} has no geodesic oracle")
     value, matching = bottleneck(sigma, tau, pair)
-    legs = []
-    for mp in matching.pairs:
-        legs.append(_classify_leg(pair, mp, value))
-    return DiagramPath(sigma, tau, value, matching, tuple(legs), pair)
+    certs = _certify(pair, [(mp.left, mp.right) for mp in matching.pairs])
+    legs = tuple(_classify_leg(mp, value, *c) for mp, c in zip(matching.pairs, certs))
+    return DiagramPath(sigma, tau, value, matching, legs, pair)
 
 
-def _classify_leg(pair: MetricPair, mp: MatchedPair, value: float) -> PathLeg:
+def _classify_leg(mp: MatchedPair, value: float, cert: GoodnessCertificate,
+                  ax: float, ay: float) -> PathLeg:
     x, y = mp.left, mp.right
-    cert = goodness(pair, x, y)
     # legs touching A slide along a projection; a pair that is not good
     # reroutes through A when the detour fits the path's speed budget
     through_A = (isinstance(x, BasepointTag) or isinstance(y, BasepointTag)
-                 or (not cert.verdict and pair.dist_to_A(x) + pair.dist_to_A(y) <= value))
-    return PathLeg(x, y, mp.cost, Route.THROUGH_A if through_A else Route.DIRECT, cert)
+                 or (not cert.verdict and ax + ay <= value))
+    return PathLeg(x, y, mp.cost, Route.THROUGH_A if through_A else Route.DIRECT, cert, ax, ay)
 
 
 def midpoint_check(sigma: Diagram, tau: Diagram, pair: MetricPair, grid: int = 11):
@@ -225,8 +258,7 @@ def c0_truncation_gap(m: int):
     gap, matching = bottleneck(sigma, tau, space)
 
     # minima over the distinct points: multiplicity does not change a minimum
-    X = space.coords_matrix([p for p, _ in sigma.points])
-    Y = space.coords_matrix([p for p, _ in tau.points])
+    X, Y = sigma.coords, tau.coords
     min_cross = float(space.pairwise_dist(X, Y).min(initial=math.inf))
     min_to_A = float(space.dist_to_A_batch(np.vstack([X, Y])).min(initial=math.inf))
     ok = gap > 1.0 and min_cross > 1.0 and min_to_A > 1.0

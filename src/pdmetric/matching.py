@@ -166,22 +166,24 @@ def total_persistence(diagram: Diagram, p: float, pair: MetricPair) -> float:
     bit (its compensated sum is correctly rounded too)."""
     _check_same_space(diagram, pair)
     p = _check_p(p)
-    costs = pair.dist_to_A_batch(pair.coords_matrix([q for q, _ in diagram.points]))
-    if math.isinf(p) or not diagram.points:
+    costs = pair.dist_to_A_batch(diagram.coords)
+    if math.isinf(p) or diagram.is_empty:
         return float(costs.max(initial=0.0))
     s = _power_scale(p, costs)
     try:
         total = sum((Fraction((c / s) ** p) * k
-                     for c, (_, k) in zip(costs.tolist(), diagram.points)), Fraction(0))
+                     for c, k in zip(costs.tolist(), diagram.mults)), Fraction(0))
         return s * float(total) ** (1.0 / p)
     except OverflowError as e:
         raise TooLarge(f"cost powers overflow the float range at p = {p}") from e
 
 
 def _expand(diagram: Diagram, pair: MetricPair) -> tuple[list[Point], np.ndarray]:
+    """The diagram's points repeated by multiplicity, as Points and as a
+    coordinate array; only after a size check."""
     _check_same_space(diagram, pair)
-    pts = list(diagram.iter_points())
-    return pts, pair.coords_matrix(pts)
+    pts = [p for p, m in diagram.points for _ in range(m)]
+    return pts, np.repeat(diagram.coords, diagram.mults, axis=0)
 
 
 def _check_size(sigma: Diagram, tau: Diagram, pair: MetricPair, limit: int) -> None:

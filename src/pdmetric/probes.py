@@ -23,6 +23,7 @@ import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -51,7 +52,8 @@ __all__ = [
 # envelope extraction stops once a stage's bound falls to the floor
 CONV_TOL = 1e-6
 ENVELOPE_FLOOR = 1e-9
-# separability_adversary checks separation in row blocks of this many bytes
+# separability_adversary checks separation, and _nearest finds centers, in
+# row blocks of distances of at most this many bytes
 _SEPARATION_BLOCK_BYTES = 1 << 20
 
 
@@ -120,7 +122,7 @@ def isolated_point_bound(pair: FiniteExplicit, sigma: Diagram, tau: Diagram):
         raise PreconditionViolated("diagrams must be distinct")
 
     def mults(d: Diagram) -> dict[int, int]:
-        return {int(p.coords[0]): m for p, m in d.points}
+        return dict(zip(d.coords[:, 0].astype(int).tolist(), d.mults))
 
     ms, mt = mults(sigma), mults(tau)
     differing = sorted(set(ms) ^ set(mt) | {i for i in set(ms) & set(mt) if ms[i] != mt[i]})
@@ -425,6 +427,11 @@ class DenseFamily:
     def radius(self) -> float:
         return 1.0 / self.n
 
+    @cached_property
+    def _center_coords(self) -> np.ndarray:
+        """The centers' coordinate array, built on first use and kept."""
+        return self.pair.coords_matrix(self.centers)
+
 
 def dense_family(
     pair: MetricPair,
@@ -444,28 +451,34 @@ def dense_family(
         raise PreconditionViolated(
             f"net region {net.region} does not cover the level-{n} annulus"
         )
-    pair.coords_matrix(net.centers)  # refuses centers of another space
     centers = tuple(sorted(net.centers, key=lambda p: p.coords))
     if not centers:
         raise PreconditionViolated("net has no centers")
+    family = DenseFamily(pair, n, centers)
+    C = family._center_coords  # refuses centers of another space
     samples = list(validation_samples)
     X = pair.coords_matrix(samples)
     a = pair.dist_to_A_batch(X)
     inside = np.flatnonzero((radius <= a) & (a < float(n)))
-    _, dists = _nearest(pair, X[inside], centers)
+    _, dists = _nearest(pair, X[inside], C)
     gaps = np.flatnonzero(dists > radius)
     if gaps.size:
         s, d = samples[inside[gaps[0]]], float(dists[gaps[0]])
         raise CoverageGap(f"validation sample {s!r} is {d} from the family")
-    return DenseFamily(pair, n, centers)
+    return family
 
 
-def _nearest(pair: MetricPair, xs: np.ndarray, centers: Sequence[Point]):
-    """For each row of xs, the index of its nearest center (ties to the
-    first center) and the distance to it."""
-    dists = pair.pairwise_dist(xs, pair.coords_matrix(centers))
-    idx = dists.argmin(axis=1)
-    return idx, dists[np.arange(len(xs)), idx]
+def _nearest(pair: MetricPair, xs: np.ndarray, C: np.ndarray):
+    """For each row of xs, the index of its nearest row of C (ties to the
+    first) and the distance to it, a block of rows at a time."""
+    idx = np.empty(len(xs), dtype=np.intp)
+    dist = np.empty(len(xs))
+    rows = max(1, _SEPARATION_BLOCK_BYTES // (8 * max(1, len(C))))
+    for s in range(0, len(xs), rows):
+        block = pair.pairwise_dist(xs[s : s + rows], C)
+        i = idx[s : s + rows] = block.argmin(axis=1)
+        dist[s : s + rows] = block[np.arange(len(block)), i]
+    return idx, dist
 
 
 def approximate_from_family(sigma: Diagram, family: DenseFamily):
@@ -475,14 +488,14 @@ def approximate_from_family(sigma: Diagram, family: DenseFamily):
     pair = family.pair
     _check_same_space(sigma, pair)
     radius = family.radius
-    X = pair.coords_matrix([p for p, _ in sigma.points])
+    X = sigma.coords
     kept = np.flatnonzero(pair.dist_to_A_batch(X) >= radius)
-    nearest, dists = _nearest(pair, X[kept], family.centers)
+    nearest, dists = _nearest(pair, X[kept], family._center_coords)
     gaps = np.flatnonzero(dists > radius)
     if gaps.size:
         p, d = sigma.points[kept[gaps[0]]][0], float(dists[gaps[0]])
         raise CoverageGap(f"{p!r} is {d} from the nearest center, beyond {radius}")
-    snapped = [(family.centers[j], sigma.points[i][1]) for i, j in zip(kept, nearest)]
+    snapped = [(family.centers[j], sigma.mults[i]) for i, j in zip(kept, nearest)]
     tau = canonicalize(snapped, pair)
     d, _ = bottleneck(sigma, tau, pair)
     return tau, d
@@ -536,8 +549,7 @@ def separability_adversary(
     half = epsilon / 2.0
     kept = []
     for x, row, sig in zip(xs, X, candidates):
-        ps = pair.coords_matrix([p for p, _ in sig.points])
-        if np.all(pair.pairwise_dist(ps, row[None, :]) >= half):
+        if np.all(pair.pairwise_dist(sig.coords, row[None, :]) >= half):
             kept.append(x)
     tau = canonicalize(kept, pair)
     trace = []

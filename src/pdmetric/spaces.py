@@ -103,9 +103,11 @@ class MetricPair:
     ``proj_to_A``; pairs with ``has_geodesic`` set also implement
     ``geodesic``.
 
-    One point rule holds for every pair: ``point`` takes exactly ``dim``
-    finite coordinates, then hands them to ``_validate_coords`` for the
-    pair's own condition (by default none).  Scalar distance queries are
+    One point rule holds for every pair: a point has exactly ``dim``
+    finite coordinates that meet the pair's own condition, ``_outside``
+    (by default none).  ``_first_bad_row`` applies the rule to a whole
+    coordinate array; ``point`` and the diagram parsers both call it, the
+    parsers once per diagram.  Scalar distance queries are
     derived from the vectorized ones, so the two can never disagree; they
     also answer for BASEPOINT, which only a quotient pair accepts:
     d(A, y) = d(y, A) and d(A, A) = 0.
@@ -123,13 +125,30 @@ class MetricPair:
         c = tuple(map(float, coords))
         if len(c) != self.dim:
             raise ValueError(f"expected {self.dim} coordinates, got {len(c)}")
-        if not all(map(math.isfinite, c)):
-            raise ValueError("coordinates must be finite")
-        self._validate_coords(c)
+        bad = self._first_bad_row(np.array([c]))
+        if bad is not None:
+            raise ValueError(bad[1])
         return Point(self.space_id, c)
 
-    def _validate_coords(self, coords: tuple[float, ...]) -> None:
-        """The pair's own condition on dim finite coordinates."""
+    def _first_bad_row(self, X: np.ndarray) -> tuple[int, str] | None:
+        """The index of the first row of the (k, dim) array X that is not
+        a point of this pair, and why; None when every row is one."""
+        bad = (self._outside(X) | ~np.isfinite(X).all(axis=1)).nonzero()[0]
+        if not bad.size:
+            return None
+        i = int(bad[0])
+        c = X[i].tolist()
+        if not all(map(math.isfinite, c)):
+            return i, "coordinates must be finite"
+        return i, self._outside_reason(c)
+
+    def _outside(self, X: np.ndarray) -> np.ndarray:
+        """Rows of X (finite or not) that fail the pair's own condition."""
+        return np.zeros(len(X), dtype=bool)
+
+    def _outside_reason(self, c: list[float]) -> str:
+        """Why the finite row c fails the pair's own condition."""
+        raise NotImplementedError
 
     def check_point(self, p: Point | BasepointTag) -> None:
         if isinstance(p, BasepointTag):
@@ -303,11 +322,12 @@ class PlaneDiagonal(_VectorPair):
         self.kind = "EuclideanPlaneDiagonal" if n_pairs == 1 else "HalfPlane2nDiagonal"
         self.space_id = f"plane{self.dim}:{norm}"
 
-    def _validate_coords(self, coords: tuple[float, ...]) -> None:
-        for k in range(self.n_pairs):
-            b, d = coords[2 * k], coords[2 * k + 1]
-            if d < b:
-                raise ValueError(f"coordinate pair ({b}, {d}) lies below the diagonal")
+    def _outside(self, X: np.ndarray) -> np.ndarray:
+        return (X[:, 1::2] < X[:, 0::2]).any(axis=1)
+
+    def _outside_reason(self, c: list[float]) -> str:
+        b, d = next((c[k], c[k + 1]) for k in range(0, self.dim, 2) if c[k + 1] < c[k])
+        return f"coordinate pair ({b}, {d}) lies below the diagonal"
 
     def dist_to_A_batch(self, xs: np.ndarray) -> np.ndarray:
         half_gaps = (xs[:, 1::2] - xs[:, 0::2]) * 0.5
@@ -338,9 +358,11 @@ class HalfLineOrigin(_VectorPair):
         self.dim = 1
         self.space_id = "halfline"
 
-    def _validate_coords(self, coords: tuple[float, ...]) -> None:
-        if coords[0] < 0.0:
-            raise ValueError("half-line points are finite reals >= 0")
+    def _outside(self, X: np.ndarray) -> np.ndarray:
+        return X[:, 0] < 0.0
+
+    def _outside_reason(self, c: list[float]) -> str:
+        return "half-line points are finite reals >= 0"
 
 
 class SupCubeTruncatedC0(_VectorPair):
@@ -406,10 +428,12 @@ class FiniteExplicit(MetricPair):
         self._a_dist = M[:, a_idx].min(axis=1)
         self._a_nearest = np.asarray(a_idx, dtype=np.int64)[M[:, a_idx].argmin(axis=1)]
 
-    def _validate_coords(self, coords: tuple[float, ...]) -> None:
-        i = coords[0]
-        if i != int(i) or not 0 <= int(i) < self.size:
-            raise ValueError(f"index {i} out of range for {self.size} points")
+    def _outside(self, X: np.ndarray) -> np.ndarray:
+        i = X[:, 0]
+        return (i != np.floor(i)) | (i < 0.0) | (i >= self.size)
+
+    def _outside_reason(self, c: list[float]) -> str:
+        return f"index {c[0]} out of range for {self.size} points"
 
     def _indices(self, xs: np.ndarray) -> np.ndarray:
         return xs[:, 0].astype(np.int64)
@@ -451,8 +475,11 @@ class QuotientOf(MetricPair):
         self.has_geodesic = inner.has_geodesic
         self.space_id = f"quotient({inner.space_id})"
 
-    def _validate_coords(self, coords: tuple[float, ...]) -> None:
-        self.inner._validate_coords(coords)
+    def _outside(self, X: np.ndarray) -> np.ndarray:
+        return self.inner._outside(X)
+
+    def _outside_reason(self, c: list[float]) -> str:
+        return self.inner._outside_reason(c)
 
     def lift(self, p: Point) -> Point:
         """The inner-space point under a quotient point."""
@@ -469,14 +496,13 @@ class QuotientOf(MetricPair):
 
     def map_diagram(self, diagram):
         """Rebrand a diagram over the inner pair as one over the quotient."""
-        from .diagram import Diagram
+        from .diagram import _canonical
 
         if diagram.space_id != self.inner.space_id:
             raise SpaceMismatch(
                 f"diagram lives over {diagram.space_id!r}, not over {self.inner.space_id!r}"
             )
-        pts = tuple((Point(self.space_id, p.coords), m) for p, m in diagram.points)
-        return Diagram(self.space_id, pts)
+        return _canonical(diagram.coords, list(diagram.mults), self)
 
     def pairwise_dist(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         D = self.inner.pairwise_dist(xs, ys)

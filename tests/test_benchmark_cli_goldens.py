@@ -1,6 +1,6 @@
 """The benchmark's CLI goldens replayed as a unit test.
 
-Variants 0-7 of every ``probe-mix`` slot and variants 0-1 of ``ingest`` are
+Variants 0-7 of every ``probe-mix`` slot and variants 0-5 of ``ingest`` are
 built from the benchmark's own input generator and run; each input's sha
 and each output digest must equal the ones committed in
 ``perfbench/goldens/``.  The probe-mix digest covers the exit code, the
@@ -30,7 +30,7 @@ def workloads():
     return module
 
 
-@pytest.mark.parametrize("workload, variants", [("probe-mix", 8), ("ingest", 2)])
+@pytest.mark.parametrize("workload, variants", [("probe-mix", 8), ("ingest", 6)])
 def test_cli_and_ingest_ops_match_goldens(workloads, workload, variants, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # probe ops write their files under the cwd
     goldens = workloads.load_goldens(workloads.golden_path(workload, smoke=False))

@@ -287,3 +287,225 @@ def test_serialization_round_trip_property(entries):
     )
     assert parse_diagram(write_diagram(d, "json", pair), "json", pair) == d
     assert parse_diagram(write_diagram(d, "csv", pair), "csv", pair) == d
+
+
+# -- array form and edge cases (outcomes recorded at the dict-based form) ------
+
+
+def test_signed_zero_merges_into_the_first_occurrence():
+    pair = plane()
+    twice = canonicalize([(pair.point(0.0, 1.0), 2)], pair)
+    for d in (parse_diagram('{"points": [{"coords": [-0.0, 1.0]}, {"coords": [0.0, 1.0]}]}',
+                            "json", pair),
+              parse_diagram("-0.0,1.0\n0.0,1.0\n", "csv", pair)):
+        assert d.mults == (2,) and d.coords.shape == (1, 2)
+        assert math.copysign(1.0, d.coords[0, 0]) == -1.0
+        assert repr(d.points[0][0]) == "(-0.0, 1.0)"
+        assert d == twice and hash(d) == hash(twice)
+        assert d.multiplicity(pair.point(0.0, 1.0)) == 2
+        assert write_diagram(d, "json") == (
+            '{"points": [{"coords": [-0.0, 1.0], "mult": 2}], "space": "plane2:sup"}')
+
+
+def test_huge_multiplicity_keeps_every_digit(tmp_path, capsys):
+    """Multiplicities stay exact integers: 10^20 twice merges to 2 * 10^20,
+    with no int64 wrap, and the solver still refuses it from the count."""
+    from pdmetric.cli import main
+
+    pair = plane()
+    big = 10**20
+    text = json.dumps({"points": [{"coords": [0.0, 1.0], "mult": big},
+                                  {"coords": [0.0, 1.0], "mult": big},
+                                  {"coords": [0.5, 3.0], "mult": big}]})
+    d = parse_diagram(text, "json", pair)
+    assert d.mults == (2 * big, big) and d.size == 3 * big
+    assert d.multiplicity(pair.point(0.0, 1.0)) == 2 * big
+    csv_text = write_diagram(d, "csv", pair)
+    assert csv_text == ("birth,death,mult\n0.0,1.0,200000000000000000000\n"
+                        "0.5,3.0,100000000000000000000\n")
+    assert '"mult": 200000000000000000000' in write_diagram(d, "json", pair)
+    assert parse_diagram(csv_text, "csv", pair) == d
+    assert parse_diagram(write_diagram(d, "json", pair), "json", pair) == d
+    assert canonicalize(d.points, pair) == d
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    assert main(["dist", str(path), str(path), "--space", json.dumps(pair.to_json())]) == 4
+    assert capsys.readouterr().err == (
+        "pdmetric: error: 300000000000000000000 + 300000000000000000000 points"
+        " (with multiplicity) exceed the cap of 10000\n")
+
+
+@pytest.mark.parametrize("pair", [plane(), HalfLineOrigin(), PlaneDiagonal(2, "sup"),
+                                  QuotientOf(plane())], ids=lambda p: p.space_id)
+def test_empty_diagram_arrays_and_text(pair):
+    d = empty_diagram(pair)
+    assert d.coords.shape == (0, pair.dim) and d.mults == () and d.is_empty
+    assert d == canonicalize([], pair) and hash(d) == hash(canonicalize([], pair))
+    assert write_diagram(d, "json") == f'{{"points": [], "space": "{pair.space_id}"}}'
+    assert write_diagram(d, "csv") == "birth,death,mult\n"
+    assert parse_diagram(write_diagram(d, "json", pair), "json", pair) == d
+
+
+CSV_CASES = [
+    ("underscore", "1_0,2_0\n", (((10.0, 20.0), 1),)),
+    ("quoted", '"1","4"\n', (((1.0, 4.0), 1),)),
+    ("comments", "# hello\n1,4\n  # indented\n2,5\n", (((1.0, 4.0), 1), ((2.0, 5.0), 1))),
+    ("header", "birth,death,mult\n1,4,2\n", (((1.0, 4.0), 2),)),
+    ("blank lines", "\n1,4\n\n  ,  \n2,5\n", (((1.0, 4.0), 1), ((2.0, 5.0), 1))),
+    ("padded mult", "1,4, 2 \n", (((1.0, 4.0), 2),)),
+    ("header only", "birth,death\n", ()),
+    ("diagonal", "1,1\n2,5\n", (((2.0, 5.0), 1),)),
+    ("space before quote", '"1","4"\n"2", "5" ,"3"\n',
+     "line 2: could not convert string to float: '\"5\"'"),
+    ("header not first", "1,4\nbirth,death\n",
+     "line 2: could not convert string to float: 'birth'"),
+    ("below", "1,4\n5,2\n", "line 2: coordinate pair (5.0, 2.0) lies below the diagonal"),
+    ("inf", "1,4\ninf,5\n", "line 2: coordinates must be finite"),
+    ("nan", "1,4\nnan,5\n", "line 2: coordinates must be finite"),
+    ("bad mult", "1,4\n2,5,x\n", "line 2: bad multiplicity 'x'"),
+    ("zero mult", "1,4\n2,5,0\n", "line 2: bad multiplicity 0"),
+    ("negative mult", "1,4\n2,5,-2\n", "line 2: bad multiplicity -2"),
+    ("fractional mult", "1,4\n2,5,1.5\n", "line 2: bad multiplicity '1.5'"),
+    ("4 columns", "1,4\n2,5,1,1\n", "line 2: expected birth,death[,mult]"),
+    ("1 column", "1,4\n2\n", "line 2: expected birth,death[,mult]"),
+    ("bad float", "1,4\n2,y\n", "line 2: could not convert string to float: 'y'"),
+    # the first bad line decides, whichever its kind
+    ("below, then bad mult", "5,2\n2,5,x\n",
+     "line 1: coordinate pair (5.0, 2.0) lies below the diagonal"),
+    ("bad mult, then below", "2,5,x\n5,2\n", "line 1: bad multiplicity 'x'"),
+    ("below, then 4 columns", "1,4\n5,2\n1,2,3,4\n",
+     "line 2: coordinate pair (5.0, 2.0) lies below the diagonal"),
+    ("inf, then below", "inf,4\n5,2\n", "line 1: coordinates must be finite"),
+]
+
+
+@pytest.mark.parametrize("text, want", [c[1:] for c in CSV_CASES], ids=[c[0] for c in CSV_CASES])
+def test_csv_outcomes(text, want):
+    pair = plane()
+    if isinstance(want, str):
+        with pytest.raises(ParseError) as e:
+            parse_diagram(text, "csv", pair)
+        assert str(e.value) == want
+    else:
+        d = parse_diagram(text, "csv", pair)
+        assert tuple((p.coords, m) for p, m in d.points) == want
+
+
+_FE = FiniteExplicit([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]], [1])
+
+JSON_CASES = [
+    ("below, then zero mult", plane(), [{"coords": [5, 2]}, {"coords": [1, 2], "mult": 0}],
+     "points[0]: coordinate pair (5.0, 2.0) lies below the diagonal"),
+    ("zero mult, then below", plane(), [{"coords": [1, 2], "mult": 0}, {"coords": [5, 2]}],
+     "points[0] has bad multiplicity 0"),
+    ("below, then 3 coords", plane(), [{"coords": [5, 2]}, {"coords": [1, 2, 3]}],
+     "points[0]: coordinate pair (5.0, 2.0) lies below the diagonal"),
+    ("3 coords", plane(), [{"coords": [1, 2, 3]}], "points[0]: expected 2 coordinates, got 3"),
+    ("null coord", plane(), [{"coords": [1, None]}],
+     "points[0]: float() argument must be a string or a real number, not 'NoneType'"),
+    ("number coords", plane(), [{"coords": 12}], "points[0]: 'int' object is not iterable"),
+    ("not an object", plane(), [3], 'points[0] must be an object with "coords"'),
+    ("float mult", plane(), [{"coords": [1, 2], "mult": 2.0}],
+     "points[0] has bad multiplicity 2.0"),
+    ("product plane below", PlaneDiagonal(2, "sup"), [{"coords": [0, 1, 3, 1]}],
+     "points[0]: coordinate pair (3.0, 1.0) lies below the diagonal"),
+    ("quotient below", QuotientOf(plane()), [{"coords": [3, 1]}],
+     "points[0]: coordinate pair (3.0, 1.0) lies below the diagonal"),
+    ("half-line negative", HalfLineOrigin(), [{"coords": [-1]}],
+     "points[0]: half-line points are finite reals >= 0"),
+    ("finite index out of range", _FE, [{"coords": [0]}, {"coords": [3]}],
+     "points[1]: index 3.0 out of range for 3 points"),
+    ("finite index negative", _FE, [{"coords": [-1]}],
+     "points[0]: index -1.0 out of range for 3 points"),
+    ("finite index fraction", _FE, [{"coords": [0.5]}],
+     "points[0]: index 0.5 out of range for 3 points"),
+    ("finite index inf", _FE, [{"coords": [math.inf]}], "points[0]: coordinates must be finite"),
+    ("string cells", plane(), [{"coords": ["1", " 2 "]}], (((1.0, 2.0), 1),)),
+    ("coords string", plane(), [{"coords": "12"}], (((1.0, 2.0), 1),)),
+    ("boolean mult", plane(), [{"coords": [1, 2], "mult": True}], (((1.0, 2.0), 1),)),
+    ("finite index -0.0", _FE, [{"coords": [-0.0]}, {"coords": [0]}], (((-0.0,), 2),)),
+]
+
+
+@pytest.mark.parametrize("pair, entries, want", [c[1:] for c in JSON_CASES],
+                         ids=[c[0] for c in JSON_CASES])
+def test_json_outcomes(pair, entries, want):
+    text = json.dumps({"points": entries})
+    if isinstance(want, str):
+        with pytest.raises(ParseError) as e:
+            parse_diagram(text, "json", pair)
+        assert str(e.value) == want
+    else:
+        d = parse_diagram(text, "json", pair)
+        assert tuple((p.coords, m) for p, m in d.points) == want
+        signs = [math.copysign(1.0, x) for p, _ in d.points for x in p.coords]
+        assert signs == [math.copysign(1.0, x) for c, _ in want for x in c]
+
+
+@pytest.mark.parametrize("pair, coords, message", [
+    (plane(), (3.0, 1.0), "coordinate pair (3.0, 1.0) lies below the diagonal"),
+    (plane(), (math.nan, 1.0), "coordinates must be finite"),
+    (plane(), (1.0,), "expected 2 coordinates, got 1"),
+    (_FE, (7,), "index 7.0 out of range for 3 points"),
+])
+def test_point_messages(pair, coords, message):
+    with pytest.raises(ValueError) as e:
+        pair.point(*coords)
+    assert str(e.value) == message
+
+
+def test_points_view_is_built_once():
+    pair = plane()
+    d = canonicalize([(pair.point(0.5, 3.0), 1), (pair.point(0.0, 1.0), 2)], pair)
+    assert d.points is d.points
+    assert d.points == ((pair.point(0.0, 1.0), 2), (pair.point(0.5, 3.0), 1))
+    assert list(d.iter_points()) == [pair.point(0.0, 1.0)] * 2 + [pair.point(0.5, 3.0)]
+    assert repr(d) == "{(0.0, 1.0)x2, (0.5, 3.0)}"
+    assert not d.coords.flags.writeable
+    assert [d.multiplicity(pair.point(*c)) for c in ((0.0, 1.0), (0.5, 3.0), (0.0, 2.0),
+                                                     (9.0, 9.5), (-1.0, 0.0))] == [2, 1, 0, 0, 0]
+
+
+# -- property: the array form against a per-point dict reference ---------------
+
+_COORD = st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e-300, 7.0])
+
+
+def _dict_reference(entries):
+    """The canonical form as the dict-based implementation built it: the
+    first key of each value is kept, multiplicities are summed, keys are
+    sorted and points on the diagonal (A) are dropped."""
+    counts = {}
+    for c, m in entries:
+        counts[c] = counts.get(c, 0) + m
+    return [(c, counts[c]) for c in sorted(counts) if c[1] != c[0]]
+
+
+def _bits(items):
+    return [([float(x).hex() for x in c], m) for c, m in items]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(_COORD, _COORD, st.sampled_from([1, 2, 3, 10**19, 10**20])), max_size=12),
+    st.randoms(use_true_random=False),
+)
+def test_array_form_matches_dict_reference(rows, rnd):
+    pair = plane()
+    entries = [((min(b, d), max(b, d)), m) for b, d, m in rows]
+    ref = _dict_reference(entries)
+    d = canonicalize([(pair.point(*c), m) for c, m in entries], pair)
+    assert _bits(((p.coords, m) for p, m in d.points)) == _bits(ref)
+    assert d.coords.shape == (len(ref), 2) and d.size == sum(m for _, m in ref)
+    for fmt in ("json", "csv"):
+        again = parse_diagram(write_diagram(d, fmt, pair), fmt, pair)
+        assert again == d and hash(again) == hash(d)
+        assert _bits(((p.coords, m) for p, m in again.points)) == _bits(ref)
+    shuffled = list(entries)
+    rnd.shuffle(shuffled)
+    other = canonicalize([(pair.point(*c), m) for c, m in shuffled], pair)
+    assert other == d and hash(other) == hash(d)
+    assert _dict_reference(shuffled) == ref  # as values: -0.0 == 0.0
+    fewer = entries[1:]
+    assert (canonicalize([(pair.point(*c), m) for c, m in fewer], pair) == d) == (
+        _dict_reference(fewer) == ref)

@@ -26,6 +26,7 @@ from pdmetric import (
     geodesic_between,
     goodness,
     midpoint_check,
+    quotient_distance,
     quotient_geodesic,
     wasserstein,
 )
@@ -124,6 +125,55 @@ def test_legs_follow_reference_rule(data):
         for q in matching.pairs:
             if BASEPOINT not in (q.left, q.right):
                 assert q.cost < pair.dist_to_A(q.left) + pair.dist_to_A(q.right)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_goodness_matches_scalar_reference(data):
+    # the batch certificate against the scalar formula it replaced:
+    # good when min(d(x, y), d(x, A) + d(y, A)) < max(d(x, A), d(y, A))
+    pair = data.draw(st.sampled_from(_SYMMETRY_PAIRS))
+    x = data.draw(_points_of(pair))
+    y = data.draw(_points_of(pair))
+    cert = goodness(pair, x, y)
+    if BASEPOINT in (x, y):
+        assert cert.verdict and cert.reason is GoodnessReason.BASEPOINT_TARGET
+        return
+    ax, ay = pair.dist_to_A(x), pair.dist_to_A(y)
+    good = quotient_distance(pair, x, y) < max(ax, ay)
+    assert cert.verdict is good
+    assert cert.reason is (GoodnessReason.CLOSE_PAIR if good else GoodnessReason.NOT_GOOD)
+
+
+@pytest.mark.parametrize("pair", [PlaneDiagonal(1, "sup"), PlaneDiagonal(1, "euclidean"),
+                                  QuotientOf(PlaneDiagonal(1, "sup"))], ids=lambda p: p.space_id)
+def test_geodesic_makes_no_scalar_queries(pair, monkeypatch):
+    """Legs read the distances to A that one batch query gave them: building
+    a path and evaluating its frames asks the pair no scalar distance, and
+    each leg carries the scalar answers."""
+    rng = np.random.default_rng(21)
+    inner = pair.inner if isinstance(pair, QuotientOf) else pair
+
+    def diagram():
+        d = random_plane_diagram(inner, rng, max_points=8)
+        return canonicalize([pair.point(*p.coords) for p in d.iter_points()], pair)
+
+    cases = [(diagram(), diagram()) for _ in range(20)]
+    want = [[tuple(0.0 if q is BASEPOINT else pair.dist_to_A(q) for q in (mp.left, mp.right))
+             for mp in bottleneck(s, t, pair)[1].pairs] for s, t in cases]
+
+    def no_scalar(*args):
+        raise AssertionError("scalar distance query")
+
+    # the pair's own scalar queries; a quotient's geodesic oracle may still
+    # ask its inner pair
+    monkeypatch.setattr(type(pair), "dist_to_A", no_scalar)
+    monkeypatch.setattr(type(pair), "dist", no_scalar)
+    for (s, t), to_A in zip(cases, want):
+        path = geodesic_between(s, t, pair)
+        assert [(leg.left_to_A, leg.right_to_A) for leg in path.legs] == to_A
+        for k in range(5):
+            path.at(k / 4)
 
 
 # -- path construction -----------------------------------------------------------

@@ -12,6 +12,7 @@ from pdmetric import (
     FiniteExplicit,
     MetricPair,
     NotCauchy,
+    PlaneDiagonal,
     PreconditionViolated,
     SpaceMismatch,
     TooLarge,
@@ -296,6 +297,45 @@ def test_dense_family_validation_catches_gap():
     probe_samples = [hl.point(1.8)]
     with pytest.raises(CoverageGap):
         dense_family(hl, 2, net, validation_samples=probe_samples)
+
+
+def test_nearest_center_blocks_keep_first_minimum_ties(monkeypatch):
+    """Blocks of three rows give the unblocked argmin: among equally near
+    centers the first one wins, on an integer grid full of ties."""
+    import pdmetric.probes
+    from pdmetric.probes import _nearest
+
+    rng = np.random.default_rng(8)
+    for pair in (plane_sup(), PlaneDiagonal(1, "euclidean"), halfline()):
+        xs = rng.integers(0, 6, (40, pair.dim)).astype(float)
+        C = rng.integers(0, 6, (9, pair.dim)).astype(float)
+        full = pair.pairwise_dist(xs, C)
+        want = full.argmin(axis=1)
+        monkeypatch.setattr(pdmetric.probes, "_SEPARATION_BLOCK_BYTES", 8 * len(C) * 3)
+        idx, dist = _nearest(pair, xs, C)
+        assert idx.tolist() == want.tolist()
+        assert dist.tolist() == full[np.arange(len(xs)), want].tolist()
+        assert [len(a) for a in _nearest(pair, xs[:0], C)] == [0, 0]
+
+
+def test_nearest_center_memory_is_bounded():
+    """4000 samples against 1500 centers: the nearest-center search peaks
+    far below the 46 MiB of the whole distance matrix."""
+    from pdmetric.probes import _nearest
+
+    pair = plane_sup()
+    rng = np.random.default_rng(9)
+    b = rng.uniform(0.0, 100.0, (5500, 1))
+    X = np.hstack([b, b + rng.uniform(0.0, 10.0, (5500, 1))])
+    xs, C = X[:4000], X[4000:]
+    tracemalloc.start()
+    try:
+        idx, _ = _nearest(pair, xs, C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert idx.tolist() == pair.pairwise_dist(xs, C).argmin(axis=1).tolist()
+    assert peak < 6 << 20
 
 
 def test_dense_family_space_mismatch():
