@@ -232,7 +232,7 @@ def _parse_json(text: str, pair: MetricPair) -> Diagram:
             raise bad_entry(f"points[{i}] has bad multiplicity {mult!r}")
         try:
             c = [float(x) for x in e["coords"]]
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise bad_entry(f"points[{i}]: {err}") from err
         if len(c) != pair.dim:
             raise bad_entry(f"points[{i}]: expected {pair.dim} coordinates, got {len(c)}")

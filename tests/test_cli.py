@@ -168,6 +168,8 @@ MALFORMED = [
                  id="finite-index-inf"),
     pytest.param(["dist", EMPTY, '{"points": [{"coords": [-1e999]}]}', "--space", FINITE],
                  id="finite-index-minus-inf"),
+    pytest.param(["dist", '{"points": [{"coords": [0, 1%s]}]}' % ("0" * 400), EMPTY,
+                  "--space", PLANE], id="integer-coordinate-beyond-float"),
     pytest.param(["dist", EMPTY, EMPTY, "--space",
                   '{"kind": "EuclideanPlaneDiagonal", "dim": null}'], id="plane-dim-null"),
     pytest.param(["dist", EMPTY, EMPTY, "--space",
