@@ -289,7 +289,7 @@ def test_serialization_round_trip_property(entries):
     assert parse_diagram(write_diagram(d, "csv", pair), "csv", pair) == d
 
 
-# -- array form and edge cases (outcomes recorded at the dict-based form) ------
+# -- array form and edge cases ------------------------------------------------
 
 
 def test_signed_zero_merges_into_the_first_occurrence():
@@ -472,9 +472,9 @@ _COORD = st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e-300, 7.0])
 
 
 def _dict_reference(entries):
-    """The canonical form as the dict-based implementation built it: the
-    first key of each value is kept, multiplicities are summed, keys are
-    sorted and points on the diagonal (A) are dropped."""
+    """The canonical form from a per-point dict: the first key of each
+    value is kept, multiplicities are summed, keys are sorted and points on
+    the diagonal (A) are dropped."""
     counts = {}
     for c, m in entries:
         counts[c] = counts.get(c, 0) + m
