@@ -14,12 +14,15 @@ one covering the right points with ay > r (Mendelsohn-Dulmage; Lovasz
 and Plummer, Matching Theory, 1.3).  That decision builds no slot; it
 matches only the rows of the points that must be matched.
 
-Both modes run one Hopcroft-Karp body, ``_max_matching``, on the rows of
-a boolean biadjacency: the (n+m) x (n+m) one of ``_admissible`` for the
-augmented matching, or the must-match rows of {Q <= r} for a decision.
-The body holds every set of columns as a bit set in a Python int
-(``_bitsets`` packs the rows), so each step of its scans is one integer
-operation instead of a few numpy calls.
+Both modes run one Hopcroft-Karp body, ``_max_matching``, on rows of
+neighbours held as bit sets in Python ints, so each step of its scans is
+one integer operation instead of a few numpy calls.  ``_bitsets`` packs
+the rows of {Q <= r}.  A decision passes the rows of its must-match
+points (and of the transposed graph).  The augmented matching adds the
+slots to the packed point rows: each point row gets its own slot's bit
+when ax <= r, and each of the m slot rows is the one mask of the n right
+slots plus right point k's bit when ay[k] <= r.  No (n+m) x (n+m)
+matrix is built.
 
 ``solve_assignment`` finds an exact min-cost perfect assignment of any
 square matrix (Hungarian algorithm with potentials).  The p-Wasserstein
@@ -52,25 +55,6 @@ import numpy as np
 __all__ = ["augmented_matching", "solve_assignment"]
 
 
-def _admissible(Q, ax, ay, r):
-    """N x N boolean adjacency of the augmented instance at threshold r.
-
-    Left u < n is a point: its neighbours are the right points j with
-    Q[u, j] <= r and its dedicated A slot m + u when ax[u] <= r.  Left
-    u = n + k is an A slot: its neighbours are right point k when
-    ay[k] <= r and every right A slot.
-    """
-    n, m = Q.shape
-    N = n + m
-    adj = np.zeros((N, N), np.bool_)
-    adj[:n, :m] = Q <= r
-    flat = adj.reshape(-1)
-    flat[m : n * N : N + 1] = ax <= r  # entries (u, m + u)
-    flat[n * N :: N + 1] = ay <= r  # entries (n + k, k)
-    adj[n:, m:] = True
-    return adj
-
-
 def augmented_matching(Q, ax, ay, r, decide=False):
     """Maximum matching of the augmented instance at threshold r; returns
     the left-to-right match array (int64) with -1 for unmatched left
@@ -86,11 +70,17 @@ def augmented_matching(Q, ax, ay, r, decide=False):
     the augmented array.  A must-match point with no edge at all answers
     at once, and the right side is not matched when the left one fails;
     their must-match points then stay -1."""
-    if not decide:
-        N = Q.shape[0] + Q.shape[1]
-        return np.array(_max_matching(_bitsets(_admissible(Q, ax, ay, r)), N), np.int64)
     n, m = Q.shape
     below = Q <= r
+    if not decide:
+        # left u < n: the points at most r away and slot m + u when
+        # ax[u] <= r; left n + k: right point k when ay[k] <= r and every
+        # right slot
+        slots = ((1 << n) - 1) << m
+        rows = [b | 1 << (m + u) if near else b
+                for u, (b, near) in enumerate(zip(_bitsets(below), (ax <= r).tolist()))]
+        rows += [slots | 1 << k if near else slots for k, near in enumerate((ay <= r).tolist())]
+        return np.array(_max_matching(rows, n + m), np.int64)
     need_x, need_y = (ax > r).nonzero()[0], (ay > r).nonzero()[0]
     sides = ((_bitsets(below[need_x]), m, need_x), (_bitsets(below[:, need_y].T), n, n + need_y))
     partner = np.arange(n + m)

@@ -30,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .diagram import Diagram, _diagram_points_to_json, canonicalize, parse_diagram
+from .diagram import Diagram, _canonical, _diagram_points_to_json, parse_diagram
 from .errors import (
     CoverageGap,
     EmptyAnnulus,
@@ -201,13 +201,15 @@ def _random_finite_pair(rng: np.random.Generator) -> FiniteExplicit:
 def _random_finite_diagram(
     pair: FiniteExplicit, rng: np.random.Generator
 ) -> Diagram:
-    pts = pair.points_off_A()
-    chosen = []
-    for p in pts:
-        m = int(rng.integers(0, 3))
-        if m:
-            chosen.append((p, m))
-    return canonicalize(chosen, pair)
+    a_set = set(pair.A_indices)
+    rows, mults = [], []
+    for i in range(pair.size):
+        if i not in a_set:
+            m = int(rng.integers(0, 3))
+            if m:
+                rows.append(float(i))
+                mults.append(m)
+    return _canonical(np.array(rows).reshape(-1, 1), mults, pair)
 
 
 def _isolated_trial(seed: int) -> dict:
@@ -246,10 +248,8 @@ def probe_isolated_bound(args) -> ProbeReport:
 
 def probe_vanishing_pair(args) -> ProbeReport:
     pair = _plane()
-    x = pair.point(0.0, 4.0)
-    tail = [
-        pair.point(1.0 / n, 4.0 + 1.0 / n) for n in range(1, args.nmax + 2)
-    ]
+    rows = [(0.0, 4.0)] + [(1.0 / n, 4.0 + 1.0 / n) for n in range(1, args.nmax + 2)]
+    x, *tail = pair._points(np.array(rows))
     return vanishing_pair_demo(pair, x, tail, n_max=args.nmax, target=args.target)
 
 
@@ -259,12 +259,12 @@ _CAUCHY_SCENARIOS = ("constant", "converging", "absorbing")
 def _cauchy_sequence(name: str, pair: PlaneDiagonal) -> list[Diagram]:
     ns = [4**k for k in range(13)]
     if name == "constant":
-        d = canonicalize([pair.point(0.0, 4.0), pair.point(1.0, 3.0)], pair)
+        d = _canonical(np.array([[0.0, 4.0], [1.0, 3.0]]), [1, 1], pair)
         return [d for _ in ns]
     if name == "converging":
-        return [canonicalize([pair.point(0.0, 4.0 + 1.0 / n)], pair) for n in ns]
+        return [_canonical(np.array([[0.0, 4.0 + 1.0 / n]]), [1], pair) for n in ns]
     if name == "absorbing":
-        return [canonicalize([pair.point(1.0 / n, 2.0 / n)], pair) for n in ns]
+        return [_canonical(np.array([[1.0 / n, 2.0 / n]]), [1], pair) for n in ns]
     raise ParseError(f"unknown cauchy scenario {name!r}")
 
 
@@ -289,10 +289,7 @@ def probe_eps_net(args) -> ProbeReport:
     epsilon = args.epsilon if args.epsilon is not None else 0.25
     if args.scenario == "half-line":
         pair = HalfLineOrigin()
-        batches = []
-        for h in (0.2, 0.1, 0.05, 0.02):
-            xs = np.arange(delta, D, h)
-            batches.append([pair.point(float(v)) for v in xs])
+        batches = [pair._points(np.arange(delta, D, h)[:, None]) for h in (0.2, 0.1, 0.05, 0.02)]
         net, report = net_growth_probe(pair, delta, D, epsilon, batches)
         bound = math.ceil((D - delta) / epsilon) + 1
         witnesses = dict(report.witnesses)
@@ -302,11 +299,9 @@ def probe_eps_net(args) -> ProbeReport:
     if args.scenario == "strip":
         pair = _plane()
         gap = delta + D  # birth-death gap keeping dist-to-A inside [delta, D)
-        batches = []
-        for extent in (4, 8, 16, 32):
-            batches.append(
-                [pair.point(float(b), float(b) + gap) for b in range(extent + 1)]
-            )
+        b = np.arange(33.0)
+        batches = [pair._points(np.column_stack([b, b + gap])[: extent + 1])
+                   for extent in (4, 8, 16, 32)]
         _, report = net_growth_probe(pair, delta, D, epsilon, batches)
         return report
     raise ParseError(f"unknown eps-net scenario {args.scenario!r}")
@@ -317,12 +312,11 @@ def _dense_trial(payload) -> dict:
     rng = np.random.default_rng(seed)
     pair = family.pair
     size = int(rng.integers(0, 7))
-    pts = []
+    rows, mults = [], []
     for _ in range(size):
-        v = float(rng.uniform(0.0, float(n)))
-        m = int(rng.integers(1, 4))
-        pts.append((pair.point(v), m))
-    sigma = canonicalize(pts, pair)
+        rows.append(float(rng.uniform(0.0, float(n))))
+        mults.append(int(rng.integers(1, 4)))
+    sigma = _canonical(np.array(rows).reshape(-1, 1), mults, pair)
     _, err = approximate_from_family(sigma, family)
     return {"error": err, "ok": err <= family.radius}
 
@@ -337,7 +331,7 @@ def probe_dense_family(args) -> ProbeReport:
     pair = HalfLineOrigin()
     radius = 1.0 / n
     h = radius / 4.0
-    samples = [pair.point(float(v)) for v in np.arange(radius, float(n), h)]
+    samples = pair._points(np.arange(radius, float(n), h)[:, None])
     net = greedy_eps_net(pair, radius, float(n), radius / 2.0, samples)
     family = dense_family(pair, n, net, validation_samples=samples)
     rng = np.random.default_rng(args.seed)
@@ -368,17 +362,19 @@ def probe_adversary(args) -> ProbeReport:
     pair = _plane()
     mid = delta + D  # gap giving dist-to-A = (delta + D) / 2, inside [delta, D)
     spread = max(3.0 * epsilon, 3.0)
-    xs = [pair.point(spread * i, spread * i + mid) for i in range(k)]
+    xs = pair._points(np.array([(spread * i, spread * i + mid) for i in range(k)]))
     rng = np.random.default_rng(args.seed)
     candidates = []
     for _ in range(k):
         size = int(rng.integers(0, 6))
-        pts = []
+        rows = []
         for _ in range(size):
             b = float(rng.uniform(0.0, spread * k))
             g = float(rng.uniform(0.0, 2.0 * mid))
-            pts.append(pair.point(b, b + g))
-        candidates.append(canonicalize(pts, pair))
+            rows.append((b, b + g))
+        # extreme --delta, --D or --epsilon can overflow b + g
+        rows = pair._checked(np.array(rows).reshape(-1, 2))
+        candidates.append(_canonical(rows, [1] * size, pair))
     _, report = separability_adversary(pair, candidates, delta, D, epsilon, xs)
     return report
 
@@ -456,7 +452,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "csv"), default="json", help="output format"
     )
     common.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for batch probes"
+        "--jobs", type=int, default=1,
+        help="worker processes for the isolated-bound and dense-family trials; every "
+             "other command ignores it, and below thousands of trials 1 is fastest",
     )
 
     spacey = argparse.ArgumentParser(add_help=False)

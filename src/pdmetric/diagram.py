@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
@@ -36,7 +37,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import ParseError, SpaceMismatch
-from .spaces import BasepointTag, MetricPair, Point, space_from_json
+from .spaces import BasepointTag, MetricPair, Point, _coords_from_json, space_from_json
 
 __all__ = [
     "Diagram",
@@ -87,6 +88,9 @@ class Diagram:
                 yield p
 
     def multiplicity(self, p: Point) -> int:
+        if p.space_id != self.space_id:
+            raise SpaceMismatch(f"point from space {p.space_id!r} used with a diagram "
+                                f"over {self.space_id!r}")
         c, k = p.coords, len(self.mults)
         i = bisect_left(range(k), c, key=lambda j: tuple(self.coords[j].tolist()))
         return self.mults[i] if i < k and tuple(self.coords[i].tolist()) == c else 0
@@ -143,7 +147,9 @@ def canonicalize(
     """Build the canonical diagram from points or (point, mult) entries.
 
     Entries at distance zero from A (including BASEPOINT tags) are dropped,
-    duplicates are merged, and the result is sorted by coordinates.  Entry
+    duplicates are merged, and the result is sorted by coordinates.  A
+    multiplicity is an integer of any kind or a float with no fractional
+    part; a bool, a text or a fractional number is a ValueError.  Entry
     errors are raised in input order; the coordinates of the remaining
     entries are then canonicalized as one array.
     """
@@ -151,7 +157,8 @@ def canonicalize(
     for entry in points:
         if isinstance(entry, tuple):
             p, mult = entry
-            mult = int(mult)
+            if type(mult) is not int:
+                mult = _whole(mult)
         else:
             p, mult = entry, 1
         if mult < 0:
@@ -164,6 +171,16 @@ def canonicalize(
         rows.append(p.coords)
         mults.append(mult)
     return _canonical(np.array(rows, dtype=np.float64).reshape(len(rows), pair.dim), mults, pair)
+
+
+def _whole(mult) -> int:
+    """A multiplicity that is not an int, as one: any integer type but
+    bool, or a float with no fractional part."""
+    if isinstance(mult, numbers.Integral) and not isinstance(mult, bool):
+        return int(mult)
+    if isinstance(mult, (float, np.floating)) and float(mult).is_integer():
+        return int(mult)
+    raise ValueError(f"multiplicities must be integers, got {mult!r}")
 
 
 def _check_same_space(diagram: Diagram, pair: MetricPair) -> None:
@@ -228,16 +245,13 @@ def _parse_json(text: str, pair: MetricPair) -> Diagram:
         if not isinstance(e, dict) or "coords" not in e:
             raise bad_entry(f'points[{i}] must be an object with "coords"')
         mult = e.get("mult", 1)
-        if not isinstance(mult, int) or mult < 1:
+        if type(mult) is not int or mult < 1:
             raise bad_entry(f"points[{i}] has bad multiplicity {mult!r}")
         try:
-            c = [float(x) for x in e["coords"]]
+            rows.append(_coords_from_json(e["coords"], pair.dim))
         except (TypeError, ValueError, OverflowError) as err:
             raise bad_entry(f"points[{i}]: {err}") from err
-        if len(c) != pair.dim:
-            raise bad_entry(f"points[{i}]: expected {pair.dim} coordinates, got {len(c)}")
-        rows.append(c)
-        mults.append(int(mult))
+        mults.append(mult)
     return _canonical(_point_rows(rows, pair, at), mults, pair)
 
 

@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .diagram import Diagram, canonicalize
+from .diagram import Diagram, _canonical
 from .errors import NoGeodesicOracle, TooLarge
 from .matching import Matching, MatchedPair, bottleneck
 from .probes import ProbeReport, Verdict
@@ -39,7 +39,8 @@ from .spaces import (
     MetricPair,
     Point,
     SupCubeTruncatedC0,
-    _PAIRWISE_BLOCK_BYTES,
+    _BLOCK_BYTES,
+    _row_blocks,
     _through_A,
 )
 
@@ -83,13 +84,11 @@ def goodness(pair: MetricPair, x, y) -> GoodnessCertificate:
 
 def _paired_dist(pair: MetricPair, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """d(X[i], Y[i]) for each i: the diagonals of square pairwise
-    distance blocks of at most _PAIRWISE_BLOCK_BYTES, each entry that of a
-    one-pair query."""
-    k = len(X)
-    out = np.empty(k)
-    rows = int((_PAIRWISE_BLOCK_BYTES // 8) ** 0.5)
-    for s in range(0, k, rows):
-        out[s : s + rows] = np.diagonal(pair.pairwise_dist(X[s : s + rows], Y[s : s + rows]))
+    distance blocks of at most _BLOCK_BYTES, each entry that of a one-pair
+    query."""
+    out = np.empty(len(X))
+    for b in _row_blocks(len(X), math.isqrt(_BLOCK_BYTES // 8)):
+        out[b] = np.diagonal(pair.pairwise_dist(X[b], Y[b]))
     return out
 
 
@@ -151,12 +150,9 @@ class DiagramPath:
         t = float(t)
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"path parameter must lie in [0, 1], got {t}")
-        pts: list[Point] = []
-        for leg in self.legs:
-            q = self._leg_position(leg, t)
-            if not isinstance(q, BasepointTag):
-                pts.append(q)
-        return canonicalize(pts, self.pair)
+        positions = [self._leg_position(leg, t) for leg in self.legs]
+        rows = [q.coords for q in positions if not isinstance(q, BasepointTag)]
+        return _canonical(np.array(rows).reshape(-1, self.pair.dim), [1] * len(rows), self.pair)
 
     def _leg_position(self, leg: PathLeg, t: float):
         pair = self.pair
@@ -242,19 +238,9 @@ def c0_truncation_gap(m: int):
     if m > SupCubeTruncatedC0.MAX_DIM:
         raise TooLarge(f"subset enumeration capped at m = {SupCubeTruncatedC0.MAX_DIM}")
     space = SupCubeTruncatedC0(m)
-    even_pts: list[Point] = []
-    odd_pts: list[Point] = []
-    for mask in range(1 << m):
-        coords = tuple(
-            1.0 + 1.0 / (i + 1) if (mask >> i) & 1 else 0.0 for i in range(m)
-        )
-        vec = space.point(*coords)
-        if bin(mask).count("1") % 2 == 0:
-            even_pts.append(vec)
-        else:
-            odd_pts.append(vec)
-    sigma = canonicalize(even_pts, space)
-    tau = canonicalize(odd_pts, space)
+    V, odd = _subset_vectors(m)
+    sigma = _canonical(V[~odd], [1] * (len(V) // 2), space)
+    tau = _canonical(V[odd], [1] * (len(V) // 2), space)
     gap, matching = bottleneck(sigma, tau, space)
 
     # minima over the distinct points: multiplicity does not change a minimum
@@ -277,3 +263,12 @@ def c0_truncation_gap(m: int):
         numeric_trace=((float(m), gap),),
     )
     return gap, report
+
+
+def _subset_vectors(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 2^m subset vectors of the m-coordinate sup cube as rows, row
+    ``mask`` holding 1 + 1/i at each coordinate i in F = {i : bit i - 1 of
+    mask is set} and 0 elsewhere, and which rows have |F| odd."""
+    bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+    V = np.where(bits == 1, 1.0 + 1.0 / np.arange(1, m + 1), 0.0)
+    return V, bits.sum(axis=1) % 2 == 1

@@ -59,7 +59,8 @@ import numpy as np
 from ._kernels import augmented_matching, solve_assignment
 from .diagram import Diagram, _check_same_space
 from .errors import ParseError, TooLarge
-from .spaces import BASEPOINT, BasepointTag, MetricPair, Point, _point_to_json, _quotient_costs
+from .spaces import (BASEPOINT, BasepointTag, MetricPair, Point, _coords_from_json,
+                     _point_to_json, _quotient_costs)
 
 __all__ = [
     "DEFAULT_NODE_CAP",
@@ -476,8 +477,8 @@ def matching_from_json(obj: dict | str, pair: MetricPair) -> Matching:
         if v == "A":
             return BASEPOINT
         try:
-            return pair.point(*[float(c) for c in v])
-        except (TypeError, ValueError) as e:
+            return pair.point(*_coords_from_json(v, pair.dim))
+        except (TypeError, ValueError, OverflowError) as e:
             raise ParseError(f"{where}: {e}") from e
 
     pairs = []

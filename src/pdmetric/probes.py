@@ -9,7 +9,10 @@ defeats any claimed countable dense set when X is too spread out.
 
 Each probe asks the metric pair one batch query per point set (its
 samples, its separated points, a candidate diagram, a settle window)
-rather than one scalar query per point.
+rather than one scalar query per point.  The diagrams a probe builds come
+from coordinate rows already on the pair (its inputs' rows, the family's
+centers, settled trajectory ends), which go straight to the canonical
+form without a Point per row.
 
 Probes never extrapolate: a WITNESSED or REFUTED verdict is only emitted
 when the defining inequality was actually checked by the exact solver, and
@@ -28,10 +31,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .diagram import Diagram, _check_same_space, _diagram_points_to_json, canonicalize
+from .diagram import Diagram, _canonical, _check_same_space, _diagram_points_to_json
 from .errors import CoverageGap, EmptyAnnulus, NotCauchy, PreconditionViolated
 from .matching import bottleneck
-from .spaces import BasepointTag, FiniteExplicit, MetricPair, Point, _point_to_json
+from .spaces import BasepointTag, FiniteExplicit, MetricPair, Point, _point_to_json, _row_blocks
 
 __all__ = [
     "Verdict",
@@ -52,9 +55,6 @@ __all__ = [
 # envelope extraction stops once a stage's bound falls to the floor
 CONV_TOL = 1e-6
 ENVELOPE_FLOOR = 1e-9
-# separability_adversary checks separation, and _nearest finds centers, in
-# row blocks of distances of at most this many bytes
-_SEPARATION_BLOCK_BYTES = 1 << 20
 
 
 class Verdict(str, Enum):
@@ -166,17 +166,17 @@ def vanishing_pair_demo(
         raise PreconditionViolated(
             f"tail exhausted: need {n_max + 1} points, got {len(tail)}"
         )
-    swap_bounds = pair.pairwise_dist(
-        pair.coords_matrix([limit_point]), pair.coords_matrix(tail[: n_max + 1])
-    )[0].tolist()
+    # row 0 is the limit point, row i >= 1 the tail point x_i
+    X = pair.coords_matrix([limit_point] + tail[: n_max + 1])
+    swap_bounds = pair.pairwise_dist(X[:1], X[1:])[0].tolist()
     if 0.0 in swap_bounds:
         raise PreconditionViolated("tail points must differ from the limit point")
     trace = []
     bounds = []
     all_bounded = True
     for N in range(1, n_max + 1):
-        sigma = canonicalize([limit_point] + tail[:N], pair)
-        tau = canonicalize(tail[: N + 1], pair)
+        sigma = _canonical(X[: N + 1], [1] * (N + 1), pair)
+        tau = _canonical(X[1 : N + 2], [1] * (N + 1), pair)
         d, _ = bottleneck(sigma, tau, pair)
         bound = swap_bounds[N]
         trace.append((float(N), d))
@@ -281,7 +281,7 @@ def cauchy_chain_limit(diagrams: Sequence[Diagram], pair: MetricPair):
 
     final_bound = stages[-1][2]
     absorb_tol = final_bound + CONV_TOL
-    limit_pts: list[Point] = []
+    limit_rows = []
     unresolved = 0
     to_A = pair.dist_to_A_batch(pair.coords_matrix([trajs[ti][-1] for ti in live]))
     for ti, a in zip(live, to_A):
@@ -289,10 +289,10 @@ def cauchy_chain_limit(diagrams: Sequence[Diagram], pair: MetricPair):
             continue  # vanishing trajectory, absorbed by A
         window = pair.coords_matrix(trajs[ti][-3:])
         if len(window) == 3 and np.all(pair.pairwise_dist(window, window) <= CONV_TOL):
-            limit_pts.append(trajs[ti][-1])
+            limit_rows.append(window[-1])
         else:
             unresolved += 1
-    limit = canonicalize(limit_pts, pair)
+    limit = _canonical(np.array(limit_rows).reshape(-1, pair.dim), [1] * len(limit_rows), pair)
 
     trace = []
     verified = True
@@ -473,11 +473,10 @@ def _nearest(pair: MetricPair, xs: np.ndarray, C: np.ndarray):
     first) and the distance to it, a block of rows at a time."""
     idx = np.empty(len(xs), dtype=np.intp)
     dist = np.empty(len(xs))
-    rows = max(1, _SEPARATION_BLOCK_BYTES // (8 * max(1, len(C))))
-    for s in range(0, len(xs), rows):
-        block = pair.pairwise_dist(xs[s : s + rows], C)
-        i = idx[s : s + rows] = block.argmin(axis=1)
-        dist[s : s + rows] = block[np.arange(len(block)), i]
+    for b in _row_blocks(len(xs), len(C)):
+        block = pair.pairwise_dist(xs[b], C)
+        i = idx[b] = block.argmin(axis=1)
+        dist[b] = block[np.arange(len(block)), i]
     return idx, dist
 
 
@@ -495,8 +494,7 @@ def approximate_from_family(sigma: Diagram, family: DenseFamily):
     if gaps.size:
         p, d = sigma.points[kept[gaps[0]]][0], float(dists[gaps[0]])
         raise CoverageGap(f"{p!r} is {d} from the nearest center, beyond {radius}")
-    snapped = [(family.centers[j], sigma.mults[i]) for i, j in zip(kept, nearest)]
-    tau = canonicalize(snapped, pair)
+    tau = _canonical(family._center_coords[nearest], [sigma.mults[i] for i in kept], pair)
     d, _ = bottleneck(sigma, tau, pair)
     return tau, d
 
@@ -537,21 +535,19 @@ def separability_adversary(
         raise PreconditionViolated(f"{xs[outside[0]]!r} lies outside the annulus [{delta}, {D})")
     # the separation matrix a block of rows at a time; the first close pair
     # i < j in row-major order lies in the first block that has one
-    rows = max(1, _SEPARATION_BLOCK_BYTES // (8 * max(1, k)))
-    for s in range(0, k, rows):
-        between = pair.pairwise_dist(X[s : s + rows], X)
-        close = np.argwhere(np.triu(between < epsilon, s + 1))
+    for b in _row_blocks(k, k):
+        between = pair.pairwise_dist(X[b], X)
+        close = np.argwhere(np.triu(between < epsilon, b.start + 1))
         if close.size:
             i, j = close[0]
             raise PreconditionViolated(
-                f"points {s + i} and {j} are {float(between[i, j])} apart, below {epsilon}"
+                f"points {b.start + i} and {j} are {float(between[i, j])} apart, below {epsilon}"
             )
     half = epsilon / 2.0
-    kept = []
-    for x, row, sig in zip(xs, X, candidates):
-        if np.all(pair.pairwise_dist(sig.coords, row[None, :]) >= half):
-            kept.append(x)
-    tau = canonicalize(kept, pair)
+    keep = [bool(np.all(pair.pairwise_dist(sig.coords, row[None, :]) >= half))
+            for row, sig in zip(X, candidates)]
+    kept = [x for x, kx in zip(xs, keep) if kx]
+    tau = _canonical(X[keep], [1] * len(kept), pair)
     trace = []
     ok = True
     for i, sig in enumerate(candidates):

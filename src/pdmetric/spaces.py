@@ -106,9 +106,11 @@ class MetricPair:
     One point rule holds for every pair: a point has exactly ``dim``
     finite coordinates that meet the pair's own condition, ``_outside``
     (by default none).  ``_first_bad_row`` applies the rule to a whole
-    coordinate array; ``point`` and the diagram parsers both call it, the
-    parsers once per diagram.  Scalar distance queries are
-    derived from the vectorized ones, so the two can never disagree; they
+    coordinate array; the diagram parsers apply it once per parsed array.
+    ``_checked`` raises ValueError for the first bad row, ``_points``
+    returns the rows of a checked array as Points, and ``point`` is
+    ``_points`` of one row.  Scalar distance queries are derived from the
+    vectorized ones, so the two can never disagree; they
     also answer for BASEPOINT, which only a quotient pair accepts:
     d(A, y) = d(y, A) and d(A, A) = 0.
     """
@@ -125,10 +127,20 @@ class MetricPair:
         c = tuple(map(float, coords))
         if len(c) != self.dim:
             raise ValueError(f"expected {self.dim} coordinates, got {len(c)}")
-        bad = self._first_bad_row(np.array([c]))
+        return self._points(np.array([c]))[0]
+
+    def _points(self, X: np.ndarray) -> list[Point]:
+        """The rows of the (k, dim) array X as Points of this pair."""
+        sid = self.space_id
+        return [Point(sid, tuple(c)) for c in self._checked(X).tolist()]
+
+    def _checked(self, X: np.ndarray) -> np.ndarray:
+        """X itself once every row of it is a point of this pair; the
+        first row that is not one raises ValueError."""
+        bad = self._first_bad_row(X)
         if bad is not None:
             raise ValueError(bad[1])
-        return Point(self.space_id, c)
+        return X
 
     def _first_bad_row(self, X: np.ndarray) -> tuple[int, str] | None:
         """The index of the first row of the (k, dim) array X that is not
@@ -230,9 +242,17 @@ def _lerp(x: tuple[float, ...], y: tuple[float, ...], t: float) -> tuple[float, 
     return tuple((1.0 - t) * a + t * b for a, b in zip(x, y))
 
 
-# Byte budget of the temporary array that pairwise distances build per
-# block of rows, (rows, m, dim) or (rows, m); bounds their peak memory.
-_PAIRWISE_BLOCK_BYTES = 8 << 20
+# Byte budget of a block of distances, or of the temporary array behind
+# one; every loop over a large distance matrix works a block of rows at a
+# time within it, which bounds its peak memory.
+_BLOCK_BYTES = 1 << 20
+
+
+def _row_blocks(n: int, per_row: int):
+    """Slices covering rows 0..n-1 in order, each block as many rows (at
+    least one) as fit in _BLOCK_BYTES at per_row float64 entries a row."""
+    rows = max(1, _BLOCK_BYTES // (8 * max(1, per_row)))
+    return [slice(s, s + rows) for s in range(0, n, rows)]
 
 
 def _norm_batch(diffs: np.ndarray, norm: str) -> np.ndarray:
@@ -245,25 +265,23 @@ def _norm_batch(diffs: np.ndarray, norm: str) -> np.ndarray:
 def _pairwise_norm(xs: np.ndarray, ys: np.ndarray, norm: str) -> np.ndarray:
     """Matrix of norm(x - y) over the rows of xs and ys.
 
-    Works through xs in blocks of rows so the temporary arrays stay within
-    _PAIRWISE_BLOCK_BYTES.  The Euclidean norm reduces a (rows, m, dim)
-    difference array.  The sup norm keeps a running maximum of |x_k - y_k|
-    one coordinate k at a time in a (rows, m) buffer: the maximum of
-    non-negative floats does not depend on the order they are compared in.
-    Either way every entry is, bit for bit, that of one unblocked pass.
+    Works through xs in row blocks (``_row_blocks``) so the temporary
+    arrays stay within _BLOCK_BYTES.  The Euclidean norm reduces a
+    (rows, m, dim) difference array.  The sup norm keeps a running maximum
+    of |x_k - y_k| one coordinate k at a time in a (rows, m) buffer: the
+    maximum of non-negative floats does not depend on the order they are
+    compared in.  Either way every entry is, bit for bit, that of one
+    unblocked pass.
     """
     n, m, dim = xs.shape[0], ys.shape[0], xs.shape[1]
     out = np.empty((n, m), dtype=np.float64)
     if norm == EUCLIDEAN:
-        rows = max(1, _PAIRWISE_BLOCK_BYTES // (8 * max(1, m * dim)))
-        for s in range(0, n, rows):
-            out[s : s + rows] = _norm_batch(xs[s : s + rows, None, :] - ys[None, :, :], norm)
+        for b in _row_blocks(n, m * dim):
+            out[b] = _norm_batch(xs[b, None, :] - ys[None, :, :], norm)
         return out
-    rows = max(1, _PAIRWISE_BLOCK_BYTES // (8 * max(1, m)))
-    buf = np.empty((min(rows, n), m), dtype=np.float64)
-    for s in range(0, n, rows):
-        x, block = xs[s : s + rows], out[s : s + rows]
-        tmp = buf[: len(x)]
+    for b in _row_blocks(n, m):
+        x, block = xs[b], out[b]
+        tmp = np.empty_like(block)
         np.abs(np.subtract(x[:, :1], ys[:, 0], out=block), out=block)
         for k in range(1, dim):
             np.abs(np.subtract(x[:, k : k + 1], ys[:, k], out=tmp), out=tmp)
@@ -601,6 +619,22 @@ def _point_to_json(p: Point | BasepointTag):
     if isinstance(p, BasepointTag):
         return "A"
     return [float(c) for c in p.coords]
+
+
+def _coords_from_json(v, dim: int) -> list[float]:
+    """The floats of a JSON coordinate list: a list of dim entries, each a
+    number or a text float() reads.  A value that is not a list (a text
+    or an object would iterate), a boolean entry or a wrong length raises
+    ValueError; float() raises TypeError or OverflowError for an entry it
+    cannot read."""
+    if type(v) is not list:
+        raise ValueError(f"coordinates must be a list, got {v!r}")
+    c = [float(x) for x in v if type(x) is not bool]
+    if len(c) != len(v):
+        raise ValueError(f"a boolean is not a coordinate, got {v!r}")
+    if len(c) != dim:
+        raise ValueError(f"expected {dim} coordinates, got {len(c)}")
+    return c
 
 
 def _int_field(value, name: str) -> int:

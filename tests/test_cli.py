@@ -205,6 +205,14 @@ MALFORMED = [
                  id="mult-zero"),
     pytest.param(["dist", '{"points": [{"coords": [0, 4], "mult": 1.5}]}', TAU, "--space", PLANE],
                  id="mult-fraction"),
+    pytest.param(["dist", '{"points": [{"coords": "12"}]}', TAU, "--space", PLANE],
+                 id="coords-string"),
+    pytest.param(["dist", '{"points": [{"coords": {"1": 0, "5": 0}}]}', TAU, "--space", PLANE],
+                 id="coords-object"),
+    pytest.param(["dist", '{"points": [{"coords": [true, 2]}]}', TAU, "--space", PLANE],
+                 id="coords-boolean"),
+    pytest.param(["dist", '{"points": [{"coords": [0, 4], "mult": true}]}', TAU, "--space", PLANE],
+                 id="mult-true"),
     pytest.param(["dist", '{"space": "halfline", "points": []}', TAU, "--space", PLANE],
                  id="space-mismatch"),
     pytest.param(["probe", "c0-gap", "--m", "13"], id="too-large"),

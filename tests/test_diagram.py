@@ -117,6 +117,24 @@ def test_canonicalize_zero_mult_and_errors():
     assert not isinstance(err.value, SpaceMismatch)
 
 
+@pytest.mark.parametrize("mult", [2.7, 0.5, -0.5, "3", True, False, np.True_, math.inf,
+                                  math.nan, None, np.float64(1.5)])
+def test_canonicalize_refuses_a_multiplicity_that_is_not_an_integer(mult):
+    pair = plane()
+    with pytest.raises(ValueError) as err:
+        canonicalize([(pair.point(0.0, 4.0), mult)], pair)
+    assert str(err.value) == f"multiplicities must be integers, got {mult!r}"
+
+
+@pytest.mark.parametrize("mult, want", [(3, 3), (np.int64(3), 3), (np.uint8(2), 2), (4.0, 4),
+                                        (np.float64(2.0), 2), (0.0, 0), (10**20, 10**20)])
+def test_canonicalize_reads_integers_of_any_kind(mult, want):
+    pair = plane()
+    d = canonicalize([(pair.point(0.0, 4.0), mult)], pair)
+    assert d.mults == ((want,) if want else ())
+    assert all(type(m) is int for m in d.mults)
+
+
 def test_equality_is_canonical_equality():
     pair = plane()
     a = canonicalize([pair.point(0.0, 4.0), pair.point(1.0, 3.0)], pair)
@@ -132,6 +150,15 @@ def test_multiplicity_lookup():
     assert d.multiplicity(pair.point(0.0, 4.0)) == 2
     assert d.multiplicity(pair.point(1.0, 4.0)) == 0
     assert list(d.iter_points()) == [pair.point(0.0, 4.0)] * 2
+
+
+def test_multiplicity_of_a_point_of_another_space_is_a_mismatch():
+    pair = plane()
+    d = canonicalize([pair.point(0.0, 1.0)], pair)
+    assert d.multiplicity(pair.point(0.0, 1.0)) == 1
+    for other in (PlaneDiagonal(1, "euclidean"), QuotientOf(plane())):
+        with pytest.raises(SpaceMismatch):
+            d.multiplicity(other.point(0.0, 1.0))
 
 
 # -- total persistence ---------------------------------------------------------
@@ -403,7 +430,15 @@ JSON_CASES = [
     ("3 coords", plane(), [{"coords": [1, 2, 3]}], "points[0]: expected 2 coordinates, got 3"),
     ("null coord", plane(), [{"coords": [1, None]}],
      "points[0]: float() argument must be a string or a real number, not 'NoneType'"),
-    ("number coords", plane(), [{"coords": 12}], "points[0]: 'int' object is not iterable"),
+    ("number coords", plane(), [{"coords": 12}], "points[0]: coordinates must be a list, got 12"),
+    ("coords string", plane(), [{"coords": "12"}],
+     "points[0]: coordinates must be a list, got '12'"),
+    ("coords object", plane(), [{"coords": {"1": 0, "5": 0}}],
+     "points[0]: coordinates must be a list, got {'1': 0, '5': 0}"),
+    ("boolean coord", plane(), [{"coords": [True, 2]}],
+     "points[0]: a boolean is not a coordinate, got [True, 2]"),
+    ("boolean mult", plane(), [{"coords": [1, 2], "mult": True}],
+     "points[0] has bad multiplicity True"),
     ("not an object", plane(), [3], 'points[0] must be an object with "coords"'),
     ("float mult", plane(), [{"coords": [1, 2], "mult": 2.0}],
      "points[0] has bad multiplicity 2.0"),
@@ -421,8 +456,6 @@ JSON_CASES = [
      "points[0]: index 0.5 out of range for 3 points"),
     ("finite index inf", _FE, [{"coords": [math.inf]}], "points[0]: coordinates must be finite"),
     ("string cells", plane(), [{"coords": ["1", " 2 "]}], (((1.0, 2.0), 1),)),
-    ("coords string", plane(), [{"coords": "12"}], (((1.0, 2.0), 1),)),
-    ("boolean mult", plane(), [{"coords": [1, 2], "mult": True}], (((1.0, 2.0), 1),)),
     ("finite index -0.0", _FE, [{"coords": [-0.0]}, {"coords": [0]}], (((-0.0,), 2),)),
 ]
 

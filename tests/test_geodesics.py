@@ -312,6 +312,21 @@ def test_c0_gap_values():
     assert gap3 == 1.0 + 1.0 / 3.0
 
 
+def test_c0_subset_vectors_follow_the_enumerated_definition():
+    """Row ``mask`` of the subset array is the vector of F = the set bits
+    of mask (coordinate i is 1 + 1/(i+1) when bit i is set), bit for bit,
+    and the parity split is that of |F|."""
+    from pdmetric.geodesics import _subset_vectors
+
+    for m in range(1, 7):
+        V, odd = _subset_vectors(m)
+        masks = range(1 << m)
+        want = [[1.0 + 1.0 / (i + 1) if (mask >> i) & 1 else 0.0 for i in range(m)]
+                for mask in masks]
+        assert V.dtype == np.float64 and V.tobytes() == np.array(want).tobytes()
+        assert odd.tolist() == [bin(mask).count("1") % 2 == 1 for mask in masks]
+
+
 def test_c0_gap_monotone_above_limit():
     gaps = [c0_truncation_gap(m)[0] for m in range(2, 7)]
     for g in gaps:

@@ -302,7 +302,7 @@ def test_dense_family_validation_catches_gap():
 def test_nearest_center_blocks_keep_first_minimum_ties(monkeypatch):
     """Blocks of three rows give the unblocked argmin: among equally near
     centers the first one wins, on an integer grid full of ties."""
-    import pdmetric.probes
+    import pdmetric.spaces
     from pdmetric.probes import _nearest
 
     rng = np.random.default_rng(8)
@@ -311,7 +311,7 @@ def test_nearest_center_blocks_keep_first_minimum_ties(monkeypatch):
         C = rng.integers(0, 6, (9, pair.dim)).astype(float)
         full = pair.pairwise_dist(xs, C)
         want = full.argmin(axis=1)
-        monkeypatch.setattr(pdmetric.probes, "_SEPARATION_BLOCK_BYTES", 8 * len(C) * 3)
+        monkeypatch.setattr(pdmetric.spaces, "_BLOCK_BYTES", 8 * len(C) * 3)
         idx, dist = _nearest(pair, xs, C)
         assert idx.tolist() == want.tolist()
         assert dist.tolist() == full[np.arange(len(xs)), want].tolist()
@@ -400,7 +400,7 @@ def test_adversary_reports_the_first_close_pair_across_blocks(monkeypatch):
     """With two rows per block the refusal names the pair an unblocked check
     names: a close pair whose smaller index comes later, or lies in the
     block's lower triangle, is not reported first."""
-    import pdmetric.probes
+    import pdmetric.spaces
 
     pair = plane_sup()
     xs = [pair.point(3.0 * i, 3.0 * i + 3.0) for i in range(9)]
@@ -410,7 +410,7 @@ def test_adversary_reports_the_first_close_pair_across_blocks(monkeypatch):
     cands = [empty_diagram(pair)] * len(xs)
     want = first_close_pair_message(pair, xs, 1.0)
     assert want.startswith("points 0 and 3 ")
-    monkeypatch.setattr(pdmetric.probes, "_SEPARATION_BLOCK_BYTES", 8 * len(xs) * 2)
+    monkeypatch.setattr(pdmetric.spaces, "_BLOCK_BYTES", 8 * len(xs) * 2)
     with pytest.raises(PreconditionViolated) as e:
         separability_adversary(pair, cands, 1.0, 2.0, 1.0, xs)
     assert str(e.value) == want

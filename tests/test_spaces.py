@@ -212,11 +212,11 @@ def test_blocked_pairwise_distances_are_bit_identical(norm, dim):
     """Row-blocked distances (the sup norm one coordinate at a time) equal
     one unblocked pass bit for bit, on inputs spanning several blocks of
     the real byte budget, with exact zeros, signed zeros and ties."""
-    from pdmetric.spaces import _PAIRWISE_BLOCK_BYTES, _pairwise_norm
+    from pdmetric.spaces import _BLOCK_BYTES, _pairwise_norm
 
     rng = np.random.default_rng(dim)
     m = 300
-    n = 3 * _PAIRWISE_BLOCK_BYTES // (8 * m) + 7
+    n = 3 * _BLOCK_BYTES // (8 * m) + 7
     xs = rng.uniform(-50.0, 50.0, (n, dim))
     ys = rng.uniform(-50.0, 50.0, (m, dim))
     ys[:5] = xs[:5]  # exact zeros
