@@ -31,7 +31,7 @@ import numpy as np
 
 from .diagram import Diagram, _canonical
 from .errors import NoGeodesicOracle, TooLarge
-from .matching import Matching, MatchedPair, bottleneck
+from .matching import Matching, MatchedPair, _bottleneck, _cost_data, bottleneck
 from .probes import ProbeReport, Verdict
 from .spaces import (
     BASEPOINT,
@@ -241,12 +241,15 @@ def c0_truncation_gap(m: int):
     V, odd = _subset_vectors(m)
     sigma = _canonical(V[~odd], [1] * (len(V) // 2), space)
     tau = _canonical(V[odd], [1] * (len(V) // 2), space)
-    gap, matching = bottleneck(sigma, tau, space)
-
-    # minima over the distinct points: multiplicity does not change a minimum
-    X, Y = sigma.coords, tau.coords
-    min_cross = float(space.pairwise_dist(X, Y).min(initial=math.inf))
-    min_to_A = float(space.dist_to_A_batch(np.vstack([X, Y])).min(initial=math.inf))
+    # every subset is one point, so the solve's rows are the distinct points
+    Q, ax, ay = _cost_data(sigma, tau, space)
+    gap, _ = _bottleneck(sigma, tau, Q, ax, ay)
+    # Q = min(d, ax + ay) is d itself at its minimum: an even and an odd
+    # subset differ in some coordinate i, so they are at least 1 + 1/m
+    # apart, and {1} and {1, m} are exactly that; every ax, ay is at least
+    # 1 + 1/m, so ax + ay is larger
+    min_cross = float(Q.min(initial=math.inf))
+    min_to_A = float(min(ax.min(initial=math.inf), ay.min(initial=math.inf)))
     ok = gap > 1.0 and min_cross > 1.0 and min_to_A > 1.0
     report = ProbeReport(
         probe_name="c0_truncation_gap",

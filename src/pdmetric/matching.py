@@ -15,15 +15,18 @@ The search runs the augmented kernel at the lower end LB first.  Only when
 LB is infeasible does it build the candidates in (LB, UB], decide them by
 the must-match rule, which matches only the points farther than the
 threshold from A, and lower its upper end to each feasible decision's
-largest cost.  The witness is always an augmented kernel matching at the
-optimal candidate, so none of this shows in the output.
+largest cost.  The value is the smallest feasible candidate, read from
+the search.  The witness is always an augmented kernel matching at that
+candidate, so none of this shows in the output; it is built when its
+``pairs`` are first read, and a solve whose witness is never read runs
+no kernel after its last decision.
 Wasserstein values come from an exact min-cost assignment.  Every point
 left unmatched goes to A, so a matching costs the fixed sum of all powers
 d(x, A)^p and d(y, A)^p plus, per matched pair, Q^p - d(x, A)^p - d(y, A)^p;
 the assignment therefore runs on a max(n, m) x max(n, m) matrix, not on
 the (n+m) x (n+m) augmented one.  The witness lists each x in order with
 its partner or with A (a pair split through A as its two halves), then
-the (A, y) pairs of the unmatched y in order.  Reported values are
+the (A, y) pairs of the unmatched y in order.  Wasserstein values are
 recomputed from the witness pairs with compensated summation of the sorted
 cost powers, which makes them insensitive to the order the solver
 discovered the pairs in.  When the power of a nonzero cost would be 0 or
@@ -51,6 +54,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, permutations
 from typing import Iterable
 
@@ -92,12 +96,35 @@ class Matching:
     """A bijection witness between two diagrams' augmented point sets.
 
     ``value`` is the matching's objective: the max cost for p = inf, else
-    the p-norm of the costs.
+    the p-norm of the costs.  A witness from ``bottleneck`` builds its
+    ``pairs`` on first read and keeps them; until then it holds the
+    solve's cost data (the n x m matrix Q among them), which it drops once
+    they are built.  Equality, hashing, repr and pickling read ``pairs``.
     """
 
     pairs: tuple[MatchedPair, ...]
     value: float
     p: float
+
+    @classmethod
+    def _deferred(cls, build, value: float, p: float) -> Matching:
+        """A witness whose pairs are ``build()``, called on first read."""
+        matching = cls.__new__(cls)
+        matching.__dict__.update(value=value, p=p, _build=build)
+        return matching
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks, which for
+        # "pairs" means a deferred witness read for the first time
+        build = self.__dict__.get("_build")
+        if name != "pairs" or build is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__["pairs"] = pairs = build()
+        self.__dict__.pop("_build", None)
+        return pairs
+
+    def __getstate__(self):
+        return {"pairs": self.pairs, "value": self.value, "p": self.p}
 
 
 def _check_p(p, error=ValueError, name: str = "p") -> float:
@@ -179,12 +206,17 @@ def total_persistence(diagram: Diagram, p: float, pair: MetricPair) -> float:
         raise TooLarge(f"cost powers overflow the float range at p = {p}") from e
 
 
-def _expand(diagram: Diagram, pair: MetricPair) -> tuple[list[Point], np.ndarray]:
-    """The diagram's points repeated by multiplicity, as Points and as a
-    coordinate array; only after a size check."""
+def _expand(diagram: Diagram, pair: MetricPair) -> np.ndarray:
+    """The diagram's coordinate rows, each repeated by its multiplicity in
+    place; only after a size check."""
     _check_same_space(diagram, pair)
-    pts = [p for p, m in diagram.points for _ in range(m)]
-    return pts, np.repeat(diagram.coords, diagram.mults, axis=0)
+    return np.repeat(diagram.coords, diagram.mults, axis=0)
+
+
+def _row_points(diagram: Diagram) -> list[Point]:
+    """The Point of each row of ``_expand``; built only when a witness's
+    pairs are."""
+    return [p for p, k in diagram.points for _ in range(k)]
 
 
 def _check_size(sigma: Diagram, tau: Diagram, pair: MetricPair, limit: int) -> None:
@@ -199,17 +231,19 @@ def _check_size(sigma: Diagram, tau: Diagram, pair: MetricPair, limit: int) -> N
 
 
 def _cost_data(sigma: Diagram, tau: Diagram, pair: MetricPair):
+    """(Q, ax, ay) over the expanded rows: the n x m quotient costs and
+    both distance-to-A vectors."""
     _check_size(sigma, tau, pair, DEFAULT_NODE_CAP)
-    xs, X = _expand(sigma, pair)
-    ys, Y = _expand(tau, pair)
+    X, Y = _expand(sigma, pair), _expand(tau, pair)
     ax = pair.dist_to_A_batch(X)
     ay = pair.dist_to_A_batch(Y)
     Q = _quotient_costs(pair.pairwise_dist(X, Y), ax, ay)
-    return xs, ys, np.ascontiguousarray(Q), ax, ay
+    return np.ascontiguousarray(Q), ax, ay
 
 
-def _build_pairs(xs, ys, assign_l, n, m, Q, ax, ay) -> tuple[MatchedPair, ...]:
-    """Convert a left-to-right node assignment into matched pairs.
+def _build_pairs(sigma, tau, assign_l, Q, ax, ay) -> tuple[MatchedPair, ...]:
+    """Convert a left-to-right node assignment over the expanded rows of
+    ``sigma`` and ``tau`` into matched pairs.
 
     A point pair whose quotient cost is the route through A (Q equals
     d(x, A) + d(y, A)) is split into the two explicit A-assignments it
@@ -219,6 +253,8 @@ def _build_pairs(xs, ys, assign_l, n, m, Q, ax, ay) -> tuple[MatchedPair, ...]:
     reported cost multiset identical to the one the same matching has
     over the unquotiented pair.
     """
+    n, m = Q.shape
+    xs, ys = _row_points(sigma), _row_points(tau)
     out = []
     for u, v in enumerate(assign_l):
         if u < n:
@@ -248,8 +284,7 @@ def _candidates(Q: np.ndarray, ax: np.ndarray, ay: np.ndarray,
 def candidate_thresholds(sigma: Diagram, tau: Diagram, pair: MetricPair) -> list[float]:
     """Sorted distinct values the bottleneck distance can take: 0, the
     pairwise quotient costs, and each point's distance to A."""
-    _, _, Q, ax, ay = _cost_data(sigma, tau, pair)
-    return _candidates(Q, ax, ay).tolist()
+    return _candidates(*_cost_data(sigma, tau, pair)).tolist()
 
 
 def feasible_at_threshold(
@@ -262,12 +297,11 @@ def feasible_at_threshold(
     success also return one such matching as a witness."""
     if r < 0.0:
         return False, None
-    xs, ys, Q, ax, ay = _cost_data(sigma, tau, pair)
-    n, m = len(xs), len(ys)
+    Q, ax, ay = _cost_data(sigma, tau, pair)
     ml = augmented_matching(Q, ax, ay, float(r))
     if np.any(ml < 0):
         return False, None
-    return True, _matching(_build_pairs(xs, ys, ml, n, m, Q, ax, ay), math.inf)
+    return True, _matching(_build_pairs(sigma, tau, ml, Q, ax, ay), math.inf)
 
 
 def bottleneck(
@@ -292,17 +326,24 @@ def bottleneck(
     the upper end to its largest cost (``_largest_cost``), which is
     feasible and no larger than the threshold tried.  The witness is the
     augmented matching at the smallest feasible candidate, so the returned
-    value is exactly the largest cost of the returned matching.
+    value is exactly the largest cost of the returned matching.  The value
+    comes from the search; the witness's pairs are built when first read
+    (see ``Matching``), by one more cold augmented run at the value unless
+    the LB run's matching is the witness.
     """
-    xs, ys, Q, ax, ay = _cost_data(sigma, tau, pair)
-    n, m = len(xs), len(ys)
+    return _bottleneck(sigma, tau, *_cost_data(sigma, tau, pair))
+
+
+def _bottleneck(sigma: Diagram, tau: Diagram, Q: np.ndarray, ax: np.ndarray,
+                ay: np.ndarray) -> tuple[float, Matching]:
+    """``bottleneck`` on the cost data ``_cost_data(sigma, tau, pair)``."""
     cheapest = np.concatenate((np.minimum(ax, Q.min(axis=1, initial=np.inf)),
                                np.minimum(ay, Q.min(axis=0, initial=np.inf))))
-    lb = float(cheapest.max(initial=0.0))
-    ml = augmented_matching(Q, ax, ay, lb)
+    value = float(cheapest.max(initial=0.0))
+    ml = augmented_matching(Q, ax, ay, value)
     if np.any(ml < 0):
         ub = float(max(ax.max(initial=0.0), ay.max(initial=0.0)))
-        cands = _candidates(Q, ax, ay, lb, ub)
+        cands = _candidates(Q, ax, ay, value, ub)
         lo, hi = 0, len(cands) - 1
         while lo < hi:
             mid = (lo + hi) // 2
@@ -311,9 +352,18 @@ def bottleneck(
                 lo = mid + 1
             else:
                 hi = int(cands.searchsorted(_largest_cost(partner, Q, ax, ay)))
-        ml = augmented_matching(Q, ax, ay, float(cands[lo]))
-    matching = _matching(_build_pairs(xs, ys, ml, n, m, Q, ax, ay), math.inf)
-    return matching.value, matching
+        value, ml = float(cands[lo]), None
+    return value, Matching._deferred(
+        partial(_bottleneck_pairs, sigma, tau, Q, ax, ay, value, ml), value, math.inf)
+
+
+def _bottleneck_pairs(sigma, tau, Q, ax, ay, value: float, ml) -> tuple[MatchedPair, ...]:
+    """The pairs of the bottleneck witness: the augmented matching ``ml``
+    at ``value`` when the search kept one (the LB run's), else one cold
+    augmented run there."""
+    if ml is None:
+        ml = augmented_matching(Q, ax, ay, value)
+    return _build_pairs(sigma, tau, ml, Q, ax, ay)
 
 
 def _largest_cost(partner: np.ndarray, Q: np.ndarray, ax: np.ndarray, ay: np.ndarray) -> float:
@@ -344,8 +394,8 @@ def wasserstein(
     p = _check_p(p)
     if math.isinf(p):
         return bottleneck(sigma, tau, pair)
-    xs, ys, Q, ax, ay = _cost_data(sigma, tau, pair)
-    n, m = len(xs), len(ys)
+    Q, ax, ay = _cost_data(sigma, tau, pair)
+    n, m = Q.shape
     s = _power_scale(p, Q, ax, ay)
     with np.errstate(over="ignore"):
         Qp, axp, ayp = (Q / s) ** p, (ax / s) ** p, (ay / s) ** p
@@ -376,7 +426,7 @@ def wasserstein(
     u, v = u[hit], v[hit]
     assign_l[u] = v
     assign_l[n + v] = m + u
-    matching = _matching(_build_pairs(xs, ys, assign_l, n, m, Q, ax, ay), p)
+    matching = _matching(_build_pairs(sigma, tau, assign_l, Q, ax, ay), p)
     return matching.value, matching
 
 
@@ -391,9 +441,8 @@ def brute_force_dp(
     Exponential; refuses more than ``BRUTE_FORCE_CAP`` points in total,
     counted with multiplicity."""
     _check_size(sigma, tau, pair, BRUTE_FORCE_CAP)
-    xs, X = _expand(sigma, pair)
-    ys, Y = _expand(tau, pair)
-    n, m = len(xs), len(ys)
+    X, Y = _expand(sigma, pair), _expand(tau, pair)
+    n, m = len(X), len(Y)
     D = pair.pairwise_dist(X, Y)
     ax = pair.dist_to_A_batch(X)
     ay = pair.dist_to_A_batch(Y)
@@ -422,6 +471,7 @@ def brute_force_dp(
                         assign[i] = j
                     best_assign = tuple(assign)
     assert best_assign is not None
+    xs, ys = _row_points(sigma), _row_points(tau)
     pairs = []
     for i, j in enumerate(best_assign):
         if j >= 0:

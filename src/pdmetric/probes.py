@@ -127,7 +127,7 @@ def isolated_point_bound(pair: FiniteExplicit, sigma: Diagram, tau: Diagram):
     ms, mt = mults(sigma), mults(tau)
     differing = sorted(set(ms) ^ set(mt) | {i for i in set(ms) & set(mt) if ms[i] != mt[i]})
     X = np.array(differing, dtype=np.float64).reshape(-1, 1)
-    off_A = pair.coords_matrix(pair.points_off_A())
+    off_A = np.delete(np.arange(pair.size, dtype=np.float64), pair.A_indices)[:, None]
     # a point is not isolated from itself
     iso = np.where(X == off_A.T, math.inf, pair.pairwise_dist(X, off_A))
     eps_i = np.minimum(iso.min(axis=1, initial=math.inf), pair.dist_to_A_batch(X)).tolist()

@@ -427,8 +427,9 @@ class FiniteExplicit(MetricPair):
             raise InvalidMetric("diagonal must be zero")
         if not np.array_equal(M, M.T):
             raise InvalidMetric("distance matrix must be symmetric")
-        for k in range(n):
-            if np.any(M > M[:, k, None] + M[None, k, :] + self.TRIANGLE_TOL):
+        # entry (k, i, j) of a block is M[i, k] + M[k, j] + TRIANGLE_TOL
+        for b in _row_blocks(n, n * n):
+            if np.any(M > M.T[b, :, None] + M[b, None, :] + self.TRIANGLE_TOL):
                 raise InvalidMetric("triangle inequality violated")
         a_idx = sorted({int(i) for i in A})
         if not a_idx:

@@ -204,8 +204,8 @@ def augmented_wasserstein(sigma, tau, p, pair):
     package's; what is frozen is this matrix and how its assignment is read.
     The kernel is the vectorized one, which returns the same arrays as
     ``solve_assignment`` above in a fraction of the time."""
-    xs, ys, Q, ax, ay = matching._cost_data(sigma, tau, pair)
-    n, m = len(xs), len(ys)
+    Q, ax, ay = matching._cost_data(sigma, tau, pair)
+    n, m = Q.shape
     N = n + m
     if N == 0:
         return 0.0, matching.Matching((), 0.0, p)
@@ -219,7 +219,7 @@ def augmented_wasserstein(sigma, tau, p, pair):
     row_of_col = _kernels.solve_assignment(np.ascontiguousarray(C))
     assign_l = np.empty(N, dtype=np.int64)
     assign_l[row_of_col] = np.arange(N)
-    result = matching._matching(matching._build_pairs(xs, ys, assign_l, n, m, Q, ax, ay), p)
+    result = matching._matching(matching._build_pairs(sigma, tau, assign_l, Q, ax, ay), p)
     return result.value, result
 
 
@@ -229,8 +229,7 @@ def cold_bottleneck(sigma, tau, pair):
     last feasible trial's matching when it was made at the final threshold,
     else a cold run there.  The cost data, candidate set and witness
     assembly are the package's; what is frozen is the search."""
-    xs, ys, Q, ax, ay = matching._cost_data(sigma, tau, pair)
-    n, m = len(xs), len(ys)
+    Q, ax, ay = matching._cost_data(sigma, tau, pair)
     cands = matching._candidates(Q, ax, ay)
     cheapest = np.concatenate((np.minimum(ax, Q.min(axis=1, initial=np.inf)),
                                np.minimum(ay, Q.min(axis=0, initial=np.inf))))
@@ -247,5 +246,5 @@ def cold_bottleneck(sigma, tau, pair):
             ml, ml_at = trial, mid
     if ml_at != lo:
         ml = _kernels.augmented_matching(Q, ax, ay, float(cands[lo]))
-    result = matching._matching(matching._build_pairs(xs, ys, ml, n, m, Q, ax, ay), np.inf)
+    result = matching._matching(matching._build_pairs(sigma, tau, ml, Q, ax, ay), np.inf)
     return result.value, result

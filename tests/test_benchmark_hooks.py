@@ -30,8 +30,9 @@ def test_every_hook_family_is_installed(monkeypatch):
 def test_tracer_counts_every_bottleneck_decision(monkeypatch):
     """The search's must-match decisions run through the hooked name
     ``pdmetric.matching.augmented_matching``, so the traced
-    ``kernels.feasibility_calls`` counts them next to the cold LB and
-    witness runs."""
+    ``kernels.feasibility_calls`` counts them next to the cold LB run and
+    the witness run that the first read of ``pairs`` makes; the tracer
+    reads them, so it counts that run too."""
     import numpy as np
 
     import pdmetric.matching as pm
@@ -56,6 +57,8 @@ def test_tracer_counts_every_bottleneck_decision(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(pm, "augmented_matching", counting)
         want = pm.bottleneck(s, t, pair)
+        assert kinds.count(True) > 2 and kinds.count(False) == 1
+        want[1].pairs
     assert kinds.count(True) > 2 and kinds.count(False) == 2
 
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched

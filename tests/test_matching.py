@@ -114,10 +114,10 @@ def test_candidate_thresholds_and_feasibility():
 
 def test_bottleneck_evaluates_each_threshold_once(monkeypatch):
     """The search opens with a cold augmented run at LB, decides every
-    later threshold with the must-match rule and never twice, and adds at
-    most one cold augmented run, at the returned value, for the witness;
-    over these 80 instances it makes fewer kernel calls than the plain
-    binary search (174 calls)."""
+    later threshold with the must-match rule and never twice, and the
+    first read of the witness's pairs adds at most one cold augmented run,
+    at the returned value; over these 80 instances it makes fewer kernel
+    calls than the plain binary search (174 calls)."""
     import pdmetric.matching as pm
 
     calls = []  # (threshold, kind): "cold" augmented run or must-match "decision"
@@ -129,7 +129,7 @@ def test_bottleneck_evaluates_each_threshold_once(monkeypatch):
 
     def lb_threshold(s, t, pair):
         # no point can do better than its distance to A or cheapest partner
-        _, _, Q, ax, ay = pm._cost_data(s, t, pair)
+        Q, ax, ay = pm._cost_data(s, t, pair)
         per_x = [min([ax[i], *Q[i]]) for i in range(len(ax))]
         per_y = [min([ay[j], *Q[:, j]]) for j in range(len(ay))]
         return float(max(per_x + per_y, default=0.0))
@@ -142,19 +142,125 @@ def test_bottleneck_evaluates_each_threshold_once(monkeypatch):
             s = random_plane_diagram(pair, rng, max_points=8)
             t = random_plane_diagram(pair, rng, max_points=8)
             calls.clear()
-            value, _ = bottleneck(s, t, pair)
+            value, witness = bottleneck(s, t, pair)
+            searched = len(calls)
+            witness.pairs
             total += len(calls)
             assert value in candidate_thresholds(s, t, pair)
             assert calls[0] == (lb_threshold(s, t, pair), "cold")
-            if len(calls) > 1:  # LB was infeasible: decisions, then the witness
-                assert calls[-1] == (value, "cold")
-                decisions = [r for r, _ in calls[:-1]]
-                assert all(kind == "decision" for _, kind in calls[1:-1])
+            if value != calls[0][0]:  # LB was infeasible: decisions, then the witness
+                assert calls[searched:] == [(value, "cold")]
+                decisions = [r for r, _ in calls[:searched]]
+                assert all(kind == "decision" for _, kind in calls[1:searched])
             else:
-                assert calls[0][0] == value
+                assert len(calls) == 1 and calls[0][0] == value
                 decisions = [calls[0][0]]
             assert len(decisions) == len(set(decisions)), calls
     assert total < 174
+
+
+def bottleneck_cases(seed):
+    """Tie-heavy and float draws over every pair kind of ``reference_cases``
+    (one per draw), with the empty diagram on either side."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for grid in (False, True):
+        for s, t, _, pair in reference_cases(rng, grid):
+            if not cases or cases[-1][0] is not s:
+                cases.append((s, t, pair))
+    s, _, pair = cases[0]
+    e = empty_diagram(pair)
+    return cases + [(e, e, pair), (s, e, pair), (e, s, pair)]
+
+
+def test_bottleneck_witness_is_built_once_on_first_read(monkeypatch):
+    """A solve whose witness is not read runs no cold augmented run after
+    its decisions; the first read of ``pairs`` runs the kernel at most
+    once, a second read not at all, and both reads give one tuple."""
+    import pdmetric.matching as pm
+
+    calls = []  # (threshold, kind), as in the test above
+    kernel = pm.augmented_matching
+
+    def counting(Q, ax, ay, r, decide=False):
+        calls.append((r, "decision" if decide else "cold"))
+        return kernel(Q, ax, ay, r, decide=decide)
+
+    monkeypatch.setattr(pm, "augmented_matching", counting)
+    searched_past_lb = 0
+    for s, t, pair in bottleneck_cases(33):
+        calls.clear()
+        value, witness = bottleneck(s, t, pair)
+        kinds = [kind for _, kind in calls]
+        assert kinds[0] == "cold" and "cold" not in kinds[1:], calls
+        searched = len(calls)
+        first = witness.pairs
+        past_lb = value != calls[0][0]
+        assert calls[searched:] == ([(value, "cold")] if past_lb else [])
+        assert witness.pairs is first and len(calls) == searched + past_lb
+        searched_past_lb += past_lb
+    assert searched_past_lb > 50
+
+
+def test_bottleneck_value_is_the_witness_largest_cost():
+    """The value read from the search equals, to the bit, the largest cost
+    of the witness built later (0.0 for no pairs)."""
+    for s, t, pair in bottleneck_cases(34):
+        value, witness = bottleneck(s, t, pair)
+        assert value.hex() == max((q.cost for q in witness.pairs), default=0.0).hex()
+
+
+def test_deferred_witness_compares_hashes_and_pickles_as_a_built_one():
+    """An unread witness equals, hashes and prints as the witness built
+    from its pairs by the constructor, pickles to one, and stays frozen."""
+    import copy
+    import dataclasses
+    import pickle
+
+    for s, t, pair in bottleneck_cases(35)[::7]:
+        _, want = cold_bottleneck(s, t, pair)
+        _, got = bottleneck(s, t, pair)
+        assert hash(got) == hash(want) and got == want and not got != want
+        built = Matching(want.pairs, want.value, want.p)
+        assert repr(got) == repr(built) == repr(want)
+        for witness in (bottleneck(s, t, pair)[1], got):  # unread, then read
+            back = pickle.loads(pickle.dumps(witness))
+            assert type(back) is Matching and back == want and hash(back) == hash(want)
+            assert copy.copy(witness) == want
+        assert got != (want.pairs, want.value, want.p)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got.value = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del got.p
+
+
+def test_witness_drops_its_cost_data_once_read(monkeypatch):
+    """Until ``pairs`` is read the witness keeps the cost matrix Q alive;
+    then Q is freed, both when the LB run's matching is the witness and
+    when the witness comes from one more cold run."""
+    import weakref
+
+    import pdmetric.matching as pm
+
+    kernel = pm.augmented_matching
+    seen = []
+
+    def capturing(Q, ax, ay, r, decide=False):
+        seen.append(weakref.ref(Q))
+        return kernel(Q, ax, ay, r, decide=decide)
+
+    monkeypatch.setattr(pm, "augmented_matching", capturing)
+    witness_runs = set()
+    for s, t, pair in bottleneck_cases(36)[:60]:
+        seen.clear()
+        _, witness = bottleneck(s, t, pair)
+        searched = len(seen)
+        Q = seen[0]
+        assert Q() is not None
+        witness.pairs
+        assert Q() is None
+        witness_runs.add(len(seen) - searched)
+    assert witness_runs == {0, 1}
 
 
 def test_overflowing_cost_powers_raise_too_large(monkeypatch):
@@ -491,7 +597,7 @@ def test_bottleneck_matches_cold_search():
 def assert_decisions_match_cold_kernel(s, t, pair):
     """At every candidate threshold the must-match decision answers as the
     cold augmented kernel does."""
-    _, _, Q, ax, ay = pdmetric.matching._cost_data(s, t, pair)
+    Q, ax, ay = pdmetric.matching._cost_data(s, t, pair)
     for r in candidate_thresholds(s, t, pair):
         decided = augmented_matching(Q, ax, ay, r, decide=True)
         cold = augmented_matching(Q, ax, ay, r)

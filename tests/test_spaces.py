@@ -307,6 +307,68 @@ def test_finite_explicit_validation():
         FiniteExplicit(good_matrix(), [5])  # A out of range
 
 
+def violates_triangle_per_k(M):
+    """The one-k-at-a-time check the blocked one replaced."""
+    tol = FiniteExplicit.TRIANGLE_TOL
+    return any(np.any(M > M[:, k, None] + M[None, k, :] + tol) for k in range(len(M)))
+
+
+def accepts(M):
+    try:
+        FiniteExplicit(M, [0])
+    except InvalidMetric as e:
+        assert str(e) == "triangle inequality violated"
+        return False
+    return True
+
+
+def test_blocked_triangle_check_matches_the_per_k_loop():
+    """Random symmetric matrices, and line metrics (tight triangles, with
+    rounded sums off the integers) with one distance raised by about the
+    tolerance: the check raises exactly when the per-k loop finds a
+    violation."""
+    rng = np.random.default_rng(41)
+    tol = FiniteExplicit.TRIANGLE_TOL
+    outcomes = []
+    for k in (2, 3, 5, 8, 13, 40):
+        for trial in range(30):
+            if trial % 3 == 0:
+                M = np.triu(rng.uniform(1.0, 10.0, (k, k)), 1)
+            else:
+                x = rng.uniform(0.0, 50.0, k)
+                if trial % 3 == 2:
+                    x = np.round(x)
+                M = np.abs(x[:, None] - x[None, :])
+                i, j = rng.choice(k, 2, replace=False)
+                M[i, j] += tol * rng.choice([0.5, 1.0, 1.0 + 1e-6, 1.5, 4.0])
+                M = np.triu(np.maximum(M, M.T), 1)
+            M = M + M.T
+            want = not violates_triangle_per_k(M)
+            assert accepts(M) == want, M
+            outcomes.append(want)
+    assert 50 < sum(outcomes) < len(outcomes) - 50
+
+
+def test_triangle_violation_in_the_last_block_is_found(monkeypatch):
+    """With room for 3 values of k a block, a violation that only k = 9,
+    alone in the last of four blocks, shows is still refused."""
+    from pdmetric.spaces import _row_blocks
+
+    n = 10
+    monkeypatch.setattr("pdmetric.spaces._BLOCK_BYTES", 3 * 8 * n * n)
+    assert [b.start for b in _row_blocks(n, n * n)] == [0, 3, 6, 9]
+    M = np.full((n, n), 10.0)
+    np.fill_diagonal(M, 0.0)
+    M[0, 9] = M[9, 0] = M[1, 9] = M[9, 1] = 1.0
+    M[0, 1] = M[1, 0] = 2.0
+    assert accepts(M) and not violates_triangle_per_k(M)
+    M[0, 1] = M[1, 0] = 2.0 + 1e-8  # above M[0, 9] + M[9, 1] + tol only
+    assert violates_triangle_per_k(M)
+    assert not any(np.any(M > M[:, k, None] + M[None, k, :] + FiniteExplicit.TRIANGLE_TOL)
+                   for k in range(9))
+    assert not accepts(M)
+
+
 def test_finite_explicit_signed_zeros_give_one_space():
     """-0.0 and 0.0 spell the same metric, so they give one space_id and
     equal pairs."""
