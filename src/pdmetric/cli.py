@@ -26,7 +26,6 @@ import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -70,6 +69,11 @@ from .spaces import (
 __all__ = ["fmt_real", "main"]
 
 _EXIT_BY_VERDICT = {Verdict.WITNESSED: 0, Verdict.REFUTED: 1, Verdict.INCONCLUSIVE: 6}
+
+# the most rows a probe scenario's sample grid may hold: the eps-net and
+# dense-family probes run one distance pass per net center over the whole
+# grid, so their time grows with its square
+MAX_GRID_SAMPLES = 40_000
 
 
 def fmt_real(x: float) -> str:
@@ -190,6 +194,16 @@ def _plane() -> PlaneDiagonal:
     return PlaneDiagonal(1, SUP)
 
 
+def _sample_grid(start: float, stop: float, step: float) -> np.ndarray:
+    """np.arange(start, stop, step) as one column.  A grid of more than
+    MAX_GRID_SAMPLES rows raises TooLarge before it is built; a non-finite
+    end is left to np.arange, whose ValueError is a usage error."""
+    count = (stop - start) / step
+    if math.isfinite(count) and count > MAX_GRID_SAMPLES:
+        raise TooLarge(f"a sample grid of {count:.6g} rows exceeds the cap of {MAX_GRID_SAMPLES}")
+    return np.arange(start, stop, step)[:, None]
+
+
 def _random_finite_pair(rng: np.random.Generator) -> FiniteExplicit:
     npts = int(rng.integers(4, 9))
     coords = rng.uniform(0.0, 10.0, size=(npts, 2))
@@ -212,7 +226,18 @@ def _random_finite_diagram(
     return _canonical(np.array(rows).reshape(-1, 1), mults, pair)
 
 
-def _isolated_trial(seed: int) -> dict:
+def _trial_seeds(args) -> list[int]:
+    """One seed per trial, drawn from --seed."""
+    if args.trials < 1:
+        raise ParseError("--trials must be at least 1")
+    rng = np.random.default_rng(args.seed)
+    return rng.integers(0, 2**62, size=args.trials).tolist()
+
+
+def _isolated_trial(seed: int) -> tuple[float, bool]:
+    """One random finite pair and two distinct diagrams over it: the
+    solver distance's margin over the isolation bound, and whether the
+    bound held."""
     rng = np.random.default_rng(seed)
     pair = _random_finite_pair(rng)
     sigma = _random_finite_diagram(pair, rng)
@@ -220,29 +245,17 @@ def _isolated_trial(seed: int) -> dict:
     while tau == sigma:
         tau = _random_finite_diagram(pair, rng)
     eps, dist, report = isolated_point_bound(pair, sigma, tau)
-    return {
-        "epsilon": eps,
-        "distance": dist,
-        "ok": report.verdict is Verdict.WITNESSED,
-    }
+    return dist - eps, report.verdict is Verdict.WITNESSED
 
 
 def probe_isolated_bound(args) -> ProbeReport:
-    trials = args.trials
-    if trials < 1:
-        raise ParseError("--trials must be at least 1")
-    rng = np.random.default_rng(args.seed)
-    seeds = [int(s) for s in rng.integers(0, 2**62, size=trials)]
-    results = _map_jobs(_isolated_trial, seeds, args.jobs)
-    trace = tuple(
-        (float(i), r["distance"] - r["epsilon"]) for i, r in enumerate(results)
-    )
-    all_ok = all(r["ok"] for r in results)
+    results = [_isolated_trial(s) for s in _trial_seeds(args)]
+    failures = sum(not ok for _, ok in results)
     return ProbeReport(
         probe_name="isolated_point_bound",
-        verdict=Verdict.WITNESSED if all_ok else Verdict.REFUTED,
-        witnesses={"trials": trials, "failures": sum(not r["ok"] for r in results)},
-        numeric_trace=trace,
+        verdict=Verdict.WITNESSED if failures == 0 else Verdict.REFUTED,
+        witnesses={"trials": args.trials, "failures": failures},
+        numeric_trace=tuple((float(i), gap) for i, (gap, _) in enumerate(results)),
     )
 
 
@@ -289,7 +302,7 @@ def probe_eps_net(args) -> ProbeReport:
     epsilon = args.epsilon if args.epsilon is not None else 0.25
     if args.scenario == "half-line":
         pair = HalfLineOrigin()
-        batches = [pair._points(np.arange(delta, D, h)[:, None]) for h in (0.2, 0.1, 0.05, 0.02)]
+        batches = [pair._points(_sample_grid(delta, D, h)) for h in (0.2, 0.1, 0.05, 0.02)]
         net, report = net_growth_probe(pair, delta, D, epsilon, batches)
         bound = math.ceil((D - delta) / epsilon) + 1
         witnesses = dict(report.witnesses)
@@ -307,38 +320,31 @@ def probe_eps_net(args) -> ProbeReport:
     raise ParseError(f"unknown eps-net scenario {args.scenario!r}")
 
 
-def _dense_trial(payload) -> dict:
-    family, seed, n = payload
-    rng = np.random.default_rng(seed)
-    pair = family.pair
-    size = int(rng.integers(0, 7))
-    rows, mults = [], []
-    for _ in range(size):
-        rows.append(float(rng.uniform(0.0, float(n))))
-        mults.append(int(rng.integers(1, 4)))
-    sigma = _canonical(np.array(rows).reshape(-1, 1), mults, pair)
-    _, err = approximate_from_family(sigma, family)
-    return {"error": err, "ok": err <= family.radius}
-
-
 def probe_dense_family(args) -> ProbeReport:
     n = args.n
-    trials = args.trials
     if n < 1:
         raise ParseError("--n must be at least 1")
-    if trials < 1:
-        raise ParseError("--trials must be at least 1")
+    seeds = _trial_seeds(args)
     pair = HalfLineOrigin()
     radius = 1.0 / n
-    h = radius / 4.0
-    samples = pair._points(np.arange(radius, float(n), h)[:, None])
+    samples = pair._points(_sample_grid(radius, float(n), radius / 4.0))
     net = greedy_eps_net(pair, radius, float(n), radius / 2.0, samples)
     family = dense_family(pair, n, net, validation_samples=samples)
-    rng = np.random.default_rng(args.seed)
-    seeds = [int(s) for s in rng.integers(0, 2**62, size=trials)]
-    results = _map_jobs(_dense_trial, [(family, s, n) for s in seeds], args.jobs)
-    trace = tuple((float(i), r["error"]) for i, r in enumerate(results))
-    failures = sum(not r["ok"] for r in results)
+
+    def trial(seed: int) -> float:
+        """A random diagram of up to 6 points in [0, n): its distance to
+        its family approximant."""
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(0, 7))
+        rows, mults = [], []
+        for _ in range(size):
+            rows.append(float(rng.uniform(0.0, float(n))))
+            mults.append(int(rng.integers(1, 4)))
+        sigma = _canonical(np.array(rows).reshape(-1, 1), mults, pair)
+        return approximate_from_family(sigma, family)[1]
+
+    errors = [trial(s) for s in seeds]
+    failures = sum(not err <= radius for err in errors)
     return ProbeReport(
         probe_name="dense_family",
         verdict=Verdict.WITNESSED if failures == 0 else Verdict.REFUTED,
@@ -346,10 +352,10 @@ def probe_dense_family(args) -> ProbeReport:
             "n": n,
             "radius": radius,
             "family_size": len(family.centers),
-            "trials": trials,
+            "trials": args.trials,
             "failures": failures,
         },
-        numeric_trace=trace,
+        numeric_trace=tuple((float(i), err) for i, err in enumerate(errors)),
     )
 
 
@@ -403,13 +409,6 @@ def probe_c0_gap(args) -> ProbeReport:
     return report
 
 
-def _map_jobs(func, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [func(it) for it in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(func, items))
-
-
 def cmd_probe(args) -> int:
     dispatch = {
         "isolated-bound": probe_isolated_bound,
@@ -451,11 +450,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("json", "csv"), default="json", help="output format"
     )
-    common.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the isolated-bound and dense-family trials; every "
-             "other command ignores it, and below thousands of trials 1 is fastest",
-    )
 
     spacey = argparse.ArgumentParser(add_help=False)
     spacey.add_argument("--space", required=True, help="space descriptor file or inline JSON")
@@ -492,6 +486,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_probe.add_argument("--trials", type=int, default=20, help="trial count for batch probes")
+    p_probe.add_argument("--jobs", type=int, choices=(1,), default=1,
+                         help="only 1: every probe runs its trials in this process")
     p_probe.add_argument("--nmax", type=int, default=50, help="vanishing-pair sequence length")
     p_probe.add_argument("--target", type=float, default=0.05, help="vanishing-pair final bound")
     p_probe.add_argument("--scenario", default=None,

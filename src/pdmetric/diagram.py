@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import ParseError, SpaceMismatch
-from .spaces import BasepointTag, MetricPair, Point, _coords_from_json, space_from_json
+from .spaces import _PLANE_KINDS, BasepointTag, MetricPair, Point, _coords_from_json, space_from_json
 
 __all__ = [
     "Diagram",
@@ -191,7 +191,7 @@ def _check_same_space(diagram: Diagram, pair: MetricPair) -> None:
 
 
 def _is_two_column_plane(pair: MetricPair) -> bool:
-    return pair.kind in {"EuclideanPlaneDiagonal", "HalfPlane2nDiagonal"} and pair.dim == 2
+    return pair.kind in _PLANE_KINDS and pair.dim == 2
 
 
 # -- parsing ---------------------------------------------------------------

@@ -39,8 +39,6 @@ from .spaces import (
     MetricPair,
     Point,
     SupCubeTruncatedC0,
-    _BLOCK_BYTES,
-    _row_blocks,
     _through_A,
 )
 
@@ -79,33 +77,30 @@ class GoodnessCertificate:
 
 
 def goodness(pair: MetricPair, x, y) -> GoodnessCertificate:
-    return _certify(pair, [(x, y)])[0][0]
+    if isinstance(x, BasepointTag) or isinstance(y, BasepointTag):
+        d = 0.0  # unread: a pair with a BASEPOINT end is good
+    else:
+        d = float(pair.pairwise_dist(pair.coords_matrix([x]), pair.coords_matrix([y]))[0, 0])
+    return _certify(pair, [(x, y)], [d])[0][0]
 
 
-def _paired_dist(pair: MetricPair, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """d(X[i], Y[i]) for each i: the diagonals of square pairwise
-    distance blocks of at most _BLOCK_BYTES, each entry that of a one-pair
-    query."""
-    out = np.empty(len(X))
-    for b in _row_blocks(len(X), math.isqrt(_BLOCK_BYTES // 8)):
-        out[b] = np.diagonal(pair.pairwise_dist(X[b], Y[b]))
-    return out
-
-
-def _certify(pair: MetricPair, pairs) -> list[tuple[GoodnessCertificate, float, float]]:
+def _certify(pair: MetricPair, pairs, dist) -> list[tuple[GoodnessCertificate, float, float]]:
     """Each pair (x, y)'s goodness certificate with d(x, A) and d(y, A).
 
-    The distances to A come from one batch query over the pairs' points
-    (BASEPOINT is at 0, its row a placeholder).  A pair with a BASEPOINT
-    end is good; any other pair is good when its quotient distance
-    min(d(x, y), d(x, A) + d(y, A)) is below max(d(x, A), d(y, A)).
+    ``dist`` holds each pair's distance d(x, y), or its quotient distance
+    min(d(x, y), d(x, A) + d(y, A)) (a bottleneck witness's cost); the
+    entry of a pair with a BASEPOINT end is not read.  The distances to A
+    come from one batch query over the pairs' points (BASEPOINT is at 0,
+    its row a placeholder).  A pair with a BASEPOINT end is good; any
+    other pair is good when its quotient distance is below max(d(x, A),
+    d(y, A)).
     """
     ends = [q for xy in pairs for q in xy]
     base = np.array([isinstance(q, BasepointTag) for q in ends], dtype=bool)
     P = np.zeros((len(ends), pair.dim))
     P[~base] = pair.coords_matrix([q for q, b in zip(ends, base) if not b])
     to_A = np.where(base, 0.0, pair.dist_to_A_batch(P)).reshape(-1, 2)
-    close = np.minimum(_paired_dist(pair, P[0::2], P[1::2]), to_A.sum(axis=1)) < to_A.max(axis=1)
+    close = np.minimum(np.asarray(dist, dtype=float), to_A.sum(axis=1)) < to_A.max(axis=1)
     out = []
     for (x, y), b, c, (ax, ay) in zip(pairs, base.reshape(-1, 2).any(axis=1).tolist(),
                                       close.tolist(), to_A.tolist()):
@@ -176,7 +171,10 @@ def geodesic_between(sigma: Diagram, tau: Diagram, pair: MetricPair) -> DiagramP
     if not pair.has_geodesic:
         raise NoGeodesicOracle(f"{pair.kind} has no geodesic oracle")
     value, matching = bottleneck(sigma, tau, pair)
-    certs = _certify(pair, [(mp.left, mp.right) for mp in matching.pairs])
+    # every point pair of the witness is unsplit, so its cost is its
+    # quotient distance
+    certs = _certify(pair, [(mp.left, mp.right) for mp in matching.pairs],
+                     [mp.cost for mp in matching.pairs])
     legs = tuple(_classify_leg(mp, value, *c) for mp, c in zip(matching.pairs, certs))
     return DiagramPath(sigma, tau, value, matching, legs, pair)
 

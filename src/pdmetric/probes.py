@@ -33,7 +33,7 @@ import numpy as np
 
 from .diagram import Diagram, _canonical, _check_same_space, _diagram_points_to_json
 from .errors import CoverageGap, EmptyAnnulus, NotCauchy, PreconditionViolated
-from .matching import bottleneck
+from .matching import DEFAULT_NODE_CAP, _check_size, bottleneck
 from .spaces import BasepointTag, FiniteExplicit, MetricPair, Point, _point_to_json, _row_blocks
 
 __all__ = [
@@ -158,7 +158,9 @@ def vanishing_pair_demo(
     """Distinct diagrams at arbitrarily small distance: sigma_N carries the
     limit point x plus the first N tail points, tau_N swaps x for the next
     tail point.  A single-swap bijection bounds d(sigma_N, tau_N) by
-    d(x, x_{N+1}), which vanishes along a tail converging to x."""
+    d(x, x_{N+1}), which vanishes along a tail converging to x.  When the
+    last pair exceeds the solvers' size cap, TooLarge is raised before any
+    solve."""
     tail = list(tail)
     if n_max < 1:
         raise PreconditionViolated("n_max must be at least 1")
@@ -171,13 +173,18 @@ def vanishing_pair_demo(
     swap_bounds = pair.pairwise_dist(X[:1], X[1:])[0].tolist()
     if 0.0 in swap_bounds:
         raise PreconditionViolated("tail points must differ from the limit point")
+
+    def diagrams(N: int) -> tuple[Diagram, Diagram]:
+        return (_canonical(X[: N + 1], [1] * (N + 1), pair),
+                _canonical(X[1 : N + 2], [1] * (N + 1), pair))
+
+    # the diagrams only grow with N: refuse the last solve before the first
+    _check_size(*diagrams(n_max), pair, DEFAULT_NODE_CAP)
     trace = []
     bounds = []
     all_bounded = True
     for N in range(1, n_max + 1):
-        sigma = _canonical(X[: N + 1], [1] * (N + 1), pair)
-        tau = _canonical(X[1 : N + 2], [1] * (N + 1), pair)
-        d, _ = bottleneck(sigma, tau, pair)
+        d, _ = bottleneck(*diagrams(N), pair)
         bound = swap_bounds[N]
         trace.append((float(N), d))
         bounds.append((float(N), bound))

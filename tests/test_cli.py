@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from pdmetric import TooLarge
 from pdmetric.cli import fmt_real, main
 
 PLANE = '{"kind": "EuclideanPlaneDiagonal", "norm": "sup", "dim": 2}'
@@ -216,6 +217,9 @@ MALFORMED = [
     pytest.param(["dist", '{"space": "halfline", "points": []}', TAU, "--space", PLANE],
                  id="space-mismatch"),
     pytest.param(["probe", "c0-gap", "--m", "13"], id="too-large"),
+    pytest.param(["probe", "dense-family", "--n", "100000"], id="dense-family-grid-too-large"),
+    pytest.param(["probe", "eps-net", "--D", "1e9"], id="eps-net-grid-too-large"),
+    pytest.param(["probe", "vanishing-pair", "--nmax", "5000"], id="vanishing-pair-too-large"),
     pytest.param(["geodesic", EMPTY, EMPTY, "--space", FINITE], id="no-geodesic-oracle"),
 ]
 
@@ -230,6 +234,22 @@ def test_malformed_input_ends_in_one_error_line(argv, capsys):
     assert out.out == ""
     lines = out.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("pdmetric: error: ")
+
+
+def test_sample_grid_cap_admits_exactly_max_rows():
+    from pdmetric.cli import MAX_GRID_SAMPLES, _sample_grid
+
+    assert _sample_grid(0.0, MAX_GRID_SAMPLES / 2, 0.5).shape == (MAX_GRID_SAMPLES, 1)
+    with pytest.raises(TooLarge):
+        _sample_grid(0.0, MAX_GRID_SAMPLES / 2 + 0.5, 0.5)
+
+
+@pytest.mark.parametrize("flag, value", [("--D", "inf"), ("--D", "nan"), ("--delta", "nan")])
+def test_non_finite_annulus_is_a_usage_error(flag, value, capsys):
+    # not a grid too large to build: no finite row count
+    code, out, err = run_main(["probe", "eps-net", flag, value], capsys)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
 
 
 def test_no_geodesic_oracle_exits_5(capsys):
@@ -462,8 +482,31 @@ def test_byte_identical_reruns():
     assert first[0] == 0 and first[1]
 
 
-def test_jobs_do_not_change_output():
-    base = ["probe", "isolated-bound", "--trials", "4", "--seed", "11"]
-    serial = run_cli(base + ["--jobs", "1"])
-    parallel = run_cli(base + ["--jobs", "2"])
-    assert serial == parallel
+@pytest.mark.parametrize("name", ["isolated-bound", "dense-family"])
+def test_jobs_one_keeps_probe_output(name):
+    base = ["probe", name, "--trials", "4", "--seed", "11"]
+    plain = run_cli(base)
+    assert plain == run_cli(base + ["--jobs", "1"])
+    assert plain[0] == 0 and plain[1]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["probe", "isolated-bound", "--trials", "4", "--jobs", "2"], id="probe-jobs-2"),
+    pytest.param(["dist", SIGMA, TAU, "--space", PLANE, "--jobs", "1"], id="dist-jobs-1"),
+])
+def test_jobs_is_a_usage_error_beyond_probe_jobs_one(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_import_loads_no_process_pool():
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pdmetric.cli; "
+         "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"

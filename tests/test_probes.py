@@ -125,6 +125,25 @@ def test_vanishing_pair_preconditions():
         vanishing_pair_demo(pair, x, short, n_max=0)
 
 
+def test_vanishing_pair_refuses_the_last_pair_before_any_solve(monkeypatch):
+    # solve N compares N + 1 points with N + 1, so n_max = 5000 ends above
+    # the 10,000-point cap
+    import pdmetric.probes as probes
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("bottleneck called before the size check")
+
+    monkeypatch.setattr(probes, "bottleneck", no_solve)
+    pair = plane_sup()
+    x = pair.point(0.0, 4.0)
+    n = np.arange(1, 5002)
+    tail = pair._points(np.column_stack([1.0 / n, 4.0 + 1.0 / n]))
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="5001 \\+ 5001 points"):
+        vanishing_pair_demo(pair, x, tail, n_max=5000)
+    assert time.perf_counter() - start < 1.0
+
+
 # -- Cauchy chains -----------------------------------------------------------------
 
 
