@@ -43,9 +43,10 @@ steps of a Wasserstein instance have delta = 0 (the padding rows or
 columns repeat, and so do the rows and columns of repeated points).  It
 therefore masks the columns already in the search tree with +inf/-inf
 sentinels instead of a boolean mask, applies the tree's potential updates
-to one contiguous array that is written back once per row, and skips
-every update on a zero-delta step; ``solve_assignment`` explains why none
-of this changes a comparison, so the output stays identical.
+with one ``np.add`` on a contiguous 1-D array that is written back once
+per row, hands its ufuncs Python floats rather than numpy scalars, and
+skips every update on a zero-delta step; ``solve_assignment`` explains
+why none of this changes a comparison, so the output stays identical.
 """
 
 from __future__ import annotations
@@ -228,12 +229,16 @@ def solve_assignment(cost):
     The tree's potentials are deferred.  A row's ``u`` is read once, when
     its column joins the tree and before it receives any delta, and no tree
     column's ``v`` is read during the search; so the tree keeps ``u`` and
-    ``-v`` in one (2, k) array in order of joining, each step adds delta to
-    one slice of it, and the values are scattered back when the row ends.
-    Keeping ``-v`` turns each ``v - delta`` into ``-v + delta``, the same
-    rounding up to the sign of a zero.  A step with delta = 0 updates
-    nothing: adding or subtracting a zero changes at most the sign of a
-    zero result, and ``<`` and ``argmin`` treat -0.0 and +0.0 as equal.
+    ``-v`` side by side in one 1-D array, the pair of the t-th joined
+    column at 2t and 2t + 1.  Each step adds delta to its leading
+    contiguous slice with one ``np.add``, and the values are scattered back
+    when the row ends.  Keeping ``-v`` turns each ``v - delta`` into
+    ``-v + delta``, the same rounding up to the sign of a zero.  A step
+    with delta = 0 updates nothing: adding or subtracting a zero changes at
+    most the sign of a zero result, and ``<`` and ``argmin`` treat -0.0 and
+    +0.0 as equal.  The scalars handed to the ufuncs (the row's ``u`` and
+    delta) are Python floats, which numpy reads faster than its own scalars
+    and which hold the same float64 values.
     """
     nn = cost.shape[0]
     u = np.zeros(nn + 1, np.float64)
@@ -244,7 +249,7 @@ def solve_assignment(cost):
     vm = np.empty(nn + 1, np.float64)
     cur = np.empty(nn, np.float64)
     better = np.empty(nn, np.bool_)
-    tree = np.empty((2, nn + 1), np.float64)  # u of the rows, -v of the columns
+    tree = np.empty(2 * (nn + 1), np.float64)  # u of a row, then -v of its column
     # views over columns 1..nn
     minv1, vm1, way1 = minv[1:], vm[1:], way[1:]
     for i in range(1, nn + 1):
@@ -257,11 +262,11 @@ def solve_assignment(cost):
         while True:
             # column j0 joins the tree with its row i0
             i0 = p[j0]
-            ui = u[i0]
+            ui = float(u[i0])
             rows.append(i0)
             cols.append(j0)
-            tree[0, k] = ui
-            tree[1, k] = -v[j0]
+            tree[2 * k] = ui
+            tree[2 * k + 1] = -v[j0]
             k += 1
             minv[j0] = np.inf
             vm[j0] = -np.inf
@@ -271,15 +276,16 @@ def solve_assignment(cost):
             np.copyto(minv1, cur, where=better)
             np.copyto(way1, j0, where=better)
             j1 = int(minv1.argmin())
-            delta = minv1[j1]
+            delta = float(minv1[j1])
             if delta:
-                tree[:, :k] += delta
+                t = tree[: 2 * k]
+                np.add(t, delta, out=t)
                 minv1 -= delta
             j0 = j1 + 1
             if p[j0] == 0:
                 break
-        u[rows] = tree[0, :k]
-        v[cols] = -tree[1, :k]
+        u[rows] = tree[0 : 2 * k : 2]
+        v[cols] = -tree[1 : 2 * k : 2]
         while True:
             j1 = int(way[j0])
             p[j0] = p[j1]

@@ -64,7 +64,7 @@ from ._kernels import augmented_matching, solve_assignment
 from .diagram import Diagram, _check_same_space
 from .errors import ParseError, TooLarge
 from .spaces import (BASEPOINT, BasepointTag, MetricPair, Point, _coords_from_json,
-                     _point_to_json, _quotient_costs)
+                     _point_to_json, _quotient_costs, _row_blocks)
 
 __all__ = [
     "DEFAULT_NODE_CAP",
@@ -232,13 +232,13 @@ def _check_size(sigma: Diagram, tau: Diagram, pair: MetricPair, limit: int) -> N
 
 def _cost_data(sigma: Diagram, tau: Diagram, pair: MetricPair):
     """(Q, ax, ay) over the expanded rows: the n x m quotient costs and
-    both distance-to-A vectors."""
+    both distance-to-A vectors.  Q is built in the pairwise distance
+    matrix itself, so the solve holds one n x m array."""
     _check_size(sigma, tau, pair, DEFAULT_NODE_CAP)
     X, Y = _expand(sigma, pair), _expand(tau, pair)
     ax = pair.dist_to_A_batch(X)
     ay = pair.dist_to_A_batch(Y)
-    Q = _quotient_costs(pair.pairwise_dist(X, Y), ax, ay)
-    return np.ascontiguousarray(Q), ax, ay
+    return _quotient_costs(pair.pairwise_dist(X, Y), ax, ay), ax, ay
 
 
 def _build_pairs(sigma, tau, assign_l, Q, ax, ay) -> tuple[MatchedPair, ...]:
@@ -299,7 +299,7 @@ def feasible_at_threshold(
         return False, None
     Q, ax, ay = _cost_data(sigma, tau, pair)
     ml = augmented_matching(Q, ax, ay, float(r))
-    if np.any(ml < 0):
+    if (ml < 0).any():
         return False, None
     return True, _matching(_build_pairs(sigma, tau, ml, Q, ax, ay), math.inf)
 
@@ -341,14 +341,14 @@ def _bottleneck(sigma: Diagram, tau: Diagram, Q: np.ndarray, ax: np.ndarray,
                                np.minimum(ay, Q.min(axis=0, initial=np.inf))))
     value = float(cheapest.max(initial=0.0))
     ml = augmented_matching(Q, ax, ay, value)
-    if np.any(ml < 0):
+    if (ml < 0).any():
         ub = float(max(ax.max(initial=0.0), ay.max(initial=0.0)))
         cands = _candidates(Q, ax, ay, value, ub)
         lo, hi = 0, len(cands) - 1
         while lo < hi:
             mid = (lo + hi) // 2
             partner = augmented_matching(Q, ax, ay, float(cands[mid]), decide=True)
-            if np.any(partner < 0):
+            if (partner < 0).any():
                 lo = mid + 1
             else:
                 hi = int(cands.searchsorted(_largest_cost(partner, Q, ax, ay)))
@@ -397,32 +397,43 @@ def wasserstein(
     Q, ax, ay = _cost_data(sigma, tau, pair)
     n, m = Q.shape
     s = _power_scale(p, Q, ax, ay)
-    with np.errstate(over="ignore"):
-        Qp, axp, ayp = (Q / s) ** p, (ax / s) ** p, (ay / s) ** p
-        both_to_A = axp[:, None] + ayp[None, :]
-    if not (np.isfinite(Qp).all() and np.isfinite(axp).all() and np.isfinite(ayp).all()):
-        raise TooLarge(f"cost powers overflow the float range at p = {p}")
     # The k x k instance, k = max(n, m): entry (u, v) costs the cheaper of
     # matching x_u with y_v and sending both to A, and a padding row or
     # column stands for A, so it costs the other point's power.  It is
     # min(Q^p - ax^p - ay^p, 0) plus the row constant ax^p and the column
     # constant ay^p, which every assignment pays, so both have the same
     # optimal assignments; unlike that difference, each entry stays at the
-    # scale of the costs it compares.
+    # scale of the costs it compares.  The point block is filled from Q one
+    # row block at a time, so no other n x m array is built.  Every power
+    # must be finite; a sum ax^p + ay^p may overflow to inf, and then the
+    # pair is matched.
     k = max(n, m)
     W = np.empty((k, k))
-    np.minimum(Qp, both_to_A, out=W[:n, :m])
+    overflow = TooLarge(f"cost powers overflow the float range at p = {p}")
+    with np.errstate(over="ignore"):
+        axp, ayp = (ax / s) ** p, (ay / s) ** p
+        if not (np.isfinite(axp).all() and np.isfinite(ayp).all()):
+            raise overflow
+        for b in _row_blocks(n, m):
+            block = W[:n, :m][b]
+            np.divide(Q[b], s, out=block)
+            block **= p
+            if not np.isfinite(block).all():
+                raise overflow
+            np.minimum(block, axp[b, None] + ayp, out=block)
     W[:n, m:] = axp[:, None]
     W[n:, :m] = ayp[None, :]
     row_of_col = solve_assignment(W)
     # every x goes to its A slot and every y comes from its own; a pair the
-    # kernel assigns is matched instead when that is strictly cheaper, and
+    # kernel assigns is matched instead when that is strictly cheaper (its
+    # power is recomputed from Q by the float operations that built W), and
     # its y's slot row then takes the x's freed slot column
     assign_l = np.concatenate((m + np.arange(n), np.arange(m)))
     rows = row_of_col[:m]
     v = np.flatnonzero(rows < n)
     u = rows[v]
-    hit = Qp[u, v] < both_to_A[u, v]
+    with np.errstate(over="ignore"):
+        hit = (Q[u, v] / s) ** p < axp[u] + ayp[v]
     u, v = u[hit], v[hit]
     assign_l[u] = v
     assign_l[n + v] = m + u

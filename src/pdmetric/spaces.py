@@ -184,7 +184,9 @@ class MetricPair:
     # -- distances ----------------------------------------------------
 
     def pairwise_dist(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Matrix of ambient distances between two coordinate arrays."""
+        """Matrix of ambient distances between two coordinate arrays, as a
+        new array that shares no memory with the inputs or the pair; the
+        caller owns it and may overwrite it (``_quotient_costs`` does)."""
         raise NotImplementedError
 
     def dist_to_A_batch(self, xs: np.ndarray) -> np.ndarray:
@@ -270,8 +272,9 @@ def _pairwise_norm(xs: np.ndarray, ys: np.ndarray, norm: str) -> np.ndarray:
     (rows, m, dim) difference array.  The sup norm keeps a running maximum
     of |x_k - y_k| one coordinate k at a time in a (rows, m) buffer: the
     maximum of non-negative floats does not depend on the order they are
-    compared in.  Either way every entry is, bit for bit, that of one
-    unblocked pass.
+    compared in.  It reads the coordinates of ys from one contiguous
+    (dim, m) copy, not from strided columns.  Either way every entry is,
+    bit for bit, that of one unblocked pass.
     """
     n, m, dim = xs.shape[0], ys.shape[0], xs.shape[1]
     out = np.empty((n, m), dtype=np.float64)
@@ -279,12 +282,14 @@ def _pairwise_norm(xs: np.ndarray, ys: np.ndarray, norm: str) -> np.ndarray:
         for b in _row_blocks(n, m * dim):
             out[b] = _norm_batch(xs[b, None, :] - ys[None, :, :], norm)
         return out
+    yt, tmp = np.ascontiguousarray(ys.T), None
     for b in _row_blocks(n, m):
         x, block = xs[b], out[b]
-        tmp = np.empty_like(block)
-        np.abs(np.subtract(x[:, :1], ys[:, 0], out=block), out=block)
+        # one buffer for every block: only the last one can be shorter
+        tmp = np.empty_like(block) if tmp is None else tmp[: len(block)]
+        np.abs(np.subtract(x[:, :1], yt[0], out=block), out=block)
         for k in range(1, dim):
-            np.abs(np.subtract(x[:, k : k + 1], ys[:, k], out=tmp), out=tmp)
+            np.abs(np.subtract(x[:, k : k + 1], yt[k], out=tmp), out=tmp)
             np.maximum(block, tmp, out=block)
     return out
 
@@ -458,7 +463,7 @@ class FiniteExplicit(MetricPair):
         return xs[:, 0].astype(np.int64)
 
     def pairwise_dist(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return self.matrix[np.ix_(self._indices(xs), self._indices(ys))]
+        return self.matrix.take(self._indices(xs), 0).take(self._indices(ys), 1)
 
     def dist_to_A_batch(self, xs: np.ndarray) -> np.ndarray:
         return self._a_dist[self._indices(xs)]
@@ -561,8 +566,17 @@ class QuotientOf(MetricPair):
 
 def _quotient_costs(D: np.ndarray, ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
     """Quotient cost matrix min(d(x, y), d(x, A) + d(y, A)) from the
-    ambient distance matrix and both distance-to-A vectors."""
-    return np.minimum(D, ax[:, None] + ay[None, :])
+    ambient distance matrix and both distance-to-A vectors.
+
+    D is overwritten with the result and returned: pass it a matrix the
+    caller owns, such as a fresh ``pairwise_dist``.  It works through D in
+    row blocks (``_row_blocks``), so the sums ax + ay only ever fill one
+    block-sized temporary; each entry is, bit for bit, that of
+    ``np.minimum(D, ax[:, None] + ay[None, :])``."""
+    for b in _row_blocks(len(D), D.shape[1]):
+        block = D[b]
+        np.minimum(block, ax[b, None] + ay, out=block)
+    return D
 
 
 def quotient_distance(pair: MetricPair, x, y) -> float:

@@ -3,6 +3,7 @@ p-norm structure, and the serialization of matchings."""
 
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, permutations
@@ -298,6 +299,20 @@ def test_overflowing_cost_powers_raise_too_large(monkeypatch):
     assert bottleneck(huge, empty, pair)[0] == 5e199
 
 
+def test_an_overflowing_sum_of_powers_to_A_is_no_error():
+    """Two points 1.3e154 from the diagonal and about 1e140 apart: each
+    power to A fits the float range at p = 2, their sum does not, and the
+    pair is matched with no overflow warning."""
+    pair = plane_sup()
+    s = canonicalize([pair.point(0.0, 2.6e154)], pair)
+    t = canonicalize([pair.point(1.0, 2.6e154 + 1e140)], pair)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, matching = wasserstein(s, t, 2.0, pair)
+    assert [(q.left, q.right) for q in matching.pairs] == [(s.points[0][0], t.points[0][0])]
+    assert value == matching.pairs[0].cost == pair.dist(s.points[0][0], t.points[0][0])
+
+
 def test_underflowing_cost_powers_keep_their_weight():
     """At p = 400 the powers of the small costs underflow to 0.  Scaled by
     the largest cost they keep their weight, so W_p stays positive and at
@@ -420,6 +435,39 @@ def test_huge_multiplicity_is_refused_before_expansion(solve):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_a_solve_holds_one_n_by_m_array(monkeypatch):
+    """On the plane at n = m = 600, _cost_data builds Q in the pairwise
+    distance matrix, and wasserstein fills its assignment matrix from Q a
+    row block at a time: each peaks at one 600 x 600 array plus two
+    blocks of the row-block budget, not at three or four such arrays."""
+    from pdmetric.diagram import _canonical
+    from pdmetric.spaces import _BLOCK_BYTES
+
+    pair, n = plane_sup(), 600
+    rng = np.random.default_rng(6)
+    sigma, tau = (_canonical(np.column_stack([b, b + rng.uniform(0.0, 10.0, n)]), [1] * n, pair)
+                  for b in rng.uniform(0.0, 100.0, (2, n)))
+    bound = 8 * n * n + 2 * _BLOCK_BYTES
+    peaks = []
+
+    def kernel(cost):
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        return np.arange(len(cost))
+
+    tracemalloc.start()
+    try:
+        cost = pdmetric.matching._cost_data(sigma, tau, pair)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        monkeypatch.setattr(pdmetric.matching, "_cost_data", lambda *args: cost)
+        monkeypatch.setattr(pdmetric.matching, "solve_assignment", kernel)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        wasserstein(sigma, tau, 2.0, pair)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 2 and max(peaks) < bound, (peaks, bound)
 
 
 def test_multiplicity_expansion():

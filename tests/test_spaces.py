@@ -238,6 +238,25 @@ def test_blocked_pairwise_distances_are_bit_identical(norm, dim):
     assert got.tobytes() == want.tobytes()
 
 
+def test_quotient_costs_overwrite_their_input_bit_for_bit(monkeypatch):
+    """_quotient_costs writes min(D, ax + ay) into D and returns D itself.
+    Over eleven row blocks, with tied entries and signed zeros in D and in
+    both distance-to-A vectors, it equals the two-temporary expression bit
+    for bit."""
+    from pdmetric.spaces import _quotient_costs
+
+    n, m = 53, 17
+    monkeypatch.setattr("pdmetric.spaces._BLOCK_BYTES", 5 * 8 * m)
+    rng = np.random.default_rng(4)
+    D, ax, ay = (rng.integers(0, 4, shape) * 0.5 for shape in ((n, m), n, m))
+    for v in (D, ax, ay):
+        v[rng.random(v.shape) < 0.3] = -0.0
+    want = np.minimum(D, ax[:, None] + ay[None, :])
+    got = _quotient_costs(D, ax, ay)
+    assert got is D
+    assert got.tobytes() == want.tobytes()
+
+
 # -- products ----------------------------------------------------------------
 
 
@@ -547,6 +566,36 @@ def test_one_point_rule_for_every_pair(pair, coords):
             c[k] = bad
             with pytest.raises(ValueError, match="coordinates must be finite"):
                 pair.point(*c)
+
+
+@pytest.mark.parametrize(
+    "pair, X",
+    [
+        (PlaneDiagonal(1, SUP), [[0.0, 1.0], [2.0, 5.0], [-1.0, -1.0]]),
+        (PlaneDiagonal(1, EUCLIDEAN), [[0.0, 1.0], [2.0, 5.0], [-1.0, -1.0]]),
+        (PlaneDiagonal(2, SUP), [[0.0, 1.0, -2.0, 3.0], [1.0, 1.0, 0.0, 4.0]]),
+        (HalfLineOrigin(), [[1.5], [0.0], [4.0]]),
+        (SupCubeTruncatedC0(3), [[1.0, -2.0, 0.5], [0.0, 0.0, 3.0]]),
+        (FiniteExplicit(good_matrix(), [2]), [[0.0], [1.0], [2.0]]),
+        (QuotientOf(PlaneDiagonal(1, EUCLIDEAN)), [[0.0, 1.0], [2.0, 5.0]]),
+        (QuotientOf(FiniteExplicit(good_matrix(), [2])), [[0.0], [1.0], [2.0]]),
+    ],
+    ids=["plane", "plane-euclidean", "product", "halfline", "supcube", "finite",
+         "quotient-plane", "quotient-finite"],
+)
+def test_pairwise_dist_returns_a_new_array(pair, X):
+    """Every pair kind returns a distance matrix that shares no memory with
+    its inputs or with a finite pair's matrix, so the caller may overwrite
+    it: the next call still returns the same distances."""
+    X = np.array(X)
+    Y = X[::-1]
+    D = pair.pairwise_dist(X, Y)
+    want = D.copy()
+    inner = getattr(pair, "inner", pair)
+    for shared in (X, Y, getattr(inner, "matrix", X)):
+        assert not np.shares_memory(D, shared)
+    D[...] = -1.0
+    assert pair.pairwise_dist(X, Y).tobytes() == want.tobytes()
 
 
 # -- serialization ---------------------------------------------------------------
