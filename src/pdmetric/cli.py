@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -96,8 +97,6 @@ def _err(msg) -> None:
 
 
 def _load_space(spec: str, norm: str | None) -> MetricPair:
-    if spec is None:
-        raise ParseError("--space is required for this command")
     text = spec
     if not spec.lstrip().startswith("{"):
         try:
@@ -127,6 +126,12 @@ def _load_diagram(spec: str, pair: MetricPair) -> Diagram:
     return parse_diagram(text, fmt, pair)
 
 
+def _load_inputs(args) -> tuple[MetricPair, Diagram, Diagram]:
+    """The --space pair and the sigma and tau diagrams over it."""
+    pair = _load_space(args.space, args.norm)
+    return pair, _load_diagram(args.sigma, pair), _load_diagram(args.tau, pair)
+
+
 def _parse_p(raw: str) -> float:
     try:
         p = float(raw)
@@ -139,9 +144,7 @@ def _parse_p(raw: str) -> float:
 
 
 def cmd_dist(args) -> int:
-    pair = _load_space(args.space, args.norm)
-    sigma = _load_diagram(args.sigma, pair)
-    tau = _load_diagram(args.tau, pair)
+    pair, sigma, tau = _load_inputs(args)
     value, matching = wasserstein(sigma, tau, _parse_p(args.p), pair)
     if args.matching:
         with open(args.matching, "w", encoding="utf-8") as fh:
@@ -155,9 +158,7 @@ def cmd_dist(args) -> int:
 
 
 def cmd_geodesic(args) -> int:
-    pair = _load_space(args.space, args.norm)
-    sigma = _load_diagram(args.sigma, pair)
-    tau = _load_diagram(args.tau, pair)
+    pair, sigma, tau = _load_inputs(args)
     steps = args.steps
     if steps < 1:
         raise ParseError(f"--steps must be at least 1, got {steps}")
@@ -184,14 +185,10 @@ def cmd_geodesic(args) -> int:
             "midpoint_check": check.to_json(),
         }
         print(json.dumps(out, sort_keys=True))
-    return 0 if check.verdict is Verdict.WITNESSED else 1
+    return _EXIT_BY_VERDICT[check.verdict]
 
 
 # -- probe scenarios ---------------------------------------------------------
-
-
-def _plane() -> PlaneDiagonal:
-    return PlaneDiagonal(1, SUP)
 
 
 def _sample_grid(start: float, stop: float, step: float) -> np.ndarray:
@@ -260,7 +257,7 @@ def probe_isolated_bound(args) -> ProbeReport:
 
 
 def probe_vanishing_pair(args) -> ProbeReport:
-    pair = _plane()
+    pair = PlaneDiagonal()
     rows = [(0.0, 4.0)] + [(1.0 / n, 4.0 + 1.0 / n) for n in range(1, args.nmax + 2)]
     x, *tail = pair._points(np.array(rows))
     return vanishing_pair_demo(pair, x, tail, n_max=args.nmax, target=args.target)
@@ -282,8 +279,8 @@ def _cauchy_sequence(name: str, pair: PlaneDiagonal) -> list[Diagram]:
 
 
 def probe_cauchy_chain(args) -> list[ProbeReport]:
-    pair = _plane()
-    names = _CAUCHY_SCENARIOS if args.scenario == "all" else (args.scenario,)
+    pair = PlaneDiagonal()
+    names = _CAUCHY_SCENARIOS if args.scenario in (None, "all") else (args.scenario,)
     reports = []
     for name in names:
         seq = _cauchy_sequence(name, pair)
@@ -300,7 +297,7 @@ def probe_cauchy_chain(args) -> list[ProbeReport]:
 def probe_eps_net(args) -> ProbeReport:
     delta, D = args.delta, args.D
     epsilon = args.epsilon if args.epsilon is not None else 0.25
-    if args.scenario == "half-line":
+    if args.scenario in (None, "half-line"):
         pair = HalfLineOrigin()
         batches = [pair._points(_sample_grid(delta, D, h)) for h in (0.2, 0.1, 0.05, 0.02)]
         net, report = net_growth_probe(pair, delta, D, epsilon, batches)
@@ -310,7 +307,7 @@ def probe_eps_net(args) -> ProbeReport:
         witnesses["within_bound"] = len(net.centers) <= bound
         return dataclasses.replace(report, witnesses=witnesses)
     if args.scenario == "strip":
-        pair = _plane()
+        pair = PlaneDiagonal()
         gap = delta + D  # birth-death gap keeping dist-to-A inside [delta, D)
         b = np.arange(33.0)
         batches = [pair._points(np.column_stack([b, b + gap])[: extent + 1])
@@ -365,7 +362,7 @@ def probe_adversary(args) -> ProbeReport:
         raise ParseError("--candidates must be at least 1")
     delta, D = args.delta, args.D
     epsilon = args.epsilon if args.epsilon is not None else 1.0
-    pair = _plane()
+    pair = PlaneDiagonal()
     mid = delta + D  # gap giving dist-to-A = (delta + D) / 2, inside [delta, D)
     spread = max(3.0 * epsilon, 3.0)
     xs = pair._points(np.array([(spread * i, spread * i + mid) for i in range(k)]))
@@ -409,17 +406,20 @@ def probe_c0_gap(args) -> ProbeReport:
     return report
 
 
+# the probe names in the order --help lists them
+_PROBES = {
+    "isolated-bound": probe_isolated_bound,
+    "vanishing-pair": probe_vanishing_pair,
+    "cauchy-chain": probe_cauchy_chain,
+    "eps-net": probe_eps_net,
+    "dense-family": probe_dense_family,
+    "adversary": probe_adversary,
+    "c0-gap": probe_c0_gap,
+}
+
+
 def cmd_probe(args) -> int:
-    dispatch = {
-        "isolated-bound": probe_isolated_bound,
-        "vanishing-pair": probe_vanishing_pair,
-        "cauchy-chain": probe_cauchy_chain,
-        "eps-net": probe_eps_net,
-        "dense-family": probe_dense_family,
-        "adversary": probe_adversary,
-        "c0-gap": probe_c0_gap,
-    }
-    result = dispatch[args.name](args)
+    result = _PROBES[args.name](args)
     reports = result if isinstance(result, list) else [result]
     if args.format == "csv":
         lines = ["param,value"]
@@ -437,7 +437,10 @@ def cmd_probe(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing
+    leaves it unchanged, each call filling a new namespace."""
     parser = argparse.ArgumentParser(
         prog="pdmetric",
         description="Exact distances, geodesics, and metric-geometry probes "
@@ -473,18 +476,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_probe = sub.add_parser("probe", parents=[common],
                              help="run a metric-geometry probe")
-    p_probe.add_argument(
-        "name",
-        choices=(
-            "isolated-bound",
-            "vanishing-pair",
-            "cauchy-chain",
-            "eps-net",
-            "dense-family",
-            "adversary",
-            "c0-gap",
-        ),
-    )
+    p_probe.add_argument("name", choices=tuple(_PROBES))
     p_probe.add_argument("--trials", type=int, default=20, help="trial count for batch probes")
     p_probe.add_argument("--jobs", type=int, choices=(1,), default=1,
                          help="only 1: every probe runs its trials in this process")
@@ -520,25 +512,12 @@ _ERROR_EXITS = (
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "probe":
-        if args.name == "cauchy-chain" and args.scenario is None:
-            args.scenario = "all"
-        if args.name == "eps-net" and args.scenario is None:
-            args.scenario = "half-line"
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PdmetricError as e:
-        for etype, code in _ERROR_EXITS:
-            if isinstance(e, etype):
-                _err(e)
-                return code
+    except (PdmetricError, ValueError) as e:
         _err(e)
-        return 2
-    except ValueError as e:
-        _err(e)
-        return 2
+        return next((code for etype, code in _ERROR_EXITS if isinstance(e, etype)), 2)
 
 
 if __name__ == "__main__":

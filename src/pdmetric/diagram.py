@@ -37,7 +37,8 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import ParseError, SpaceMismatch
-from .spaces import _PLANE_KINDS, BasepointTag, MetricPair, Point, _coords_from_json, space_from_json
+from .spaces import (_NORMS, BasepointTag, MetricPair, PlaneDiagonal, Point, _coords_from_json,
+                     space_from_json)
 
 __all__ = [
     "Diagram",
@@ -190,8 +191,8 @@ def _check_same_space(diagram: Diagram, pair: MetricPair) -> None:
         )
 
 
-def _is_two_column_plane(pair: MetricPair) -> bool:
-    return pair.kind in _PLANE_KINDS and pair.dim == 2
+# CSV diagrams are defined only over these: the two-coordinate plane pairs
+_CSV_SPACE_IDS = frozenset(PlaneDiagonal(1, norm).space_id for norm in _NORMS)
 
 
 # -- parsing ---------------------------------------------------------------
@@ -256,7 +257,7 @@ def _parse_json(text: str, pair: MetricPair) -> Diagram:
 
 
 def _parse_csv(text: str, pair: MetricPair) -> Diagram:
-    if not _is_two_column_plane(pair):
+    if pair.space_id not in _CSV_SPACE_IDS:
         raise ParseError("CSV diagrams are only defined for two-coordinate plane pairs")
     cells, mults, lines = [], [], []  # cells: birth, death of each row in turn
 
@@ -326,7 +327,8 @@ def _diagram_points_to_json(diagram: Diagram) -> list[dict]:
 def write_diagram(diagram: Diagram, fmt: str, pair: MetricPair | None = None) -> str:
     """Serialize a diagram; the inverse of parse_diagram up to canonical
     form (exactly: parse(write(d)) == d).  A given pair must be the
-    diagram's own space."""
+    diagram's own space; CSV is written only for a diagram over a
+    two-coordinate plane pair, with or without the pair."""
     if pair is not None:
         _check_same_space(diagram, pair)
     if fmt == "json":
@@ -336,8 +338,7 @@ def write_diagram(diagram: Diagram, fmt: str, pair: MetricPair | None = None) ->
         }
         return json.dumps(obj, sort_keys=True)
     if fmt == "csv":
-        if (pair is not None and not _is_two_column_plane(pair)) or (
-                diagram.mults and diagram.coords.shape[1] != 2):
+        if diagram.space_id not in _CSV_SPACE_IDS:
             raise ParseError("CSV diagrams are only defined for two-coordinate plane pairs")
         lines = ["birth,death,mult"]
         rows = zip(diagram.coords.tolist(), diagram.mults)

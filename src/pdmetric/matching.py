@@ -206,17 +206,16 @@ def total_persistence(diagram: Diagram, p: float, pair: MetricPair) -> float:
         raise TooLarge(f"cost powers overflow the float range at p = {p}") from e
 
 
-def _expand(diagram: Diagram, pair: MetricPair) -> np.ndarray:
+def _expand(diagram: Diagram) -> np.ndarray:
     """The diagram's coordinate rows, each repeated by its multiplicity in
     place; only after a size check."""
-    _check_same_space(diagram, pair)
     return np.repeat(diagram.coords, diagram.mults, axis=0)
 
 
 def _row_points(diagram: Diagram) -> list[Point]:
     """The Point of each row of ``_expand``; built only when a witness's
     pairs are."""
-    return [p for p, k in diagram.points for _ in range(k)]
+    return list(diagram.iter_points())
 
 
 def _check_size(sigma: Diagram, tau: Diagram, pair: MetricPair, limit: int) -> None:
@@ -235,7 +234,7 @@ def _cost_data(sigma: Diagram, tau: Diagram, pair: MetricPair):
     both distance-to-A vectors.  Q is built in the pairwise distance
     matrix itself, so the solve holds one n x m array."""
     _check_size(sigma, tau, pair, DEFAULT_NODE_CAP)
-    X, Y = _expand(sigma, pair), _expand(tau, pair)
+    X, Y = _expand(sigma), _expand(tau)
     ax = pair.dist_to_A_batch(X)
     ay = pair.dist_to_A_batch(Y)
     return _quotient_costs(pair.pairwise_dist(X, Y), ax, ay), ax, ay
@@ -452,7 +451,7 @@ def brute_force_dp(
     Exponential; refuses more than ``BRUTE_FORCE_CAP`` points in total,
     counted with multiplicity."""
     _check_size(sigma, tau, pair, BRUTE_FORCE_CAP)
-    X, Y = _expand(sigma, pair), _expand(tau, pair)
+    X, Y = _expand(sigma), _expand(tau)
     n, m = len(X), len(Y)
     D = pair.pairwise_dist(X, Y)
     ax = pair.dist_to_A_batch(X)

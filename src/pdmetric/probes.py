@@ -84,14 +84,6 @@ def _jsonify(v):
         return _point_to_json(v)
     if isinstance(v, Diagram):
         return _diagram_points_to_json(v)
-    if isinstance(v, EpsNet):
-        return {
-            "epsilon": v.epsilon,
-            "region": list(v.region),
-            "centers": [_jsonify(c) for c in v.centers],
-        }
-    if isinstance(v, Enum):
-        return v.value
     if isinstance(v, dict):
         return {str(k): _jsonify(u) for k, u in v.items()}
     if isinstance(v, (list, tuple)):
@@ -231,10 +223,7 @@ def cauchy_chain_limit(diagrams: Sequence[Diagram], pair: MetricPair):
     cache: dict[tuple[int, int], float] = {}
 
     def dist(i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        if i > j:
-            i, j = j, i
+        """The bottleneck distance between diags[i] and diags[j], i < j."""
         if (i, j) not in cache:
             cache[(i, j)], _ = bottleneck(diags[i], diags[j], pair)
         return cache[(i, j)]

@@ -409,7 +409,8 @@ class FiniteExplicit(MetricPair):
     """A finite metric space given by an explicit distance matrix, with A
     a chosen nonempty subset of indices.  Points are integer indices; the
     projection is the nearest index of A, and no geodesic oracle is
-    provided (interpolation has no meaning here)."""
+    provided (interpolation has no meaning here).  An index of A is read
+    by ``_int_field``: a boolean or a fractional number is a ParseError."""
 
     has_geodesic = False
 
@@ -417,6 +418,7 @@ class FiniteExplicit(MetricPair):
     TRIANGLE_TOL = 1e-9
 
     def __init__(self, matrix: Sequence[Sequence[float]], A: Sequence[int]):
+        a_idx = sorted({_int_field(i, "A index") for i in A})
         # + 0.0 turns -0.0 into 0.0, so one metric has one space_id
         M = np.asarray(matrix, dtype=np.float64) + 0.0
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -436,7 +438,6 @@ class FiniteExplicit(MetricPair):
         for b in _row_blocks(n, n * n):
             if np.any(M > M.T[b, :, None] + M[b, None, :] + self.TRIANGLE_TOL):
                 raise InvalidMetric("triangle inequality violated")
-        a_idx = sorted({int(i) for i in A})
         if not a_idx:
             raise InvalidMetric("A must be nonempty")
         if a_idx[0] < 0 or a_idx[-1] >= n:
@@ -656,7 +657,8 @@ def _int_field(value, name: str) -> int:
     """An integer field of a descriptor as an int.  Booleans, numbers with
     a fractional part and any value that int() refuses (null, inf, text)
     are a ParseError; integral values such as 4.0 are read exactly."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    if isinstance(value, (bool, np.bool_)) or (
+            isinstance(value, (float, np.floating)) and not value.is_integer()):
         raise ParseError(f"{name} must be an integer, got {value!r}")
     try:
         return int(value)
@@ -701,7 +703,7 @@ def space_from_json(obj: dict | str) -> MetricPair:
         if not isinstance(obj["A"], list):
             raise ParseError(f"FiniteExplicit A must be a list of indices, got {obj['A']!r}")
         try:
-            return FiniteExplicit(obj["matrix"], [_int_field(i, "A index") for i in obj["A"]])
+            return FiniteExplicit(obj["matrix"], obj["A"])
         except InvalidMetric:
             raise
         except (TypeError, ValueError, OverflowError) as e:

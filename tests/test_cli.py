@@ -164,73 +164,103 @@ def test_huge_multiplicity_exits_4(command):
 
 EMPTY = '{"points": []}'
 
+FINITE_A = '{"kind": "FiniteExplicit", "matrix": [[0, 1], [1, 0]], "A": [%s]}'
+FINITE3_A = '{"kind": "FiniteExplicit", "matrix": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "A": %s}'
+# TMP/ is the test's temporary directory; TMP/list.json holds a JSON list
+LIST_FILE = "TMP/list.json"
+
+# argv and the README exit code it ends with
 MALFORMED = [
-    pytest.param(["dist", '{"points": [{"coords": [1e999]}]}', EMPTY, "--space", FINITE],
+    pytest.param(["dist", '{"points": [{"coords": [1e999]}]}', EMPTY, "--space", FINITE], 2,
                  id="finite-index-inf"),
-    pytest.param(["dist", EMPTY, '{"points": [{"coords": [-1e999]}]}', "--space", FINITE],
+    pytest.param(["dist", EMPTY, '{"points": [{"coords": [-1e999]}]}', "--space", FINITE], 2,
                  id="finite-index-minus-inf"),
     pytest.param(["dist", '{"points": [{"coords": [0, 1%s]}]}' % ("0" * 400), EMPTY,
-                  "--space", PLANE], id="integer-coordinate-beyond-float"),
+                  "--space", PLANE], 2, id="integer-coordinate-beyond-float"),
     pytest.param(["dist", EMPTY, EMPTY, "--space",
-                  '{"kind": "EuclideanPlaneDiagonal", "dim": null}'], id="plane-dim-null"),
+                  '{"kind": "EuclideanPlaneDiagonal", "dim": null}'], 2, id="plane-dim-null"),
     pytest.param(["dist", EMPTY, EMPTY, "--space",
-                  '{"kind": "SupCubeTruncatedC0", "dim": null}'], id="supcube-dim-null"),
+                  '{"kind": "SupCubeTruncatedC0", "dim": null}'], 2, id="supcube-dim-null"),
     pytest.param(["dist", EMPTY, EMPTY, "--space",
-                  '{"kind": "HalfPlane2nDiagonal", "dim": 1e999}'], id="plane-dim-inf"),
+                  '{"kind": "HalfPlane2nDiagonal", "dim": 1e999}'], 2, id="plane-dim-inf"),
     pytest.param(["dist", EMPTY, EMPTY, "--space",
-                  '{"kind": "SupCubeTruncatedC0", "dim": 1e999}'], id="supcube-dim-inf"),
+                  '{"kind": "SupCubeTruncatedC0", "dim": 1e999}'], 2, id="supcube-dim-inf"),
+    pytest.param(["dist", EMPTY, EMPTY, "--space", FINITE_A % "1e999"], 2, id="finite-A-inf"),
     pytest.param(["dist", EMPTY, EMPTY, "--space",
-                  '{"kind": "FiniteExplicit", "matrix": [[0, 1], [1, 0]], "A": [1e999]}'],
-                 id="finite-A-inf"),
+                  '{"kind": "SupCubeTruncatedC0", "dim": true}'], 2, id="supcube-dim-true"),
     pytest.param(["dist", EMPTY, EMPTY, "--space",
-                  '{"kind": "SupCubeTruncatedC0", "dim": true}'], id="supcube-dim-true"),
+                  '{"kind": "HalfPlane2nDiagonal", "dim": 4.9}'], 2, id="plane-dim-fraction"),
     pytest.param(["dist", EMPTY, EMPTY, "--space",
-                  '{"kind": "HalfPlane2nDiagonal", "dim": 4.9}'], id="plane-dim-fraction"),
+                  '{"kind": "HalfPlane2nDiagonal", "dim": 3}'], 2, id="plane-dim-odd"),
     pytest.param(["dist", EMPTY, EMPTY, "--space",
-                  '{"kind": "FiniteExplicit", "matrix": [[0, 1], [1, 0]], "A": [1.5]}'],
+                  '{"kind": "EuclideanPlaneDiagonal", "norm": "l1"}'], 2, id="plane-norm-unknown"),
+    pytest.param(["dist", EMPTY, EMPTY, "--space",
+                  '{"kind": "SupCubeTruncatedC0", "dim": 13}'], 2, id="supcube-dim-too-large"),
+    pytest.param(["dist", EMPTY, EMPTY, "--space", FINITE_A % "1.5"], 2,
                  id="finite-A-fraction"),
-    pytest.param(["dist", EMPTY, EMPTY, "--space",
-                  '{"kind": "FiniteExplicit", "matrix": [[0, 1], [1, 0]], "A": [true]}'],
-                 id="finite-A-true"),
-    pytest.param(["dist", EMPTY, EMPTY, "--space",
-                  '{"kind": "FiniteExplicit", "matrix": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "A": "12"}'],
-                 id="finite-A-string"),
-    pytest.param(["dist", EMPTY, EMPTY, "--space",
-                  '{"kind": "FiniteExplicit", "matrix": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "A": {"2": 0}}'],
+    pytest.param(["dist", EMPTY, EMPTY, "--space", FINITE_A % "true"], 2, id="finite-A-true"),
+    pytest.param(["dist", EMPTY, EMPTY, "--space", FINITE3_A % '"12"'], 2, id="finite-A-string"),
+    pytest.param(["dist", EMPTY, EMPTY, "--space", FINITE3_A % '{"2": 0}'], 2,
                  id="finite-A-object"),
-    pytest.param(["dist", SIGMA, TAU, "--space", PLANE, "--p", "0.5"], id="p-below-1"),
-    pytest.param(["dist", SIGMA, TAU, "--space", PLANE, "--p=nan"], id="p-nan"),
-    pytest.param(["dist", SIGMA, TAU, "--space", PLANE, "--p=two"], id="p-text"),
-    pytest.param(["dist", EMPTY, EMPTY, "--space", '{"kind": "NoSuchKind"}'], id="unknown-kind"),
+    pytest.param(["dist", EMPTY, EMPTY, "--space", '{"kind": "FiniteExplicit", "A": [1]}'], 2,
+                 id="finite-no-matrix"),
+    pytest.param(["dist", EMPTY, EMPTY, "--space",
+                  '{"kind": "FiniteExplicit", "matrix": [[0, 1], [1, 0]]}'], 2,
+                 id="finite-no-A"),
+    pytest.param(["dist", EMPTY, EMPTY, "--space", '{"kind": "QuotientOf"}'], 2,
+                 id="quotient-no-inner"),
+    pytest.param(["dist", EMPTY, EMPTY, "--space", LIST_FILE], 2, id="space-not-object"),
+    pytest.param(["dist", EMPTY, EMPTY, "--space", "/nonexistent/space.json"], 2,
+                 id="space-file-unreadable"),
+    pytest.param(["dist", SIGMA, TAU, "--space", PLANE, "--p", "0.5"], 2, id="p-below-1"),
+    pytest.param(["dist", SIGMA, TAU, "--space", PLANE, "--p=nan"], 2, id="p-nan"),
+    pytest.param(["dist", SIGMA, TAU, "--space", PLANE, "--p=two"], 2, id="p-text"),
+    pytest.param(["dist", EMPTY, EMPTY, "--space", '{"kind": "NoSuchKind"}'], 2,
+                 id="unknown-kind"),
     pytest.param(["dist", '{"points": [{"coords": [0, 4], "mult": 0}]}', TAU, "--space", PLANE],
-                 id="mult-zero"),
+                 2, id="mult-zero"),
     pytest.param(["dist", '{"points": [{"coords": [0, 4], "mult": 1.5}]}', TAU, "--space", PLANE],
-                 id="mult-fraction"),
-    pytest.param(["dist", '{"points": [{"coords": "12"}]}', TAU, "--space", PLANE],
+                 2, id="mult-fraction"),
+    pytest.param(["dist", '{"points": [{"coords": "12"}]}', TAU, "--space", PLANE], 2,
                  id="coords-string"),
     pytest.param(["dist", '{"points": [{"coords": {"1": 0, "5": 0}}]}', TAU, "--space", PLANE],
-                 id="coords-object"),
-    pytest.param(["dist", '{"points": [{"coords": [true, 2]}]}', TAU, "--space", PLANE],
+                 2, id="coords-object"),
+    pytest.param(["dist", '{"points": [{"coords": [true, 2]}]}', TAU, "--space", PLANE], 2,
                  id="coords-boolean"),
     pytest.param(["dist", '{"points": [{"coords": [0, 4], "mult": true}]}', TAU, "--space", PLANE],
-                 id="mult-true"),
-    pytest.param(["dist", '{"space": "halfline", "points": []}', TAU, "--space", PLANE],
+                 2, id="mult-true"),
+    pytest.param(["dist", LIST_FILE, TAU, "--space", PLANE], 2, id="diagram-not-object"),
+    pytest.param(["dist", '{"points": 1}', TAU, "--space", PLANE], 2, id="points-not-list"),
+    pytest.param(["dist", '{"space": 5, "points": []}', TAU, "--space", PLANE], 2,
+                 id="space-field-number"),
+    pytest.param(["dist", '{"space": "halfline", "points": []}', TAU, "--space", PLANE], 3,
                  id="space-mismatch"),
-    pytest.param(["probe", "c0-gap", "--m", "13"], id="too-large"),
-    pytest.param(["probe", "dense-family", "--n", "100000"], id="dense-family-grid-too-large"),
-    pytest.param(["probe", "eps-net", "--D", "1e9"], id="eps-net-grid-too-large"),
-    pytest.param(["probe", "vanishing-pair", "--nmax", "5000"], id="vanishing-pair-too-large"),
-    pytest.param(["geodesic", EMPTY, EMPTY, "--space", FINITE], id="no-geodesic-oracle"),
+    pytest.param(["dist", '{"space": {"kind": "HalfLineOrigin"}, "points": []}', TAU,
+                  "--space", PLANE], 3, id="space-descriptor-mismatch"),
+    pytest.param(["probe", "isolated-bound", "--trials", "0"], 2, id="trials-zero"),
+    pytest.param(["probe", "dense-family", "--n", "0"], 2, id="dense-family-n-zero"),
+    pytest.param(["probe", "adversary", "--candidates", "0"], 2, id="adversary-candidates-zero"),
+    pytest.param(["probe", "cauchy-chain", "--scenario", "diverging"], 2,
+                 id="cauchy-scenario-unknown"),
+    pytest.param(["probe", "cauchy-chain", "--scenario", ""], 2, id="cauchy-scenario-empty"),
+    pytest.param(["probe", "eps-net", "--scenario", "disk"], 2, id="eps-net-scenario-unknown"),
+    pytest.param(["probe", "eps-net", "--scenario", ""], 2, id="eps-net-scenario-empty"),
+    pytest.param(["probe", "c0-gap", "--m", "13"], 4, id="too-large"),
+    pytest.param(["probe", "dense-family", "--n", "100000"], 4, id="dense-family-grid-too-large"),
+    pytest.param(["probe", "eps-net", "--D", "1e9"], 4, id="eps-net-grid-too-large"),
+    pytest.param(["probe", "vanishing-pair", "--nmax", "5000"], 4, id="vanishing-pair-too-large"),
+    pytest.param(["geodesic", EMPTY, EMPTY, "--space", FINITE], 5, id="no-geodesic-oracle"),
 ]
 
 
-@pytest.mark.parametrize("argv", MALFORMED)
-def test_malformed_input_ends_in_one_error_line(argv, capsys):
-    """No malformed input reaches the user as a traceback: each ends with a
-    typed exit code, no stdout and a single "pdmetric: error:" line."""
-    code = main(argv)  # an exception escaping here fails the test
+@pytest.mark.parametrize("argv, code", MALFORMED)
+def test_malformed_input_ends_in_one_error_line(argv, code, tmp_path, capsys):
+    """No malformed input reaches the user as a traceback: each ends with
+    its typed exit code, no stdout and a single "pdmetric: error:" line."""
+    (tmp_path / "list.json").write_text("[1, 2]")
+    argv = [a.replace("TMP/", f"{tmp_path}/") for a in argv]
+    assert main(argv) == code  # an exception escaping here fails the test
     out = capsys.readouterr()
-    assert code in {2, 3, 4, 5}
     assert out.out == ""
     lines = out.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("pdmetric: error: ")
@@ -432,6 +462,23 @@ def test_probe_cauchy_chain_all(capsys):
     ]
     assert all(o["verdict"] == "WITNESSED" for o in objs)
     assert objs[2]["witnesses"]["limit"] == []
+
+
+def test_back_to_back_calls_share_no_state(capsys):
+    """The parser is built once per process, and a --scenario given to one
+    call does not carry over to the next."""
+    from pdmetric.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    code, out, _ = run_main(["probe", "cauchy-chain", "--scenario", "converging"], capsys)
+    assert (code, json.loads(out)["probe"]) == (0, "cauchy_chain_limit[converging]")
+    code, out, _ = run_main(["probe", "cauchy-chain"], capsys)
+    assert code == 0
+    assert [o["probe"] for o in json.loads(out)] == [
+        "cauchy_chain_limit[constant]",
+        "cauchy_chain_limit[converging]",
+        "cauchy_chain_limit[absorbing]",
+    ]
 
 
 def test_probe_isolated_bound(capsys):

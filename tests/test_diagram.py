@@ -20,6 +20,7 @@ from pdmetric import (
     PlaneDiagonal,
     QuotientOf,
     SpaceMismatch,
+    SupCubeTruncatedC0,
     TooLarge,
     canonicalize,
     empty_diagram,
@@ -285,6 +286,14 @@ def test_csv_rejected_off_plane():
     d = canonicalize([hl.point(3.0)], hl)
     with pytest.raises(ParseError):
         write_diagram(d, "csv", hl)
+    # without the pair the diagram's own space decides: two-coordinate
+    # points or no points do not make a plane diagram
+    cube, quotient = SupCubeTruncatedC0(2), QuotientOf(plane())
+    for off_plane in (canonicalize([cube.point(1.0, 2.0)], cube),
+                      canonicalize([quotient.point(0.0, 4.0)], quotient),
+                      empty_diagram(hl), empty_diagram(quotient)):
+        with pytest.raises(ParseError, match="two-coordinate plane pairs"):
+            write_diagram(off_plane, "csv")
 
 
 def test_json_write_refuses_another_space():
@@ -369,7 +378,11 @@ def test_empty_diagram_arrays_and_text(pair):
     assert d.coords.shape == (0, pair.dim) and d.mults == () and d.is_empty
     assert d == canonicalize([], pair) and hash(d) == hash(canonicalize([], pair))
     assert write_diagram(d, "json") == f'{{"points": [], "space": "{pair.space_id}"}}'
-    assert write_diagram(d, "csv") == "birth,death,mult\n"
+    if pair == plane():
+        assert write_diagram(d, "csv") == "birth,death,mult\n"
+    else:
+        with pytest.raises(ParseError):
+            write_diagram(d, "csv")
     assert parse_diagram(write_diagram(d, "json", pair), "json", pair) == d
 
 

@@ -324,6 +324,20 @@ def test_finite_explicit_validation():
         FiniteExplicit(good_matrix(), [])  # empty A
     with pytest.raises(InvalidMetric):
         FiniteExplicit(good_matrix(), [5])  # A out of range
+    with pytest.raises(InvalidMetric, match="square"):
+        FiniteExplicit([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]], [0])
+    with pytest.raises(InvalidMetric, match="nonempty"):
+        FiniteExplicit(np.empty((0, 0)), [0])
+    with pytest.raises(InvalidMetric, match="finite"):
+        FiniteExplicit([[0.0, math.inf], [math.inf, 0.0]], [0])
+    with pytest.raises(InvalidMetric, match="nonnegative"):
+        FiniteExplicit([[0.0, -1.0], [-1.0, 0.0]], [0])
+    # A indices follow the descriptor's integer rule, not int()'s truncation
+    for bad in ([1.5], [True], [np.True_], [np.float64(0.5)], np.array([1.5], dtype=np.float32)):
+        with pytest.raises(ParseError, match="A index must be an integer"):
+            FiniteExplicit(good_matrix(), bad)
+    for good in ([2.0], [np.int64(2)], [np.float64(2.0)]):
+        assert FiniteExplicit(good_matrix(), good).A_indices == (2,)
 
 
 def violates_triangle_per_k(M):
