@@ -30,7 +30,7 @@ import sys
 
 import numpy as np
 
-from .diagram import Diagram, _canonical, _diagram_points_to_json, parse_diagram
+from .diagram import _CSV_SPACE_IDS, Diagram, _canonical, _diagram_points_to_json, parse_diagram
 from .errors import (
     CoverageGap,
     EmptyAnnulus,
@@ -165,7 +165,7 @@ def cmd_geodesic(args) -> int:
     path = geodesic_between(sigma, tau, pair)
     frames, check = _grid_check(path, steps)
     if args.format == "csv":
-        if pair.dim != 2:
+        if pair.space_id not in _CSV_SPACE_IDS:
             raise ParseError("CSV frames are only defined for two-coordinate plane pairs")
         lines = ["t,birth,death,mult"]
         for t, frame in frames:
@@ -384,6 +384,8 @@ def probe_adversary(args) -> ProbeReport:
 
 def probe_c0_gap(args) -> ProbeReport:
     if args.sweep:
+        if args.m < 2:
+            raise ParseError(f"--m must be at least 2 with --sweep, got {args.m}")
         reports = []
         gaps = []
         for m in range(2, args.m + 1):

@@ -6,7 +6,9 @@ pairs matched with A slide onto their projections, and a matched pair
 whose points sit far apart but close to A is rerouted through A (the pair
 vanishes at the basepoint and re-emerges).  Every leg moves at speed at
 most the bottleneck distance, which is exactly what makes the whole path
-a geodesic in the diagram metric.
+a geodesic in the diagram metric.  ``DiagramPath.at`` places each leg's
+point with ``spaces._leg_at``, the leg rule that quotient geodesics use
+too.
 
 ``midpoint_check`` samples the path and verifies both distance identities
 d(source, path(t)) = t * d and d(path(t), target) = (1 - t) * d with the
@@ -33,14 +35,7 @@ from .diagram import Diagram, _canonical
 from .errors import NoGeodesicOracle, TooLarge
 from .matching import Matching, MatchedPair, _bottleneck, _cost_data, bottleneck
 from .probes import ProbeReport, Verdict
-from .spaces import (
-    BASEPOINT,
-    BasepointTag,
-    MetricPair,
-    Point,
-    SupCubeTruncatedC0,
-    _through_A,
-)
+from .spaces import BasepointTag, MetricPair, Point, SupCubeTruncatedC0, _check_t, _leg_at
 
 __all__ = [
     "GoodnessReason",
@@ -142,26 +137,11 @@ class DiagramPath:
     pair: MetricPair
 
     def at(self, t: float) -> Diagram:
-        t = float(t)
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"path parameter must lie in [0, 1], got {t}")
-        positions = [self._leg_position(leg, t) for leg in self.legs]
+        t = _check_t(t)
+        positions = [_leg_at(self.pair, leg.left, leg.right, leg.left_to_A, leg.right_to_A,
+                             leg.route is Route.THROUGH_A, t) for leg in self.legs]
         rows = [q.coords for q in positions if not isinstance(q, BasepointTag)]
         return _canonical(np.array(rows).reshape(-1, self.pair.dim), [1] * len(rows), self.pair)
-
-    def _leg_position(self, leg: PathLeg, t: float):
-        pair = self.pair
-        x, y = leg.left, leg.right
-        if isinstance(x, BasepointTag) and isinstance(y, BasepointTag):
-            return BASEPOINT
-        if isinstance(x, BasepointTag):
-            # grows out of A along the projection geodesic
-            return pair.geodesic(pair.proj_to_A(y), y, t)
-        if isinstance(y, BasepointTag):
-            return pair.geodesic(x, pair.proj_to_A(x), t)
-        if leg.route is Route.THROUGH_A:
-            return _through_A(pair, x, y, leg.left_to_A, leg.right_to_A, t)
-        return pair.geodesic(x, y, t)
 
 
 def geodesic_between(sigma: Diagram, tau: Diagram, pair: MetricPair) -> DiagramPath:
@@ -228,11 +208,10 @@ def c0_truncation_gap(m: int):
     i in F and 0 elsewhere.  The gap exceeds the infinite-dimensional
     limit 1 for every m, certifying that the corresponding pair of points
     admits no midpoint in the untruncated space.  The 2^m subsets are
-    enumerated, so m above ``SupCubeTruncatedC0.MAX_DIM`` raises TooLarge.
+    enumerated, so m above ``SupCubeTruncatedC0.MAX_DIM`` raises TooLarge;
+    the sup cube refuses m below 1 with ValueError.
     """
     m = int(m)
-    if m < 1:
-        raise ValueError("m must be at least 1")
     if m > SupCubeTruncatedC0.MAX_DIM:
         raise TooLarge(f"subset enumeration capped at m = {SupCubeTruncatedC0.MAX_DIM}")
     space = SupCubeTruncatedC0(m)

@@ -88,8 +88,6 @@ def _jsonify(v):
         return {str(k): _jsonify(u) for k, u in v.items()}
     if isinstance(v, (list, tuple)):
         return [_jsonify(u) for u in v]
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
     if isinstance(v, float) and math.isinf(v):
         return "inf" if v > 0 else "-inf"
     return v

@@ -24,8 +24,12 @@ descriptor as that quotient, its scalar distances coming from its batch
 formula like every pair's, and the free functions ``quotient_distance``
 and ``quotient_geodesic`` evaluate the quotient metric and its geodesics
 over the original pair.  ``_quotient_costs`` is the one home of the
-quotient cost matrix and ``_through_A`` of the arclength path
-x -> A -> y; the matching and geodesic modules call both.
+quotient cost matrix, which ``QuotientOf`` and the matching module build
+with it.  ``_leg_at`` is the one home of the leg rule: a point on a leg
+slides to or from A along a projection, follows the pair's geodesic, or
+takes the arclength path x -> A -> y.  ``DiagramPath.at``,
+``QuotientOf.geodesic`` and ``quotient_geodesic`` place their points
+with it.
 
 All descriptors are immutable and all operations are pure, so values can
 be shared freely across threads or processes.
@@ -546,17 +550,11 @@ class QuotientOf(MetricPair):
         t = _check_t(t)
         if not self.has_geodesic:
             raise NoGeodesicOracle(f"{self.inner.kind} has no geodesic oracle")
-        x_base = isinstance(x, BasepointTag)
-        y_base = isinstance(y, BasepointTag)
-        if x_base and y_base:
-            return BASEPOINT
-        if x_base or y_base:
-            # slide along the inner geodesic between the point and its projection
-            p = self.lift(y if x_base else x)
-            a = self.inner.proj_to_A(p)
-            q = self.inner.geodesic(a, p, t) if x_base else self.inner.geodesic(p, a, t)
-            return self.lower(q)
-        return self.lower(quotient_geodesic(self.inner, self.lift(x), self.lift(y), t))
+        x, y = (p if isinstance(p, BasepointTag) else self.lift(p) for p in (x, y))
+        if isinstance(x, BasepointTag) or isinstance(y, BasepointTag):
+            # the distances to A are unread on a leg with a BASEPOINT end
+            return self.lower(_leg_at(self.inner, x, y, 0.0, 0.0, False, t))
+        return self.lower(quotient_geodesic(self.inner, x, y, t))
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "inner": self.inner.to_json()}
@@ -599,23 +597,30 @@ def quotient_geodesic(pair: MetricPair, x, y, t: float):
     t = _check_t(t)
     ax = pair.dist_to_A(x)
     ay = pair.dist_to_A(y)
-    if pair.dist(x, y) <= ax + ay:
-        p = pair.geodesic(x, y, t)
-    else:
-        p = _through_A(pair, x, y, ax, ay, t)
+    p = _leg_at(pair, x, y, ax, ay, pair.dist(x, y) > ax + ay, t)
     if isinstance(p, BasepointTag) or pair.dist_to_A(p) == 0.0:
         return BASEPOINT
     return p
 
 
-def _through_A(pair: MetricPair, x, y, ax: float, ay: float, t: float):
-    """Arclength position at time t on the path x -> A -> y through the
-    two projections, given ax = d(x, A) and ay = d(y, A); BASEPOINT when
-    the position lies in A."""
-    total = ax + ay
-    if total == 0.0:
-        return BASEPOINT
-    s = t * total
+def _leg_at(pair: MetricPair, x, y, ax: float, ay: float, through_A: bool, t: float):
+    """Position at time t on the leg from x to y, the one rule of every
+    geodesic leg.
+
+    A leg with one BASEPOINT end slides along the geodesic between its
+    other end and that end's projection, and a leg with two is BASEPOINT
+    throughout.  Between two points it is the pair's geodesic or, with
+    ``through_A``, the arclength path x -> A -> y through the two
+    projections, given ax = d(x, A) and ay = d(y, A), which is BASEPOINT
+    where it lies in A.  The distances to A are read only on that path.
+    """
+    if isinstance(x, BasepointTag):
+        return BASEPOINT if isinstance(y, BasepointTag) else pair.geodesic(pair.proj_to_A(y), y, t)
+    if isinstance(y, BasepointTag):
+        return pair.geodesic(x, pair.proj_to_A(x), t)
+    if not through_A:
+        return pair.geodesic(x, y, t)
+    s = t * (ax + ay)
     if s < ax:
         return pair.geodesic(x, pair.proj_to_A(x), s / ax)
     if s > ax:

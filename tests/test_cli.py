@@ -5,9 +5,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from pdmetric import TooLarge
+from pdmetric import Point, ProbeReport, TooLarge
 from pdmetric.cli import fmt_real, main
 
 PLANE = '{"kind": "EuclideanPlaneDiagonal", "norm": "sup", "dim": 2}'
@@ -246,10 +247,16 @@ MALFORMED = [
     pytest.param(["probe", "eps-net", "--scenario", "disk"], 2, id="eps-net-scenario-unknown"),
     pytest.param(["probe", "eps-net", "--scenario", ""], 2, id="eps-net-scenario-empty"),
     pytest.param(["probe", "c0-gap", "--m", "13"], 4, id="too-large"),
+    pytest.param(["probe", "c0-gap", "--m", "0"], 2, id="c0-gap-m-zero"),
+    pytest.param(["probe", "c0-gap", "--sweep", "--m", "1"], 2, id="c0-sweep-m-one"),
     pytest.param(["probe", "dense-family", "--n", "100000"], 4, id="dense-family-grid-too-large"),
     pytest.param(["probe", "eps-net", "--D", "1e9"], 4, id="eps-net-grid-too-large"),
     pytest.param(["probe", "vanishing-pair", "--nmax", "5000"], 4, id="vanishing-pair-too-large"),
     pytest.param(["geodesic", EMPTY, EMPTY, "--space", FINITE], 5, id="no-geodesic-oracle"),
+    pytest.param(["geodesic", SIGMA, TAU, "--space", '{"kind": "SupCubeTruncatedC0", "dim": 2}',
+                  "--format", "csv"], 2, id="geodesic-csv-supcube"),
+    pytest.param(["geodesic", SIGMA, TAU, "--space", '{"kind": "QuotientOf", "inner": %s}' % PLANE,
+                  "--format", "csv"], 2, id="geodesic-csv-quotient"),
 ]
 
 
@@ -388,6 +395,14 @@ def test_probe_c0_gap(capsys):
     assert obj["witnesses"]["gap"] == 1.0 + 1.0 / 3.0
 
 
+@pytest.mark.parametrize("m", ["1", "0", "-3"])
+def test_probe_c0_gap_sweep_needs_two_dimensions(m, capsys):
+    # a sweep over no m would report WITNESSED with nothing checked
+    code, out, err = run_main(["probe", "c0-gap", "--sweep", "--m", m], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"pdmetric: error: --m must be at least 2 with --sweep, got {m}\n"
+
+
 def test_probe_c0_gap_sweep(capsys):
     code, out, _ = run_main(["probe", "c0-gap", "--sweep", "--m", "5"], capsys)
     assert code == 0
@@ -436,6 +451,10 @@ def test_probe_vanishing_pair(capsys):
         ["probe", "vanishing-pair", "--nmax", "5", "--target", "1e-9"], capsys
     )
     assert code == 1
+    # an infinite witness is written as text, which JSON can carry
+    code, out, _ = run_main(["probe", "vanishing-pair", "--nmax", "5", "--target", "inf"], capsys)
+    assert code == 0
+    assert '"target": "inf"' in out
 
 
 def test_probe_cauchy_chain_single(capsys):
@@ -509,6 +528,53 @@ def test_probe_csv_format(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "param,value"
     assert len(lines) == 4  # m = 2, 3, 4
+
+
+def _leaves(v):
+    """The values a report's witnesses hold, through containers and the
+    coordinates of points; a diagram is one leaf."""
+    if isinstance(v, dict):
+        v = list(v.values())
+    if isinstance(v, Point):
+        v = v.coords
+    if isinstance(v, (list, tuple)):
+        for u in v:
+            yield from _leaves(u)
+    else:
+        yield v
+
+
+REPORT_ARGV = [
+    ["probe", "isolated-bound", "--trials", "3"],
+    ["probe", "vanishing-pair", "--nmax", "5"],
+    *(["probe", "cauchy-chain", "--scenario", s] for s in ("constant", "converging", "absorbing")),
+    *(["probe", "eps-net", "--scenario", s] for s in ("half-line", "strip")),
+    ["probe", "dense-family", "--n", "3", "--trials", "3"],
+    ["probe", "adversary", "--candidates", "4"],
+    ["probe", "c0-gap", "--m", "3"],
+    ["probe", "c0-gap", "--sweep", "--m", "4"],
+    ["geodesic", SIGMA, TAU, "--space", PLANE, "--steps", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", REPORT_ARGV,
+                         ids=lambda a: "-".join(a[1:4]) if a[0] == "probe" else "geodesic")
+def test_report_witnesses_hold_no_numpy_scalar(argv, monkeypatch, capsys):
+    """Every report the CLI writes holds plain Python values, so writing it
+    needs no numpy conversion."""
+    reports, to_json = [], ProbeReport.to_json
+
+    def recorded(report):
+        reports.append(report)
+        return to_json(report)
+
+    monkeypatch.setattr(ProbeReport, "to_json", recorded)
+    assert main(argv) in (0, 1, 6)
+    capsys.readouterr()
+    assert reports
+    for report in reports:
+        leaves = list(_leaves(report.witnesses))
+        assert leaves and not [v for v in leaves if isinstance(v, np.generic)]
 
 
 # -- determinism --------------------------------------------------------------------

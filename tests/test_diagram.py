@@ -143,6 +143,8 @@ def test_equality_is_canonical_equality():
     assert a == b
     c = canonicalize([pair.point(0.0, 4.0)], pair)
     assert a != c
+    # another type defers to its own __eq__, then falls back to identity
+    assert (a == 1) is False
 
 
 def test_multiplicity_lookup():
@@ -255,6 +257,10 @@ def test_json_errors():
         parse_diagram('{"points": [{"coords": [0, 4], "mult": 0}]}', "json", pair)
     with pytest.raises(SpaceMismatch):
         parse_diagram('{"space": "halfline", "points": []}', "json", pair)
+    with pytest.raises(ParseError, match="unknown diagram format 'xml'"):
+        parse_diagram('{"points": []}', "xml", pair)
+    with pytest.raises(ParseError, match="unknown diagram format 'xml'"):
+        write_diagram(empty_diagram(pair), "xml", pair)
 
 
 # -- csv ------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from pdmetric import (
     CoverageGap,
     EmptyAnnulus,
+    EpsNet,
     FiniteExplicit,
     MetricPair,
     NotCauchy,
@@ -110,6 +111,30 @@ def test_vanishing_pair_demo():
     # every step obeys its single-swap bound
     for (_, d), (_, b) in zip(report.numeric_trace, report.witnesses["single_swap_bounds"]):
         assert d <= b
+
+
+@pytest.mark.parametrize("wrong", [0.6, 0.0], ids=["above-bound", "zero"])
+def test_vanishing_pair_refutes_a_distance_its_check_rejects(wrong, monkeypatch):
+    """A first distance above its single-swap bound (0.5), or not positive,
+    makes the report REFUTED though the final distance is still below the
+    target."""
+    import pdmetric.probes as probes
+
+    solve, calls = probes.bottleneck, []
+
+    def patched(sigma, tau, pair):
+        calls.append(None)
+        value, matching = solve(sigma, tau, pair)
+        return (wrong if len(calls) == 1 else value), matching
+
+    monkeypatch.setattr(probes, "bottleneck", patched)
+    pair = plane_sup()
+    x = pair.point(0.0, 4.0)
+    tail = [pair.point(1.0 / n, 4.0 + 1.0 / n) for n in range(1, 60)]
+    report = vanishing_pair_demo(pair, x, tail, n_max=50, target=0.05)
+    assert report.numeric_trace[0] == (1.0, wrong)
+    assert report.witnesses["final_distance"] < 0.05
+    assert report.verdict is Verdict.REFUTED
 
 
 def test_vanishing_pair_preconditions():
@@ -306,6 +331,8 @@ def test_dense_family_preconditions():
     with pytest.raises(PreconditionViolated):
         fine = greedy_eps_net(hl, 0.25, 2.5, 0.25, samples)
         dense_family(hl, 0, fine)
+    with pytest.raises(PreconditionViolated, match="net has no centers"):
+        dense_family(hl, 2, EpsNet(0.25, (), (0.25, 2.5)))
 
 
 def test_dense_family_validation_catches_gap():
@@ -384,6 +411,27 @@ def test_adversary_defeats_candidate_list():
     assert xs[0] not in kept and xs[2] not in kept
     for _, d in report.numeric_trace:
         assert d >= 0.5
+
+
+def test_adversary_refutes_a_distance_below_half_epsilon(monkeypatch):
+    """A candidate whose distance to tau is below epsilon / 2 makes the
+    report REFUTED; unpatched, both distances are 1.5."""
+    import pdmetric.probes as probes
+
+    solve, calls = probes.bottleneck, []
+
+    def patched(tau, sigma, pair):
+        calls.append(None)
+        value, matching = solve(tau, sigma, pair)
+        return (0.25 if len(calls) == 2 else value), matching
+
+    monkeypatch.setattr(probes, "bottleneck", patched)
+    pair = plane_sup()
+    xs = [pair.point(0.0, 3.0), pair.point(5.0, 8.0)]
+    _, report = separability_adversary(
+        pair, [empty_diagram(pair), empty_diagram(pair)], 1.0, 2.0, 1.0, xs)
+    assert report.numeric_trace == ((0.0, 1.5), (1.0, 0.25))
+    assert report.verdict is Verdict.REFUTED
 
 
 def test_adversary_preconditions():

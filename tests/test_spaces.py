@@ -25,6 +25,7 @@ from pdmetric import (
     QuotientOf,
     SpaceMismatch,
     SupCubeTruncatedC0,
+    canonicalize,
     quotient_distance,
     quotient_geodesic,
     space_from_json,
@@ -63,6 +64,8 @@ def test_point_validation_plane():
     p = pair.point(1.0, 4.0)
     assert p.coords == (1.0, 4.0)
     assert p.space_id == "plane2:sup"
+    with pytest.raises(ValueError, match="n_pairs must be at least 1"):
+        PlaneDiagonal(0)
 
 
 def test_space_mismatch_detected():
@@ -311,6 +314,11 @@ def test_finite_explicit_basics():
     assert [p.coords[0] for p in fin.points_off_A()] == [0.0, 1.0]
     with pytest.raises(NoGeodesicOracle):
         fin.geodesic(p0, p1, 0.5)
+    with pytest.raises(NoGeodesicOracle):
+        quotient_geodesic(fin, p0, p1, 0.5)
+    q = QuotientOf(fin)
+    with pytest.raises(NoGeodesicOracle):
+        q.geodesic(q.point(0), q.point(1), 0.5)
 
 
 def test_finite_explicit_validation():
@@ -545,6 +553,29 @@ def test_quotient_geodesic_from_basepoint():
     assert q.geodesic(BASEPOINT, y, 1.0) == y
 
 
+def test_quotient_geodesic_between_basepoints():
+    q = QuotientOf(PlaneDiagonal())
+    for t in (0.0, 0.5, 1.0):
+        assert q.geodesic(BASEPOINT, BASEPOINT, t) is BASEPOINT
+
+
+def test_quotient_pair_geodesic_through_A():
+    # the far pair of test_quotient_geodesic_through_A_example, on the
+    # quotient pair: its midpoint is the basepoint itself
+    q = QuotientOf(PlaneDiagonal())
+    x, y = q.point(0.0, 2.0), q.point(10.0, 12.0)
+    assert q.geodesic(x, y, 0.5) is BASEPOINT
+    assert q.geodesic(x, y, 0.25) == q.point(0.5, 1.5)
+    assert q.geodesic(x, y, 0.75) == q.point(10.5, 11.5)
+
+
+def test_map_diagram_refuses_another_pair():
+    q = QuotientOf(PlaneDiagonal())
+    hl = HalfLineOrigin()
+    with pytest.raises(SpaceMismatch, match="not over 'plane2:sup'"):
+        q.map_diagram(canonicalize([hl.point(1.0)], hl))
+
+
 def test_quotient_distance_idempotent_on_quotient():
     pair = PlaneDiagonal()
     q = QuotientOf(pair)
@@ -638,6 +669,7 @@ def test_space_json_round_trip(pair):
 def test_space_kind_tokens():
     assert PlaneDiagonal(1, SUP).to_json()["kind"] == "EuclideanPlaneDiagonal"
     assert PlaneDiagonal(2, SUP).to_json()["kind"] == "HalfPlane2nDiagonal"
+    assert repr(PlaneDiagonal()) == "<PlaneDiagonal plane2:sup>"
 
 
 def test_space_from_json_errors():
