@@ -12,7 +12,8 @@ feasibility, by the must-match rule: r is feasible exactly when the point
 graph {Q <= r} has a matching covering the left points with ax > r and
 one covering the right points with ay > r (Mendelsohn-Dulmage; Lovasz
 and Plummer, Matching Theory, 1.3).  That decision builds no slot; it
-matches only the rows of the points that must be matched.
+matches only the rows of the points that must be matched and returns
+only their partners.
 
 Both modes run one Hopcroft-Karp body, ``_max_matching``, on rows of
 neighbours held as bit sets in Python ints, so each step of its scans is
@@ -63,14 +64,12 @@ def augmented_matching(Q, ax, ay, r, decide=False):
 
     With ``decide`` it only decides feasibility, by the must-match rule
     (see the module docstring), and builds no slot.  The returned array
-    then holds each point's partner as a node of the augmented instance:
-    entry u < n is left point u's partner v < m in the first matching or
-    its A slot m + u, entry n + k is right point k's partner u < n in the
-    second matching or its A slot n + k, and -1 marks a point that must be
-    matched and is not.  No -1 remains exactly when r is feasible, as for
-    the augmented array.  A must-match point with no edge at all answers
-    at once, and the right side is not matched when the left one fails;
-    their must-match points then stay -1."""
+    (int64) then holds only the must-match points: the partner column of
+    each left point with ax > r, then the partner row of each right point
+    with ay > r, and -1 for a point left unmatched.  No -1 remains exactly
+    when r is feasible, as for the augmented array.  A must-match point
+    with no edge at all answers at once with every entry -1, and the right
+    side is not matched when the left one fails, so its entries stay -1."""
     n, m = Q.shape
     below = Q <= r
     if not decide:
@@ -83,17 +82,13 @@ def augmented_matching(Q, ax, ay, r, decide=False):
         rows += [slots | 1 << k if near else slots for k, near in enumerate((ay <= r).tolist())]
         return np.array(_max_matching(rows, n + m), np.int64)
     need_x, need_y = (ax > r).nonzero()[0], (ay > r).nonzero()[0]
-    sides = ((_bitsets(below[need_x]), m, need_x), (_bitsets(below[:, need_y].T), n, n + need_y))
-    partner = np.arange(n + m)
-    partner[:n] += m
-    partner[need_x] = -1
-    partner[n + need_y] = -1
-    if all(0 not in rows for rows, _, _ in sides):
-        for rows, c, nodes in sides:
-            matched = _max_matching(rows, c)
-            partner[nodes] = matched
-            if -1 in matched:
-                break
+    rows_x, rows_y = _bitsets(below[need_x]), _bitsets(below[:, need_y].T)
+    partner = np.full(len(rows_x) + len(rows_y), -1, np.int64)
+    if 0 not in rows_x and 0 not in rows_y:
+        left = _max_matching(rows_x, m)
+        partner[: len(left)] = left
+        if -1 not in left:
+            partner[len(left) :] = _max_matching(rows_y, n)
     return partner
 
 

@@ -162,11 +162,11 @@ def cmd_geodesic(args) -> int:
     steps = args.steps
     if steps < 1:
         raise ParseError(f"--steps must be at least 1, got {steps}")
+    if args.format == "csv" and pair.space_id not in _CSV_SPACE_IDS:
+        raise ParseError("CSV frames are only defined for two-coordinate plane pairs")
     path = geodesic_between(sigma, tau, pair)
     frames, check = _grid_check(path, steps)
     if args.format == "csv":
-        if pair.space_id not in _CSV_SPACE_IDS:
-            raise ParseError("CSV frames are only defined for two-coordinate plane pairs")
         lines = ["t,birth,death,mult"]
         for t, frame in frames:
             for (b, d), m in zip(frame.coords.tolist(), frame.mults):

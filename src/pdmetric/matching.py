@@ -12,14 +12,13 @@ The bottleneck value is found by binary search over the finite set of
 candidate costs, deciding each threshold exactly with a bipartite matching
 kernel, so the result is one of the candidate floats with no tolerance.
 The search runs the augmented kernel at the lower end LB first.  Only when
-LB is infeasible does it build the candidates in (LB, UB], decide them by
-the must-match rule, which matches only the points farther than the
-threshold from A, and lower its upper end to each feasible decision's
-largest cost.  The value is the smallest feasible candidate, read from
-the search.  The witness is always an augmented kernel matching at that
-candidate, so none of this shows in the output; it is built when its
-``pairs`` are first read, and a solve whose witness is never read runs
-no kernel after its last decision.
+LB is infeasible does it build the candidates in (LB, UB] and halve over
+them, deciding each by the must-match rule, which matches only the points
+farther than the threshold from A.  The value is the smallest feasible
+candidate, read from the search.  The witness is always an augmented
+kernel matching at that candidate, so none of this shows in the output;
+it is built when its ``pairs`` are first read, and a solve whose witness
+is never read runs no kernel after its last decision.
 Wasserstein values come from an exact min-cost assignment.  Every point
 left unmatched goes to A, so a matching costs the fixed sum of all powers
 d(x, A)^p and d(y, A)^p plus, per matched pair, Q^p - d(x, A)^p - d(y, A)^p;
@@ -319,11 +318,10 @@ def bottleneck(
 
     The first run is the augmented kernel at LB, which is often the
     answer; then its matching is the witness and the search is over.
-    Otherwise only the candidates in (LB, UB] are built, and halving over
-    them decides each threshold by the must-match rule
-    (``augmented_matching(..., decide=True)``).  A feasible decision lowers
-    the upper end to its largest cost (``_largest_cost``), which is
-    feasible and no larger than the threshold tried.  The witness is the
+    Otherwise only the candidates in (LB, UB] are built, and plain halving
+    over them decides each threshold by the must-match rule
+    (``augmented_matching(..., decide=True)``): a feasible one becomes the
+    upper end, an infeasible one the lower.  The witness is the
     augmented matching at the smallest feasible candidate, so the returned
     value is exactly the largest cost of the returned matching.  The value
     comes from the search; the witness's pairs are built when first read
@@ -346,11 +344,10 @@ def _bottleneck(sigma: Diagram, tau: Diagram, Q: np.ndarray, ax: np.ndarray,
         lo, hi = 0, len(cands) - 1
         while lo < hi:
             mid = (lo + hi) // 2
-            partner = augmented_matching(Q, ax, ay, float(cands[mid]), decide=True)
-            if (partner < 0).any():
+            if (augmented_matching(Q, ax, ay, float(cands[mid]), decide=True) < 0).any():
                 lo = mid + 1
             else:
-                hi = int(cands.searchsorted(_largest_cost(partner, Q, ax, ay)))
+                hi = mid
         value, ml = float(cands[lo]), None
     return value, Matching._deferred(
         partial(_bottleneck_pairs, sigma, tau, Q, ax, ay, value, ml), value, math.inf)
@@ -363,20 +360,6 @@ def _bottleneck_pairs(sigma, tau, Q, ax, ay, value: float, ml) -> tuple[MatchedP
     if ml is None:
         ml = augmented_matching(Q, ax, ay, value)
     return _build_pairs(sigma, tau, ml, Q, ax, ay)
-
-
-def _largest_cost(partner: np.ndarray, Q: np.ndarray, ax: np.ndarray, ay: np.ndarray) -> float:
-    """The largest cost among the points' partners in a feasible must-match
-    decision ``partner`` (see ``augmented_matching``): Q for a partner
-    point, the distance to A for an A slot.  That threshold is feasible
-    too: every point that must be matched there has a partner point in the
-    decision, and the decision's two matchings restricted to those points
-    still cover them with edges no dearer than it."""
-    n, m = Q.shape
-    x, y = partner[:n], partner[n:]
-    px, py = np.flatnonzero(x < m), np.flatnonzero(y < n)
-    return max(Q[px, x[px]].max(initial=0.0), Q[y[py], py].max(initial=0.0),
-               ax[x >= m].max(initial=0.0), ay[y >= n].max(initial=0.0))
 
 
 def wasserstein(
@@ -425,14 +408,14 @@ def wasserstein(
     row_of_col = solve_assignment(W)
     # every x goes to its A slot and every y comes from its own; a pair the
     # kernel assigns is matched instead when that is strictly cheaper (its
-    # power is recomputed from Q by the float operations that built W), and
-    # its y's slot row then takes the x's freed slot column
+    # entry of W, the smaller of its power and the sum, is below the sum),
+    # and its y's slot row then takes the x's freed slot column
     assign_l = np.concatenate((m + np.arange(n), np.arange(m)))
     rows = row_of_col[:m]
     v = np.flatnonzero(rows < n)
     u = rows[v]
     with np.errstate(over="ignore"):
-        hit = (Q[u, v] / s) ** p < axp[u] + ayp[v]
+        hit = W[u, v] < axp[u] + ayp[v]
     u, v = u[hit], v[hit]
     assign_l[u] = v
     assign_l[n + v] = m + u

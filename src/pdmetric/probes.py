@@ -258,8 +258,7 @@ def cauchy_chain_limit(diagrams: Sequence[Diagram], pair: MetricPair):
         births: list[Point] = []
         for mp in mt.pairs:
             if isinstance(mp.left, BasepointTag):
-                if not isinstance(mp.right, BasepointTag):
-                    births.append(mp.right)
+                births.append(mp.right)
             else:
                 takes[mp.left.coords].append(mp.right)
         new_live = []

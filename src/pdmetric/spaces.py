@@ -261,13 +261,6 @@ def _row_blocks(n: int, per_row: int):
     return [slice(s, s + rows) for s in range(0, n, rows)]
 
 
-def _norm_batch(diffs: np.ndarray, norm: str) -> np.ndarray:
-    """Norm over the last axis of an array of coordinate vectors."""
-    if norm == EUCLIDEAN:
-        return np.sqrt((diffs * diffs).sum(axis=-1))
-    return np.abs(diffs).max(axis=-1)
-
-
 def _pairwise_norm(xs: np.ndarray, ys: np.ndarray, norm: str) -> np.ndarray:
     """Matrix of norm(x - y) over the rows of xs and ys.
 
@@ -284,7 +277,8 @@ def _pairwise_norm(xs: np.ndarray, ys: np.ndarray, norm: str) -> np.ndarray:
     out = np.empty((n, m), dtype=np.float64)
     if norm == EUCLIDEAN:
         for b in _row_blocks(n, m * dim):
-            out[b] = _norm_batch(xs[b, None, :] - ys[None, :, :], norm)
+            diffs = xs[b, None, :] - ys[None, :, :]
+            out[b] = np.sqrt((diffs * diffs).sum(axis=-1))
         return out
     yt, tmp = np.ascontiguousarray(ys.T), None
     for b in _row_blocks(n, m):
@@ -312,7 +306,7 @@ class _VectorPair(MetricPair):
         return _pairwise_norm(xs, ys, self.norm)
 
     def dist_to_A_batch(self, xs: np.ndarray) -> np.ndarray:
-        return _norm_batch(xs, SUP)
+        return np.abs(xs).max(axis=-1)
 
     def proj_to_A(self, x: Point) -> Point:
         self.check_point(x)

@@ -253,6 +253,8 @@ MALFORMED = [
     pytest.param(["probe", "eps-net", "--D", "1e9"], 4, id="eps-net-grid-too-large"),
     pytest.param(["probe", "vanishing-pair", "--nmax", "5000"], 4, id="vanishing-pair-too-large"),
     pytest.param(["geodesic", EMPTY, EMPTY, "--space", FINITE], 5, id="no-geodesic-oracle"),
+    pytest.param(["geodesic", EMPTY, EMPTY, "--space", FINITE, "--format", "csv"], 2,
+                 id="geodesic-csv-finite"),
     pytest.param(["geodesic", SIGMA, TAU, "--space", '{"kind": "SupCubeTruncatedC0", "dim": 2}',
                   "--format", "csv"], 2, id="geodesic-csv-supcube"),
     pytest.param(["geodesic", SIGMA, TAU, "--space", '{"kind": "QuotientOf", "inner": %s}' % PLANE,
@@ -375,6 +377,21 @@ def test_geodesic_csv_requires_plane(capsys):
         ["geodesic", d, d, "--space", HALFLINE, "--format", "csv"], capsys
     )
     assert code == 2
+
+
+def test_geodesic_csv_refusal_comes_before_any_solve(monkeypatch, capsys):
+    import pdmetric.cli as cli
+
+    def no_solve(*args):
+        raise AssertionError("geodesic_between called for a CSV-refused space")
+
+    monkeypatch.setattr(cli, "geodesic_between", no_solve)
+    d = '{"points": [{"coords": [1]}]}'
+    for space, sigma in ((HALFLINE, d), (FINITE, EMPTY),
+                         ('{"kind": "SupCubeTruncatedC0", "dim": 2}', SIGMA)):
+        code, out, _ = run_main(["geodesic", sigma, sigma, "--space", space, "--format", "csv"],
+                                capsys)
+        assert (code, out) == (2, "")
 
 
 def test_geodesic_rejects_zero_steps(capsys):

@@ -108,27 +108,31 @@ def test_matching_identical_to_scalar_reference():
 
 
 def assert_decision_valid(partner, Q, ax, ay, r):
-    """``partner`` is a must-match decision at r: each point that need not
-    be matched (distance to A <= r) holds its own A slot, each other point
+    """``partner`` is a must-match decision at r: one int64 entry per point
+    that must be matched (distance to A > r), left points first; each holds
     a partner point at cost <= r or -1, and no point is the partner of two
-    points of the same side."""
-    n, m = Q.shape
-    x, y = partner[:n], partner[n:]
-    assert np.array_equal(x >= m, ax <= r) and np.array_equal(x[x >= m], m + np.flatnonzero(ax <= r))
-    assert np.array_equal(y >= n, ay <= r) and np.array_equal(y[y >= n], n + np.flatnonzero(ay <= r))
-    for u, v in enumerate(x.tolist()):
-        assert v >= m or v < 0 or Q[u, v] <= r
-    for k, u in enumerate(y.tolist()):
-        assert u >= n or u < 0 or Q[u, k] <= r
-    for side in (x[(x >= 0) & (x < m)], y[(y >= 0) & (y < n)]):
+    points of the same side.  A must-match point with no edge leaves every
+    entry -1, and a failing left side leaves the right one -1."""
+    need_x, need_y = np.flatnonzero(ax > r), np.flatnonzero(ay > r)
+    assert partner.dtype == np.int64 and partner.shape == (len(need_x) + len(need_y),)
+    x, y = partner[: len(need_x)], partner[len(need_x) :]
+    below = Q <= r
+    if not (below[need_x].any(axis=1).all() and below[:, need_y].any(axis=0).all()):
+        assert np.all(partner < 0)
+    elif np.any(x < 0):
+        assert np.all(y < 0)
+    for u, v in zip(need_x.tolist(), x.tolist()):
+        assert v < 0 or Q[u, v] <= r
+    for k, u in zip(need_y.tolist(), y.tolist()):
+        assert u < 0 or Q[u, k] <= r
+    for side in (x[x >= 0], y[y >= 0]):
         assert len(set(side.tolist())) == len(side)
 
 
 def test_must_match_decision_equals_cold_answer():
     """At every candidate threshold, plus one below and one above them all,
     the must-match decision answers as the cold augmented kernel does, on
-    tie-heavy instances; a feasible decision's largest partner cost is a
-    feasible threshold no larger than r (the search's upper-end cut)."""
+    tie-heavy instances."""
     rng = np.random.default_rng(41)
     checked = feasible = 0
     for _ in range(2000):
@@ -142,13 +146,9 @@ def test_must_match_decision_equals_cold_answer():
         cands = np.unique(np.concatenate(([-1.0, 0.0, 2.0 * hi], Q.ravel(), ax, ay)))
         for r in cands.tolist():
             partner = augmented_matching(Q, ax, ay, r, decide=True)
-            assert partner.dtype == np.int64 and partner.shape == (n + m,)
             assert_decision_valid(partner, Q, ax, ay, r)
             ok = not np.any(partner < 0)
             assert ok == (not np.any(augmented_matching(Q, ax, ay, r) < 0)), (Q, ax, ay, r)
-            if ok and r >= 0.0:  # the search tries no negative threshold
-                cut = matching._largest_cost(partner, Q, ax, ay)
-                assert cut <= r and not np.any(augmented_matching(Q, ax, ay, cut) < 0)
             feasible += ok
             checked += 1
     assert checked > 10_000 and 0.2 < feasible / checked < 0.8

@@ -160,6 +160,50 @@ def test_bottleneck_evaluates_each_threshold_once(monkeypatch):
     assert total < 174
 
 
+def test_bottleneck_decides_the_thresholds_of_plain_halving(monkeypatch):
+    """After a failed cold run at LB, the search decides exactly the
+    thresholds of plain halving over the candidates in (LB, UB]: a feasible
+    one becomes the upper end, an infeasible one the lower.  The expected
+    sequence comes from ``candidate_thresholds`` and the cold kernel."""
+    import pdmetric.matching as pm
+
+    calls = []  # (threshold, decide) of every kernel call the solve makes
+    kernel = pm.augmented_matching
+
+    def recording(Q, ax, ay, r, decide=False):
+        calls.append((r, decide))
+        return kernel(Q, ax, ay, r, decide=decide)
+
+    monkeypatch.setattr(pm, "augmented_matching", recording)
+    rng = np.random.default_rng(20)
+    past_lb = 0
+    for pair in (plane_sup(), plane_euclidean()):
+        for _ in range(60):
+            s = random_plane_diagram(pair, rng, max_points=8)
+            t = random_plane_diagram(pair, rng, max_points=8)
+            Q, ax, ay = pm._cost_data(s, t, pair)
+            lb = max([min([a, *row]) for a, row in zip(ax.tolist(), Q.tolist())]
+                     + [min([a, *col]) for a, col in zip(ay.tolist(), Q.T.tolist())],
+                     default=0.0)
+            ub = max(ax.tolist() + ay.tolist(), default=0.0)
+            want = [(lb, False)]
+            if np.any(augmented_matching(Q, ax, ay, lb) < 0):
+                past_lb += 1
+                cands = [c for c in candidate_thresholds(s, t, pair) if lb < c <= ub]
+                lo, hi = 0, len(cands) - 1
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    want.append((cands[mid], True))
+                    if np.any(augmented_matching(Q, ax, ay, cands[mid]) < 0):
+                        lo = mid + 1
+                    else:
+                        hi = mid
+            calls.clear()
+            bottleneck(s, t, pair)
+            assert calls == want, (pair.norm, s, t)
+    assert past_lb > 20
+
+
 def bottleneck_cases(seed):
     """Tie-heavy and float draws over every pair kind of ``reference_cases``
     (one per draw), with the empty diagram on either side."""
@@ -617,9 +661,9 @@ def test_reduced_assignment_matches_augmented_reference(grid):
 
 
 def test_bottleneck_matches_cold_search():
-    """The LB-first search of must-match decisions with its cut upper end
-    returns the value (to the bit) and the witness of the plain binary
-    search of cold augmented runs, on tie-heavy integer grids, float planes
+    """The LB-first search of must-match decisions returns the value (to
+    the bit) and the witness of the plain binary search of cold augmented
+    runs, on tie-heavy integer grids, float planes
     (sup and Euclidean), the half-line, finite spaces, a quotient pair and
     empty diagrams."""
     rng = np.random.default_rng(808)
