@@ -44,7 +44,7 @@ from .errors import (
     TooLarge,
 )
 from .geodesics import _grid_check, c0_truncation_gap, geodesic_between
-from .matching import _check_p, matching_to_json, wasserstein
+from .matching import DEFAULT_NODE_CAP, _check_p, matching_to_json, wasserstein
 from .probes import (
     ProbeReport,
     Verdict,
@@ -76,6 +76,16 @@ _EXIT_BY_VERDICT = {Verdict.WITNESSED: 0, Verdict.REFUTED: 1, Verdict.INCONCLUSI
 # grid, so their time grows with its square
 MAX_GRID_SAMPLES = 40_000
 
+# the largest --trials, --steps and --candidates: a run at each cap takes
+# a few seconds, and time grows linearly above it (quadratically for
+# --candidates, whose every solve holds up to that many points)
+MAX_TRIALS = 10_000
+MAX_STEPS = 10_000
+MAX_CANDIDATES = 2_000
+# vanishing-pair's last pair holds --nmax + 1 points on each side, which
+# together may not pass the solvers' size cap
+MAX_NMAX = DEFAULT_NODE_CAP // 2 - 1
+
 
 def fmt_real(x: float) -> str:
     """Shortest decimal that parses back to x, capped at 12 significant
@@ -90,6 +100,16 @@ def fmt_real(x: float) -> str:
         if float(s) == x:
             return s
     return "%.12g" % x
+
+
+def _count(value: int, flag: str, cap: int) -> int:
+    """The value of a count flag, checked before anything is built: below
+    1 is a usage error, above ``cap`` TooLarge."""
+    if value < 1:
+        raise ParseError(f"{flag} must be at least 1, got {value}")
+    if value > cap:
+        raise TooLarge(f"{flag} {value} exceeds the cap of {cap}")
+    return value
 
 
 def _err(msg) -> None:
@@ -159,9 +179,7 @@ def cmd_dist(args) -> int:
 
 def cmd_geodesic(args) -> int:
     pair, sigma, tau = _load_inputs(args)
-    steps = args.steps
-    if steps < 1:
-        raise ParseError(f"--steps must be at least 1, got {steps}")
+    steps = _count(args.steps, "--steps", MAX_STEPS)
     if args.format == "csv" and pair.space_id not in _CSV_SPACE_IDS:
         raise ParseError("CSV frames are only defined for two-coordinate plane pairs")
     path = geodesic_between(sigma, tau, pair)
@@ -225,10 +243,8 @@ def _random_finite_diagram(
 
 def _trial_seeds(args) -> list[int]:
     """One seed per trial, drawn from --seed."""
-    if args.trials < 1:
-        raise ParseError("--trials must be at least 1")
-    rng = np.random.default_rng(args.seed)
-    return rng.integers(0, 2**62, size=args.trials).tolist()
+    trials = _count(args.trials, "--trials", MAX_TRIALS)
+    return np.random.default_rng(args.seed).integers(0, 2**62, size=trials).tolist()
 
 
 def _isolated_trial(seed: int) -> tuple[float, bool]:
@@ -257,10 +273,11 @@ def probe_isolated_bound(args) -> ProbeReport:
 
 
 def probe_vanishing_pair(args) -> ProbeReport:
+    nmax = _count(args.nmax, "--nmax", MAX_NMAX)
     pair = PlaneDiagonal()
-    rows = [(0.0, 4.0)] + [(1.0 / n, 4.0 + 1.0 / n) for n in range(1, args.nmax + 2)]
+    rows = [(0.0, 4.0)] + [(1.0 / n, 4.0 + 1.0 / n) for n in range(1, nmax + 2)]
     x, *tail = pair._points(np.array(rows))
-    return vanishing_pair_demo(pair, x, tail, n_max=args.nmax, target=args.target)
+    return vanishing_pair_demo(pair, x, tail, n_max=nmax, target=args.target)
 
 
 _CAUCHY_SCENARIOS = ("constant", "converging", "absorbing")
@@ -357,9 +374,7 @@ def probe_dense_family(args) -> ProbeReport:
 
 
 def probe_adversary(args) -> ProbeReport:
-    k = args.candidates
-    if k < 1:
-        raise ParseError("--candidates must be at least 1")
+    k = _count(args.candidates, "--candidates", MAX_CANDIDATES)
     delta, D = args.delta, args.D
     epsilon = args.epsilon if args.epsilon is not None else 1.0
     pair = PlaneDiagonal()

@@ -31,7 +31,8 @@ import io
 import json
 import numbers
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -62,16 +63,12 @@ class Diagram:
     space_id: str
     coords: np.ndarray
     mults: tuple[int, ...]
-    _points: tuple | None = field(default=None, init=False)
 
-    @property
+    @cached_property
     def points(self) -> tuple[tuple[Point, int], ...]:
         """The (point, multiplicity) pairs in canonical order."""
-        if self._points is None:
-            sid = self.space_id
-            pts = tuple((Point(sid, tuple(c)), m) for c, m in zip(self.coords.tolist(), self.mults))
-            object.__setattr__(self, "_points", pts)
-        return self._points
+        sid = self.space_id
+        return tuple((Point(sid, tuple(c)), m) for c, m in zip(self.coords.tolist(), self.mults))
 
     @property
     def size(self) -> int:

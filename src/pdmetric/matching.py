@@ -26,8 +26,8 @@ the assignment therefore runs on a max(n, m) x max(n, m) matrix, not on
 the (n+m) x (n+m) augmented one.  The witness lists each x in order with
 its partner or with A (a pair split through A as its two halves), then
 the (A, y) pairs of the unmatched y in order.  Wasserstein values are
-recomputed from the witness pairs with compensated summation of the sorted
-cost powers, which makes them insensitive to the order the solver
+recomputed from the witness pairs as the correctly rounded sum of the cost
+powers (``math.fsum``), which is insensitive to the order the solver
 discovered the pairs in.  When the power of a nonzero cost would be 0 or
 subnormal and the largest cost is below 1, every cost is first divided by
 the largest one (``_power_scale``), which only raises the powers.
@@ -152,14 +152,13 @@ def _power_scale(p: float, *costs: np.ndarray) -> float:
     return 1.0 if tiny**p >= sys.float_info.min else cmax
 
 
-def _power_sum(costs: list[float], p: float) -> float:
-    """Compensated sum of the sorted p-th cost powers (finite p >= 1).
+def _power_sum(costs: Iterable[float], p: float) -> float:
+    """The correctly rounded sum of the p-th cost powers (finite p >= 1),
+    which ``math.fsum`` returns in any order.
 
     Raises TooLarge when a power or the sum overflows the float range."""
-    if p == 1.0:
-        return math.fsum(sorted(costs))
     try:
-        return math.fsum(sorted(c**p for c in costs))
+        return math.fsum(c**p for c in costs)
     except OverflowError as e:
         raise TooLarge(f"cost powers overflow the float range at p = {p}") from e
 
@@ -170,8 +169,6 @@ def p_norm(costs: Iterable[float], p: float) -> float:
     costs = list(costs)
     if math.isinf(p):
         return max(costs, default=0.0)
-    if not costs:
-        return 0.0
     s = _power_scale(p, np.array(costs))
     return s * _power_sum([c / s for c in costs], p) ** (1.0 / p)
 
@@ -190,11 +187,11 @@ def total_persistence(diagram: Diagram, p: float, pair: MetricPair) -> float:
     taken once and weighted by its multiplicity in an exact rational sum,
     rounded once.  That is the correctly rounded sum of the expanded
     powers, so the value equals ``p_norm`` of the expanded distances to the
-    bit (its compensated sum is correctly rounded too)."""
+    bit (its ``fsum`` is correctly rounded too)."""
     _check_same_space(diagram, pair)
     p = _check_p(p)
     costs = pair.dist_to_A_batch(diagram.coords)
-    if math.isinf(p) or diagram.is_empty:
+    if math.isinf(p):
         return float(costs.max(initial=0.0))
     s = _power_scale(p, costs)
     try:

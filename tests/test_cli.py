@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from pdmetric import Point, ProbeReport, TooLarge
+from pdmetric import DEFAULT_NODE_CAP, Point, ProbeReport, TooLarge
 from pdmetric.cli import fmt_real, main
 
 PLANE = '{"kind": "EuclideanPlaneDiagonal", "norm": "sup", "dim": 2}'
@@ -164,6 +164,7 @@ def test_huge_multiplicity_exits_4(command):
 
 
 EMPTY = '{"points": []}'
+POINT = '{"points": [{"coords": [0, 4]}]}'
 
 FINITE_A = '{"kind": "FiniteExplicit", "matrix": [[0, 1], [1, 0]], "A": [%s]}'
 FINITE3_A = '{"kind": "FiniteExplicit", "matrix": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "A": %s}'
@@ -252,6 +253,14 @@ MALFORMED = [
     pytest.param(["probe", "dense-family", "--n", "100000"], 4, id="dense-family-grid-too-large"),
     pytest.param(["probe", "eps-net", "--D", "1e9"], 4, id="eps-net-grid-too-large"),
     pytest.param(["probe", "vanishing-pair", "--nmax", "5000"], 4, id="vanishing-pair-too-large"),
+    pytest.param(["probe", "vanishing-pair", "--nmax", "1000000000"], 4, id="nmax-huge"),
+    pytest.param(["probe", "isolated-bound", "--trials", "1000000000000"], 4, id="trials-huge"),
+    pytest.param(["probe", "dense-family", "--trials", "1000000000000"], 4,
+                 id="dense-family-trials-huge"),
+    pytest.param(["probe", "adversary", "--candidates", "1000000000000"], 4,
+                 id="candidates-huge"),
+    pytest.param(["geodesic", POINT, POINT, "--space", PLANE, "--steps", "1000000000"], 4,
+                 id="steps-huge"),
     pytest.param(["geodesic", EMPTY, EMPTY, "--space", FINITE], 5, id="no-geodesic-oracle"),
     pytest.param(["geodesic", EMPTY, EMPTY, "--space", FINITE, "--format", "csv"], 2,
                  id="geodesic-csv-finite"),
@@ -281,6 +290,45 @@ def test_sample_grid_cap_admits_exactly_max_rows():
     assert _sample_grid(0.0, MAX_GRID_SAMPLES / 2, 0.5).shape == (MAX_GRID_SAMPLES, 1)
     with pytest.raises(TooLarge):
         _sample_grid(0.0, MAX_GRID_SAMPLES / 2 + 0.5, 0.5)
+
+
+class Solved(Exception):
+    """Raised by a patched solver: the command got past its checks."""
+
+
+def no_solve(*args, **kwargs):
+    raise Solved
+
+
+@pytest.mark.parametrize("cap, argv", [
+    pytest.param("MAX_TRIALS", ["probe", "isolated-bound", "--trials"], id="isolated-bound"),
+    pytest.param("MAX_TRIALS", ["probe", "dense-family", "--trials"], id="dense-family"),
+    pytest.param("MAX_CANDIDATES", ["probe", "adversary", "--candidates"], id="adversary"),
+    pytest.param("MAX_NMAX", ["probe", "vanishing-pair", "--nmax"], id="vanishing-pair"),
+    pytest.param("MAX_STEPS", ["geodesic", SIGMA, TAU, "--space", PLANE, "--steps"],
+                 id="geodesic"),
+])
+def test_count_cap_is_accepted_and_one_more_refused_before_any_solve(cap, argv, monkeypatch,
+                                                                     capsys):
+    import pdmetric.cli as cli
+    import pdmetric.geodesics as geodesics
+    import pdmetric.probes as probes
+
+    monkeypatch.setattr(cli, cap, 3)
+    monkeypatch.setattr(probes, "bottleneck", no_solve)
+    monkeypatch.setattr(geodesics, "bottleneck", no_solve)
+    with pytest.raises(Solved):
+        main(argv + ["3"])
+    code, out, err = run_main(argv + ["4"], capsys)
+    assert (code, out) == (4, "")
+    assert err == f"pdmetric: error: {argv[-1]} 4 exceeds the cap of 3\n"
+
+
+def test_nmax_cap_is_the_solvers_size_cap():
+    from pdmetric.cli import MAX_NMAX
+
+    # the last pair holds nmax + 1 points on each side
+    assert 2 * (MAX_NMAX + 1) == DEFAULT_NODE_CAP
 
 
 @pytest.mark.parametrize("flag, value", [("--D", "inf"), ("--D", "nan"), ("--delta", "nan")])
