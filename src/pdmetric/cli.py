@@ -167,9 +167,12 @@ def cmd_dist(args) -> int:
     pair, sigma, tau = _load_inputs(args)
     value, matching = wasserstein(sigma, tau, _parse_p(args.p), pair)
     if args.matching:
-        with open(args.matching, "w", encoding="utf-8") as fh:
-            json.dump(matching_to_json(matching), fh, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(args.matching, "w", encoding="utf-8") as fh:
+                json.dump(matching_to_json(matching), fh, sort_keys=True)
+                fh.write("\n")
+        except OSError as e:
+            raise ParseError(f"cannot write matching file {args.matching!r}: {e}") from e
     print(fmt_real(value))
     return 0
 

@@ -9,10 +9,11 @@ when their canonical forms coincide.
 A ``Diagram`` holds its canonical form as arrays: ``coords``, the distinct
 points as a read-only k x dim float64 array in lexicographic order, and
 ``mults``, their multiplicities as a tuple of ints, exact at any size.
-The ``points`` view, a tuple of (Point, multiplicity) pairs, is built on
-first use and kept.  Every diagram is built by ``_canonical``; the parsers
-call it on the parsed arrays, ``canonicalize`` on the coordinates of its
-entries.
+A diagram keeps no ``Point``: the ``points`` view, a tuple of (Point,
+multiplicity) pairs, is built from the arrays on each read and kept by
+nobody, so a caller who indexes it in a loop binds it once.  Every diagram
+is built by ``_canonical``; the parsers call it on the parsed arrays,
+``canonicalize`` on the coordinates of its entries.
 
 Serialization formats:
 
@@ -32,7 +33,7 @@ import json
 import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import repeat
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -64,11 +65,17 @@ class Diagram:
     coords: np.ndarray
     mults: tuple[int, ...]
 
-    @cached_property
+    @property
     def points(self) -> tuple[tuple[Point, int], ...]:
-        """The (point, multiplicity) pairs in canonical order."""
+        """The (point, multiplicity) pairs in canonical order, built anew
+        on each read in O(k)."""
+        return tuple(self._pairs())
+
+    def _pairs(self) -> Iterator[tuple[Point, int]]:
+        """(Point, multiplicity) of each distinct row, each Point built as
+        it is reached."""
         sid = self.space_id
-        return tuple((Point(sid, tuple(c)), m) for c, m in zip(self.coords.tolist(), self.mults))
+        return ((Point(sid, tuple(c)), m) for c, m in zip(self.coords.tolist(), self.mults))
 
     @property
     def size(self) -> int:
@@ -80,10 +87,10 @@ class Diagram:
         return not self.mults
 
     def iter_points(self) -> Iterator[Point]:
-        """Points expanded by multiplicity, in canonical order."""
-        for p, m in self.points:
-            for _ in range(m):
-                yield p
+        """Points expanded by multiplicity, in canonical order; the m
+        copies of a row are one Point."""
+        for p, m in self._pairs():
+            yield from repeat(p, m)
 
     def multiplicity(self, p: Point) -> int:
         if p.space_id != self.space_id:
@@ -104,7 +111,7 @@ class Diagram:
         return hash((self.space_id, self.mults, (self.coords + 0.0).tobytes()))
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{p!r}x{m}" if m > 1 else repr(p) for p, m in self.points)
+        inner = ", ".join(f"{p!r}x{m}" if m > 1 else repr(p) for p, m in self._pairs())
         return f"{{{inner}}}"
 
 

@@ -154,6 +154,8 @@ def vanishing_pair_demo(
     tail = list(tail)
     if n_max < 1:
         raise PreconditionViolated("n_max must be at least 1")
+    if math.isnan(target):
+        raise PreconditionViolated("target must be a number, got nan")
     if len(tail) < n_max + 1:
         raise PreconditionViolated(
             f"tail exhausted: need {n_max + 1} points, got {len(tail)}"
@@ -343,7 +345,7 @@ def greedy_eps_net(
     centers are pairwise at least epsilon apart."""
     epsilon = float(epsilon)
     delta, D = _check_annulus(delta, D)
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:  # nan fails it too: no sample would ever be within it
         raise PreconditionViolated("epsilon must be positive")
     samples = list(samples)
     X = pair.coords_matrix(samples)
@@ -485,8 +487,9 @@ def approximate_from_family(sigma: Diagram, family: DenseFamily):
     nearest, dists = _nearest(pair, X[kept], family._center_coords)
     gaps = np.flatnonzero(dists > radius)
     if gaps.size:
-        p, d = sigma.points[kept[gaps[0]]][0], float(dists[gaps[0]])
-        raise CoverageGap(f"{p!r} is {d} from the nearest center, beyond {radius}")
+        i = gaps[0]
+        p = Point(pair.space_id, tuple(X[kept[i]].tolist()))  # the one Point the message needs
+        raise CoverageGap(f"{p!r} is {float(dists[i])} from the nearest center, beyond {radius}")
     tau = _canonical(family._center_coords[nearest], [sigma.mults[i] for i in kept], pair)
     d, _ = bottleneck(sigma, tau, pair)
     return tau, d

@@ -214,6 +214,10 @@ MALFORMED = [
     pytest.param(["dist", EMPTY, EMPTY, "--space", LIST_FILE], 2, id="space-not-object"),
     pytest.param(["dist", EMPTY, EMPTY, "--space", "/nonexistent/space.json"], 2,
                  id="space-file-unreadable"),
+    pytest.param(["dist", SIGMA, TAU, "--space", PLANE, "--matching", "TMP/missing/m.json"], 2,
+                 id="matching-dir-missing"),
+    pytest.param(["dist", SIGMA, TAU, "--space", PLANE, "--matching", "TMP/"], 2,
+                 id="matching-is-a-directory"),
     pytest.param(["dist", SIGMA, TAU, "--space", PLANE, "--p", "0.5"], 2, id="p-below-1"),
     pytest.param(["dist", SIGMA, TAU, "--space", PLANE, "--p=nan"], 2, id="p-nan"),
     pytest.param(["dist", SIGMA, TAU, "--space", PLANE, "--p=two"], 2, id="p-text"),
@@ -247,6 +251,10 @@ MALFORMED = [
     pytest.param(["probe", "cauchy-chain", "--scenario", ""], 2, id="cauchy-scenario-empty"),
     pytest.param(["probe", "eps-net", "--scenario", "disk"], 2, id="eps-net-scenario-unknown"),
     pytest.param(["probe", "eps-net", "--scenario", ""], 2, id="eps-net-scenario-empty"),
+    pytest.param(["probe", "eps-net", "--epsilon", "nan"], 2, id="eps-net-epsilon-nan"),
+    pytest.param(["probe", "eps-net", "--scenario", "strip", "--epsilon", "nan"], 2,
+                 id="eps-net-strip-epsilon-nan"),
+    pytest.param(["probe", "vanishing-pair", "--target", "nan"], 2, id="vanishing-target-nan"),
     pytest.param(["probe", "c0-gap", "--m", "13"], 4, id="too-large"),
     pytest.param(["probe", "c0-gap", "--m", "0"], 2, id="c0-gap-m-zero"),
     pytest.param(["probe", "c0-gap", "--sweep", "--m", "1"], 2, id="c0-sweep-m-one"),

@@ -1,8 +1,11 @@
 """Diagram canonical form, total persistence, and serialization."""
 
+import gc
 import json
 import math
 import time
+import tracemalloc
+import weakref
 
 import numpy as np
 
@@ -509,13 +512,76 @@ def test_point_messages(pair, coords, message):
 def test_points_view_is_built_once():
     pair = plane()
     d = canonicalize([(pair.point(0.5, 3.0), 1), (pair.point(0.0, 1.0), 2)], pair)
-    assert d.points is d.points
+    # each read builds the view anew, and the diagram keeps none of it
+    assert d.points == d.points
+    assert "points" not in vars(d)
+    dropped = weakref.ref(d.points[0][0])
+    assert dropped() is None
     assert d.points == ((pair.point(0.0, 1.0), 2), (pair.point(0.5, 3.0), 1))
     assert list(d.iter_points()) == [pair.point(0.0, 1.0)] * 2 + [pair.point(0.5, 3.0)]
     assert repr(d) == "{(0.0, 1.0)x2, (0.5, 3.0)}"
     assert not d.coords.flags.writeable
     assert [d.multiplicity(pair.point(*c)) for c in ((0.0, 1.0), (0.5, 3.0), (0.0, 2.0),
                                                      (9.0, 9.5), (-1.0, 0.0))] == [2, 1, 0, 0, 0]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_iter_points_expands_points_and_shares_each_rows_point(seed):
+    pair = plane()
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 40))
+    births = rng.integers(0, 6, k).astype(float)  # few values: rows repeat and merge
+    deaths = births + rng.integers(0, 3, k)  # a gap of 0 lies on A
+    entries = [(pair.point(b, e), int(m))
+               for b, e, m in zip(births.tolist(), deaths.tolist(), rng.integers(1, 4, k))]
+    d = canonicalize(entries, pair)
+    got = list(d.iter_points())
+    assert got == [p for p, m in d.points for _ in range(m)]
+    assert len(got) == d.size
+    start = 0
+    for m in d.mults:
+        assert all(q is got[start] for q in got[start:start + m])
+        start += m
+
+
+def test_iter_points_of_the_empty_diagram():
+    d = empty_diagram(plane())
+    assert list(d.iter_points()) == [] and d.points == ()
+
+
+def _ingest_text(rows: int, seed: int) -> str:
+    """CSV of ``rows`` plane rows as the ingest benchmark draws them:
+    births in [0, 100], gaps in [0, 10], a tenth of the gaps 0 (on A)
+    and a tenth of the rows repeated."""
+    rng = np.random.default_rng(seed)
+    n_dup = rows // 10
+    n_uniq = rows - n_dup
+    b = rng.uniform(0.0, 100.0, n_uniq)
+    g = rng.uniform(0.0, 10.0, n_uniq)
+    g[rng.random(n_uniq) < 0.1] = 0.0
+    lines = [f"{x!r},{x + y!r}" for x, y in zip(b.tolist(), g.tolist())]
+    lines.extend(lines[i] for i in rng.integers(0, n_uniq, n_dup).tolist())
+    return "birth,death\n" + "\n".join(lines[i] for i in rng.permutation(rows).tolist()) + "\n"
+
+
+def test_reading_points_leaves_no_memory_behind():
+    """A diagram keeps only its arrays: reading and dropping the points of
+    a 20k-row ingest diagram leaves traced memory where it was (a kept
+    view would hold a Point and a pair per row, about 4 MB)."""
+    pair = PlaneDiagonal(1, "sup")
+    d = parse_diagram(_ingest_text(20_000, seed=3), "csv", pair)
+    assert len(d.mults) > 15_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert len(d.points) == len(d.mults)
+        # a full collection also empties the interpreter's free lists, which
+        # keep up to a few thousand of the small tuples a read gives back
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024
 
 
 # -- property: the array form against a per-point dict reference ---------------

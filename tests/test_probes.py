@@ -1,5 +1,6 @@
 """Probe behavior on hand-built scenarios, plus their refusal paths."""
 
+import math
 import time
 import tracemalloc
 
@@ -148,6 +149,12 @@ def test_vanishing_pair_preconditions():
         vanishing_pair_demo(pair, x, with_dup, n_max=5)
     with pytest.raises(PreconditionViolated):
         vanishing_pair_demo(pair, x, short, n_max=0)
+    # a nan target is no bound to check against; inf is (every pair is below it)
+    tail = [pair.point(1.0 / n, 4.0) for n in range(1, 10)]
+    with pytest.raises(PreconditionViolated, match="target"):
+        vanishing_pair_demo(pair, x, tail, n_max=5, target=math.nan)
+    report = vanishing_pair_demo(pair, x, tail, n_max=5, target=math.inf)
+    assert report.verdict is Verdict.WITNESSED
 
 
 def test_vanishing_pair_refuses_the_last_pair_before_any_solve(monkeypatch):
@@ -253,6 +260,12 @@ def test_greedy_eps_net_errors():
         greedy_eps_net(hl, 2.0, 1.0, 0.25, samples)
     with pytest.raises(PreconditionViolated):
         greedy_eps_net(hl, 1.0, 2.0, 0.0, samples)
+    # nan fails the positivity check too: no sample is ever within nan of a
+    # center, so the insertion loop would never stop
+    inside = [hl.point(1.25), hl.point(1.5)]
+    for eps in (-1.0, math.nan):
+        with pytest.raises(PreconditionViolated, match="epsilon must be positive"):
+            greedy_eps_net(hl, 1.0, 2.0, eps, inside)
 
 
 def test_net_growth_refuted_on_spreading_strip():
@@ -317,6 +330,12 @@ def test_dense_family_coverage_gap():
     sigma = canonicalize([hl.point(40.0)], hl)
     with pytest.raises(CoverageGap):
         approximate_from_family(sigma, fam)
+    # the message names the first uncovered row among those kept: 0.1 lies
+    # within 1/n of A and is dropped, 1.0 is covered
+    sigma = canonicalize([hl.point(0.1), hl.point(1.0), (hl.point(40.0), 2), hl.point(50.0)], hl)
+    with pytest.raises(CoverageGap) as gap:
+        approximate_from_family(sigma, fam)
+    assert str(gap.value) == "(40.0) is 37.625 from the nearest center, beyond 0.5"
 
 
 def test_dense_family_preconditions():
