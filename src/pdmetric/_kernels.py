@@ -46,8 +46,10 @@ therefore masks the columns already in the search tree with +inf/-inf
 sentinels instead of a boolean mask, applies the tree's potential updates
 with one ``np.add`` on a contiguous 1-D array that is written back once
 per row, hands its ufuncs Python floats rather than numpy scalars, and
-skips every update on a zero-delta step; ``solve_assignment`` explains
-why none of this changes a comparison, so the output stays identical.
+skips every update on a zero-delta step.  A step writes with
+``np.putmask`` and reads its cost row and the potentials from Python
+lists.  ``solve_assignment`` explains why none of this changes a
+comparison, so the output stays identical.
 """
 
 from __future__ import annotations
@@ -234,9 +236,19 @@ def solve_assignment(cost):
     +0.0 as equal.  The scalars handed to the ufuncs (the row's ``u`` and
     delta) are Python floats, which numpy reads faster than its own scalars
     and which hold the same float64 values.
+
+    Each step is two subtractions, one comparison, two ``np.putmask``
+    writes of the improved ``minv`` and ``way`` entries and an
+    ``argmin``.  ``u`` is a Python list, because it is read one entry at
+    a time and written back from the tree once per row.  ``v`` is written
+    only when a row ends and ``way`` only during its search, so a row
+    reads the ``-v`` of each joining column from one ``tolist()`` copy
+    taken before its search, and follows ``way`` back from one taken after
+    it.
     """
     nn = cost.shape[0]
-    u = np.zeros(nn + 1, np.float64)
+    crow = list(cost)  # row views, built once
+    u = [0.0] * (nn + 1)
     v = np.zeros(nn + 1, np.float64)
     p = [0] * (nn + 1)
     way = np.zeros(nn + 1, np.int64)
@@ -252,24 +264,25 @@ def solve_assignment(cost):
         j0 = 0
         minv.fill(np.inf)
         np.copyto(vm, v)
+        vl = v.tolist()
         rows, cols = [], []
         k = 0
         while True:
             # column j0 joins the tree with its row i0
             i0 = p[j0]
-            ui = float(u[i0])
+            ui = u[i0]
             rows.append(i0)
             cols.append(j0)
             tree[2 * k] = ui
-            tree[2 * k + 1] = -v[j0]
+            tree[2 * k + 1] = -vl[j0]
             k += 1
             minv[j0] = np.inf
             vm[j0] = -np.inf
-            np.subtract(cost[i0 - 1], ui, cur)
+            np.subtract(crow[i0 - 1], ui, cur)
             np.subtract(cur, vm1, cur)
             np.less(cur, minv1, better)
-            np.copyto(minv1, cur, where=better)
-            np.copyto(way1, j0, where=better)
+            np.putmask(minv1, better, cur)
+            np.putmask(way1, better, j0)
             j1 = int(minv1.argmin())
             delta = float(minv1[j1])
             if delta:
@@ -279,10 +292,12 @@ def solve_assignment(cost):
             j0 = j1 + 1
             if p[j0] == 0:
                 break
-        u[rows] = tree[0 : 2 * k : 2]
+        for r, ur in zip(rows, tree[0 : 2 * k : 2].tolist()):
+            u[r] = ur
         v[cols] = -tree[1 : 2 * k : 2]
+        wl = way.tolist()
         while True:
-            j1 = int(way[j0])
+            j1 = wl[j0]
             p[j0] = p[j1]
             j0 = j1
             if j0 == 0:

@@ -16,6 +16,10 @@ exact solver.  ``c0_truncation_gap`` computes, in the m-coordinate sup
 cube, the bottleneck distance between the diagrams of even-sized and
 odd-sized subset vectors; the gap stays above the infinite-dimensional
 limit 1, which is the obstruction to geodesics in the untruncated space.
+Its cost matrix comes from the subsets' bit masks, not from a sup-norm
+pass over 2^(m-1) x 2^(m-1) pairs of m coordinates: the sup distance of
+two subset vectors is fixed by the least coordinate in which the subsets
+differ.
 
 Paths come from ``bottleneck`` and share its fixed size cap, which counts
 points with multiplicity before any is expanded; ``c0_truncation_gap``
@@ -33,9 +37,10 @@ import numpy as np
 
 from .diagram import Diagram, _canonical
 from .errors import NoGeodesicOracle, TooLarge
-from .matching import Matching, MatchedPair, _bottleneck, _cost_data, bottleneck
+from .matching import Matching, MatchedPair, _bottleneck, bottleneck
 from .probes import ProbeReport, Verdict
-from .spaces import BasepointTag, MetricPair, Point, SupCubeTruncatedC0, _check_t, _leg_at
+from .spaces import (BasepointTag, MetricPair, Point, SupCubeTruncatedC0, _check_t, _int_field,
+                     _leg_at, _quotient_costs, _row_blocks)
 
 __all__ = [
     "GoodnessReason",
@@ -209,9 +214,12 @@ def c0_truncation_gap(m: int):
     limit 1 for every m, certifying that the corresponding pair of points
     admits no midpoint in the untruncated space.  The 2^m subsets are
     enumerated, so m above ``SupCubeTruncatedC0.MAX_DIM`` raises TooLarge;
-    the sup cube refuses m below 1 with ValueError.
+    the sup cube refuses m below 1 with ValueError.  m is read by
+    ``spaces._int_field``: a boolean or a fractional number is a
+    ParseError.  The costs come from ``_subset_cost_data``, bit for bit
+    those of the sup-norm cost data.
     """
-    m = int(m)
+    m = _int_field(m, "m")
     if m > SupCubeTruncatedC0.MAX_DIM:
         raise TooLarge(f"subset enumeration capped at m = {SupCubeTruncatedC0.MAX_DIM}")
     space = SupCubeTruncatedC0(m)
@@ -219,7 +227,7 @@ def c0_truncation_gap(m: int):
     sigma = _canonical(V[~odd], [1] * (len(V) // 2), space)
     tau = _canonical(V[odd], [1] * (len(V) // 2), space)
     # every subset is one point, so the solve's rows are the distinct points
-    Q, ax, ay = _cost_data(sigma, tau, space)
+    Q, ax, ay = _subset_cost_data(sigma, tau, space)
     gap, _ = _bottleneck(sigma, tau, Q, ax, ay)
     # Q = min(d, ax + ay) is d itself at its minimum: an even and an odd
     # subset differ in some coordinate i, so they are at least 1 + 1/m
@@ -243,6 +251,40 @@ def c0_truncation_gap(m: int):
         numeric_trace=((float(m), gap),),
     )
     return gap, report
+
+
+def _subset_cost_data(sigma: Diagram, tau: Diagram, space: SupCubeTruncatedC0):
+    """(Q, ax, ay) of two diagrams of subset vectors, bit for bit those of
+    ``matching._cost_data``, with no sup-norm pass over the coordinates.
+
+    Coordinate i of a subset vector is 1 + 1/i or 0, and 1 + 1/i falls as
+    i grows, so the sup distance between the vectors of F and G is
+    1 + 1/i at the least i in F ^ G: with a row's subset as the bit mask of
+    its nonzero coordinates, D[u, v] is ``table[lowbit(a[u] ^ b[v])]``,
+    where ``table[1 << (i - 1)]`` holds 1 + 1/i, computed as
+    ``_subset_vectors`` computes it.  D is filled one ``_row_blocks`` block
+    at a time through two reused int16 buffers, so the n x m float64 D is
+    the one full-size array.  ``take`` writes into D with ``mode="clip"``
+    (no index is out of range): with the default ``"raise"`` numpy would
+    buffer the output, one more block."""
+    m = space.dim
+    bit = np.int16(1) << np.arange(m, dtype=np.int16)
+    a = (sigma.coords != 0.0) @ bit
+    b = (tau.coords != 0.0) @ bit
+    table = np.zeros(1 << m)
+    table[bit] = 1.0 + 1.0 / np.arange(1, m + 1)
+    D = np.empty((len(a), len(b)))
+    x = y = None
+    for blk in _row_blocks(len(a), len(b)):
+        out = D[blk]
+        # one pair of buffers for every block: only the last one can be shorter
+        x = np.empty(out.shape, np.int16) if x is None else x[: len(out)]
+        y = np.empty_like(x) if y is None else y[: len(out)]
+        np.bitwise_xor(a[blk, None], b, out=x)
+        np.bitwise_and(x, np.negative(x, out=y), out=x)
+        table.take(x, out=out, mode="clip")
+    ax, ay = space.dist_to_A_batch(sigma.coords), space.dist_to_A_batch(tau.coords)
+    return _quotient_costs(D, ax, ay), ax, ay
 
 
 def _subset_vectors(m: int) -> tuple[np.ndarray, np.ndarray]:

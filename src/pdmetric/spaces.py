@@ -328,13 +328,14 @@ class PlaneDiagonal(_VectorPair):
 
     The classical persistence plane is ``PlaneDiagonal()`` (one block).
     Distances use the sup norm by default; the Euclidean norm is available
-    for both the plane and products.
+    for both the plane and products.  ``n_pairs`` is read by
+    ``_int_field``: a boolean or a fractional number is a ParseError.
     """
 
     def __init__(self, n_pairs: int = 1, norm: str = SUP):
         if norm not in _NORMS:
             raise ValueError(f"unknown norm {norm!r}")
-        n_pairs = int(n_pairs)
+        n_pairs = _int_field(n_pairs, "n_pairs")
         if n_pairs < 1:
             raise ValueError("n_pairs must be at least 1")
         self.n_pairs = n_pairs
@@ -388,12 +389,14 @@ class HalfLineOrigin(_VectorPair):
 
 class SupCubeTruncatedC0(_VectorPair):
     """R^m with the sup norm and A = {0}: the m-coordinate truncation of
-    the space of vanishing sequences.  Geodesics are straight segments."""
+    the space of vanishing sequences.  Geodesics are straight segments.
+    m is read by ``_int_field``: a boolean or a fractional number is a
+    ParseError."""
 
     MAX_DIM = 12
 
     def __init__(self, m: int):
-        m = int(m)
+        m = _int_field(m, "m")
         if m < 1:
             raise ValueError("m must be at least 1")
         if m > self.MAX_DIM:
@@ -653,9 +656,10 @@ def _coords_from_json(v, dim: int) -> list[float]:
 
 
 def _int_field(value, name: str) -> int:
-    """An integer field of a descriptor as an int.  Booleans, numbers with
-    a fractional part and any value that int() refuses (null, inf, text)
-    are a ParseError; integral values such as 4.0 are read exactly."""
+    """An integer argument or descriptor field as an int.  Booleans,
+    numbers with a fractional part and any value that int() refuses (null,
+    inf, text) are a ParseError; integral values such as 4.0 are read
+    exactly."""
     if isinstance(value, (bool, np.bool_)) or (
             isinstance(value, (float, np.floating)) and not value.is_integer()):
         raise ParseError(f"{name} must be an integer, got {value!r}")

@@ -2,9 +2,33 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
 from pdmetric import HalfLineOrigin, PlaneDiagonal, canonicalize
 from pdmetric.cli import _random_finite_diagram as random_finite_diagram
 from pdmetric.cli import _random_finite_pair as random_finite_pair
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """``perfbench/workloads.py``, the benchmark's input generator and ops,
+    imported without writing bytecode under ``perfbench/``."""
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave perfbench/ untouched
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
 
 
 def random_plane_diagram(pair, rng, max_points=5, scale=10.0, gap=8.0):

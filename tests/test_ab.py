@@ -1,0 +1,43 @@
+"""The paired A/B timer in tools/ab.py on the smoke sizes of ``dense-solve``."""
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "ab.py"
+SRC = ROOT / "src"
+
+
+def run_ab(parent, change, cwd):
+    return subprocess.run([sys.executable, str(TOOL), str(parent), str(change), "--smoke",
+                           "--best", "2"], cwd=cwd, capture_output=True, text=True, timeout=120)
+
+
+def test_ab_times_every_slot_of_one_tree_against_itself(workloads, tmp_path):
+    res = run_ab(SRC, SRC, tmp_path)
+    assert (res.returncode, res.stderr) == (0, "")
+    lines = res.stdout.splitlines()
+    slots = [line.split()[0] for line in lines[1:-1]]
+    assert slots == list(workloads.SLOTS["dense-solve"])
+    assert lines[-1].split()[0] == "total"
+    for line in lines[1:]:
+        parent_ms, change_ms, ratio = map(float, line.split()[1:4])
+        assert parent_ms > 0.0 and change_ms > 0.0 and ratio > 0.0
+
+
+def test_ab_fails_on_a_tree_whose_output_differs(tmp_path):
+    """A tree whose c0 gap reads one more than the parent's exits 1 and
+    names both c0 ops; the other ops still agree."""
+    changed = tmp_path / "src"
+    shutil.copytree(SRC, changed, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(changed / "pdmetric" / "__init__.py", "a", encoding="utf-8") as fh:
+        fh.write("\n_gap = c0_truncation_gap\n\n\n"
+                 "def c0_truncation_gap(m):\n"
+                 "    gap, report = _gap(m)\n"
+                 "    return gap + 1.0, report\n")
+    res = run_ab(SRC, changed, tmp_path)
+    assert res.returncode == 1
+    named = [line.split(":")[1].strip() for line in res.stderr.splitlines()]
+    assert named == ["c0-gap-11/0", "c0-gap-11/1"]

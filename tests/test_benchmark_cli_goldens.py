@@ -9,27 +9,9 @@ one byte of CLI output fails here, before any benchmark runs.
 """
 
 import functools
-import importlib.util
 import sys
-from pathlib import Path
 
 import pytest
-
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    saved = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True  # leave perfbench/ untouched
-    try:
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = saved
-    return module
-
 
 @pytest.mark.parametrize("workload, variants", [("probe-mix", 8), ("ingest", 6)])
 def test_cli_and_ingest_ops_match_goldens(workloads, workload, variants, tmp_path, monkeypatch):

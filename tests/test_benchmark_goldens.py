@@ -8,27 +8,7 @@ in ``perfbench/goldens/dense-solve.json``.  A kernel or search change that
 moves one bit of a distance fails here, before any benchmark runs.
 """
 
-import importlib.util
 import math
-import sys
-from pathlib import Path
-
-import pytest
-
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    saved = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True  # leave perfbench/ untouched
-    try:
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = saved
-    return module
 
 
 def replay_dense_solve(workloads, wanted):

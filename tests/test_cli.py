@@ -1,5 +1,6 @@
 """CLI behavior: output formats, exit codes, and determinism."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -484,6 +485,15 @@ def test_probe_c0_gap_sweep(capsys):
     assert gaps[0] == 1.5
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     assert obj["witnesses"]["strictly_decreasing"] is True
+
+
+def test_probe_c0_gap_sweep_to_twelve_keeps_its_output(capsys):
+    """The full sweep, m = 2..12, prints the same bytes as the sup-norm
+    cost pass did before the costs came from subset masks."""
+    code, out, _ = run_main(["probe", "c0-gap", "--sweep", "--m", "12"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2cdd3fb963fb94f3587f53a5d7c09253e281e830dc26d178d064bd233abde533")
 
 
 def test_probe_eps_net_halfline_inconclusive(capsys):

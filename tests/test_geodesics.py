@@ -2,6 +2,7 @@
 truncation gaps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from pdmetric import (
     GoodnessReason,
     HalfLineOrigin,
     NoGeodesicOracle,
+    ParseError,
     PlaneDiagonal,
     QuotientOf,
     Route,
@@ -340,3 +342,50 @@ def test_c0_gap_bounds():
         c0_truncation_gap(0)
     with pytest.raises(TooLarge):
         c0_truncation_gap(13)
+
+
+def test_c0_gap_reads_m_as_an_integer():
+    """m follows the descriptor's integer rule, not int()'s truncation: a
+    fraction or a boolean is a ParseError, an integral value is read
+    exactly and reported as an int."""
+    for bad in (11.5, 2.5, True, np.True_, np.float64(3.5)):
+        with pytest.raises(ParseError, match="m must be an integer"):
+            c0_truncation_gap(bad)
+    for good in (4.0, np.int64(4), np.float64(4.0)):
+        gap, report = c0_truncation_gap(good)
+        assert gap == 1.25
+        assert type(report.witnesses["m"]) is int and report.witnesses["m"] == 4
+
+
+def test_c0_costs_from_subset_masks_equal_the_sup_norm_costs():
+    """The mask-built (Q, ax, ay) of the c0 gap equal those of
+    ``matching._cost_data`` bit for bit, for every m the gap accepts."""
+    from pdmetric.diagram import _canonical
+    from pdmetric.geodesics import _subset_cost_data, _subset_vectors
+    from pdmetric.matching import _cost_data
+    from pdmetric.spaces import SupCubeTruncatedC0
+
+    for m in range(1, 13):
+        space = SupCubeTruncatedC0(m)
+        V, odd = _subset_vectors(m)
+        sigma = _canonical(V[~odd], [1] * (len(V) // 2), space)
+        tau = _canonical(V[odd], [1] * (len(V) // 2), space)
+        got, want = _subset_cost_data(sigma, tau, space), _cost_data(sigma, tau, space)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.float64 and g.shape == w.shape, m
+            assert np.array_equal(g.view(np.int64), w.view(np.int64)), m
+
+
+def test_c0_gap_peaks_near_its_cost_matrix():
+    """A repeated ``c0_truncation_gap(11)`` peaks within 10.3 MiB of traced
+    memory: Q alone is 8 MiB (1024 x 1024 float64), and the masks work
+    through it in row blocks with two reused int16 buffers (full-size
+    int64 temporaries would peak near 10.5 MiB)."""
+    c0_truncation_gap(11)
+    tracemalloc.start()
+    try:
+        c0_truncation_gap(11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10.3 * (1 << 20)

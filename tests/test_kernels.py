@@ -224,3 +224,25 @@ def test_assignment_identical_to_scalar_reference(monkeypatch):
     assert [c.shape[0] for c in costs] == [20, 20, 30, 30, 50, 50]
     for cost in costs:
         assert_same_as_reference(cost)
+
+
+def test_assignment_identical_to_scalar_reference_at_benchmark_size(workloads, monkeypatch):
+    """Same column-to-row array as the scalar Hungarian kernel on the 14
+    W_p matrices (k = 49-100) of one ``dense-solve`` round of the
+    benchmark, captured from its own ops."""
+    costs = []
+
+    def recording(cost):
+        costs.append(cost)
+        return solve_assignment(cost)
+
+    monkeypatch.setattr(matching, "solve_assignment", recording)
+    factory = workloads.OpFactory("dense-solve", smoke=False)
+    for slot, _, p, _ in workloads.DENSE_SLOTS:
+        if p is not None and not math.isinf(p):
+            for variant in range(workloads.POOL["dense-solve"]):
+                factory.build(slot, variant).run()
+    sizes = [len(c) for c in costs]
+    assert len(sizes) == 14 and min(sizes) == 49 and max(sizes) == 100
+    for cost in costs:
+        assert_same_as_reference(cost)

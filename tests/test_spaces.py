@@ -297,6 +297,22 @@ def test_supcube_cap():
     assert SupCubeTruncatedC0(12).dim == 12
 
 
+def test_dimension_arguments_are_read_as_integers():
+    """The sup cube's m and the plane's n_pairs follow the descriptor's
+    integer rule, not int()'s truncation."""
+    for bad in (2.5, True, np.True_, np.float64(1.5)):
+        with pytest.raises(ParseError, match="m must be an integer"):
+            SupCubeTruncatedC0(bad)
+    for bad in (1.5, True, np.float64(2.5)):
+        with pytest.raises(ParseError, match="n_pairs must be an integer"):
+            PlaneDiagonal(bad)
+    for good in (4.0, np.int64(4)):
+        assert SupCubeTruncatedC0(good) == SupCubeTruncatedC0(4)
+        assert SupCubeTruncatedC0(good).dim == 4 and type(SupCubeTruncatedC0(good).dim) is int
+        assert PlaneDiagonal(good) == PlaneDiagonal(4)
+        assert PlaneDiagonal(good).dim == 8 and type(PlaneDiagonal(good).n_pairs) is int
+
+
 # -- finite explicit -----------------------------------------------------------
 
 

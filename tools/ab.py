@@ -1,0 +1,133 @@
+"""Paired in-process A/B timer: one benchmark workload's ops, run by two
+source trees of pdmetric in one process.
+
+    python3 tools/ab.py PARENT_SRC CHANGE_SRC [--workload dense-solve] [--best 5] [--smoke]
+
+PARENT_SRC and CHANGE_SRC are ``src`` directories, such as ``src`` of this
+checkout and ``src`` of a ``git archive`` of the parent commit.  Each tree's
+``pdmetric`` modules are imported once and swapped into ``sys.modules``
+before each of its ops runs.  The ops are those of ``perfbench/workloads.py``
+(imported read-only, every slot and variant of the workload), built once per
+tree.  Each op runs ``--best`` times on each tree, interleaved: parent and
+change alternate which runs first from one run to the next.  An op's time is
+its best run.
+
+It prints, per slot, the parent's and the change's ms (summed over the
+slot's variants), the ratio change / parent of those sums and the range of
+the per-variant ratios, then the totals.  It exits 1 if any op's output
+digest differs between the two trees, naming the op.  A paired best-of-N in
+one process resolves gains far below the benchmark's run-to-run spread; it
+does not replace the benchmark's gates.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import os
+import sys
+import time
+from pathlib import Path
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _is_pdmetric(name: str) -> bool:
+    return name == "pdmetric" or name.startswith("pdmetric.")
+
+
+def install(modules: dict) -> None:
+    """Make ``modules`` the ``pdmetric`` modules that imports see."""
+    for name in [n for n in sys.modules if _is_pdmetric(n)]:
+        del sys.modules[name]
+    sys.modules.update(modules)
+
+
+def load_tree(src: str) -> dict:
+    """Import ``pdmetric`` (and its CLI) from the directory src; returns its
+    modules by name."""
+    install({})
+    src = os.path.abspath(src)
+    sys.path.insert(0, src)
+    try:
+        package = importlib.import_module("pdmetric")
+        importlib.import_module("pdmetric.cli")
+    finally:
+        sys.path.remove(src)
+    if not os.path.abspath(package.__file__).startswith(src + os.sep):
+        raise SystemExit(f"ab: pdmetric was not imported from {src}")
+    return {n: m for n, m in sys.modules.items() if _is_pdmetric(n)}
+
+
+def load_workloads():
+    """``perfbench/workloads.py`` as a module, with no bytecode written."""
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", help="src directory of the parent tree")
+    ap.add_argument("change", help="src directory of the changed tree")
+    ap.add_argument("--workload", default="dense-solve",
+                    choices=("dense-solve", "probe-mix", "ingest"))
+    ap.add_argument("--best", type=int, default=5, help="runs per op and tree; the best counts")
+    ap.add_argument("--smoke", action="store_true", help="the workloads' tiny smoke sizes")
+    args = ap.parse_args(argv)
+    if args.best < 1:
+        ap.error("--best must be at least 1")
+
+    wl = load_workloads()
+    keys = [(slot, v) for slot in wl.SLOTS[args.workload] for v in range(wl.POOL[args.workload])]
+    trees = [load_tree(args.parent), load_tree(args.change)]
+    ops = []
+    for modules in trees:
+        install(modules)
+        factory = wl.OpFactory(args.workload, args.smoke)
+        ops.append({key: factory.build(*key) for key in keys})
+        warm = factory.build(wl.WARMUP_SLOT[args.workload], 0)
+        warm.run()
+
+    best = {key: [float("inf"), float("inf")] for key in keys}
+    digests = {key: [None, None] for key in keys}
+    runs = 0
+    for rep in range(args.best):
+        for key in keys:
+            for side in ((0, 1) if runs % 2 == 0 else (1, 0)):
+                install(trees[side])
+                op = ops[side][key]
+                t0 = time.perf_counter()
+                res = op.run()
+                dt = time.perf_counter() - t0
+                best[key][side] = min(best[key][side], dt)
+                if rep == 0:
+                    digests[key][side] = op.digest(res)
+            runs += 1
+
+    print(f"{'slot':<16} {'parent ms':>10} {'change ms':>10} {'ratio':>7}  variant ratios")
+    total = [0.0, 0.0]
+    for slot in wl.SLOTS[args.workload]:
+        times = [best[key] for key in keys if key[0] == slot]
+        a, b = (sum(t[side] for t in times) * 1e3 for side in (0, 1))
+        ratios = [t[1] / t[0] for t in times]
+        total[0] += a
+        total[1] += b
+        print(f"{slot:<16} {a:10.2f} {b:10.2f} {b / a:7.3f}  {min(ratios):.3f}-{max(ratios):.3f}")
+    print(f"{'total':<16} {total[0]:10.2f} {total[1]:10.2f} {total[1] / total[0]:7.3f}")
+    differ = [key for key in keys if digests[key][0] != digests[key][1]]
+    for slot, variant in differ:
+        print(f"ab: {slot}/{variant}: output {digests[(slot, variant)][1]} != parent "
+              f"{digests[(slot, variant)][0]}", file=sys.stderr)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
