@@ -30,7 +30,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
@@ -40,7 +39,7 @@ import numpy as np
 
 from .errors import ParseError, SpaceMismatch
 from .spaces import (_NORMS, BasepointTag, MetricPair, PlaneDiagonal, Point, _coords_from_json,
-                     space_from_json)
+                     _int_field, _json_value, space_from_json)
 
 __all__ = [
     "Diagram",
@@ -153,8 +152,8 @@ def canonicalize(
 
     Entries at distance zero from A (including BASEPOINT tags) are dropped,
     duplicates are merged, and the result is sorted by coordinates.  A
-    multiplicity is an integer of any kind or a float with no fractional
-    part; a bool, a text or a fractional number is a ValueError.  Entry
+    multiplicity is read by ``spaces._int_field``: a bool, a text or a
+    fractional number is a ParseError, which is a ValueError.  Entry
     errors are raised in input order; the coordinates of the remaining
     entries are then canonicalized as one array.
     """
@@ -163,7 +162,7 @@ def canonicalize(
         if isinstance(entry, tuple):
             p, mult = entry
             if type(mult) is not int:
-                mult = _whole(mult)
+                mult = _int_field(mult, "multiplicities")
         else:
             p, mult = entry, 1
         if mult < 0:
@@ -176,16 +175,6 @@ def canonicalize(
         rows.append(p.coords)
         mults.append(mult)
     return _canonical(np.array(rows, dtype=np.float64).reshape(len(rows), pair.dim), mults, pair)
-
-
-def _whole(mult) -> int:
-    """A multiplicity that is not an int, as one: any integer type but
-    bool, or a float with no fractional part."""
-    if isinstance(mult, numbers.Integral) and not isinstance(mult, bool):
-        return int(mult)
-    if isinstance(mult, (float, np.floating)) and float(mult).is_integer():
-        return int(mult)
-    raise ValueError(f"multiplicities must be integers, got {mult!r}")
 
 
 def _check_same_space(diagram: Diagram, pair: MetricPair) -> None:
@@ -213,10 +202,7 @@ def parse_diagram(text: str, fmt: str, pair: MetricPair) -> Diagram:
 
 
 def _parse_json(text: str, pair: MetricPair) -> Diagram:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e}") from e
+    obj = _json_value(text, "JSON")
     if not isinstance(obj, dict) or "points" not in obj:
         raise ParseError('diagram JSON must be an object with a "points" list')
     space = obj.get("space")
@@ -272,32 +258,36 @@ def _parse_csv(text: str, pair: MetricPair) -> Diagram:
         _point_rows(cells, pair, at)  # a bad point on an earlier line comes first
         return ParseError(message, line=ln)
 
-    for ln, row in enumerate(csv.reader(io.StringIO(text)), start=1):
-        row = [cell.strip() for cell in row]
-        if not any(row):
-            continue
-        if row[0].startswith("#"):
-            continue
-        if ln == 1 and not _looks_numeric(row[0]):
-            continue  # header row
-        if len(row) not in (2, 3):
-            raise bad_line("expected birth,death[,mult]", ln)
-        try:
-            b, d = float(row[0]), float(row[1])
-        except ValueError as e:
-            raise bad_line(str(e), ln) from e
-        mult = 1
-        if len(row) == 3:
+    reader = csv.reader(io.StringIO(text))
+    try:
+        for ln, row in enumerate(reader, start=1):
+            row = [cell.strip() for cell in row]
+            if not any(row):
+                continue
+            if row[0].startswith("#"):
+                continue
+            if ln == 1 and not _looks_numeric(row[0]):
+                continue  # header row
+            if len(row) not in (2, 3):
+                raise bad_line("expected birth,death[,mult]", ln)
             try:
-                mult = int(row[2])
+                b, d = float(row[0]), float(row[1])
             except ValueError as e:
-                raise bad_line(f"bad multiplicity {row[2]!r}", ln) from e
-            if mult < 1:
-                raise bad_line(f"bad multiplicity {mult}", ln)
-        cells.append(b)
-        cells.append(d)
-        mults.append(mult)
-        lines.append(ln)
+                raise bad_line(str(e), ln) from e
+            mult = 1
+            if len(row) == 3:
+                try:
+                    mult = int(row[2])
+                except ValueError as e:
+                    raise bad_line(f"bad multiplicity {row[2]!r}", ln) from e
+                if mult < 1:
+                    raise bad_line(f"bad multiplicity {mult}", ln)
+            cells.append(b)
+            cells.append(d)
+            mults.append(mult)
+            lines.append(ln)
+    except csv.Error as e:  # a cell past csv's field size limit, say
+        raise bad_line(str(e), reader.line_num) from e
     return _canonical(_point_rows(cells, pair, at), mults, pair)
 
 

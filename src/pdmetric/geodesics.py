@@ -174,9 +174,25 @@ def _classify_leg(mp: MatchedPair, value: float, cert: GoodnessCertificate,
     return PathLeg(x, y, mp.cost, Route.THROUGH_A if through_A else Route.DIRECT, cert, ax, ay)
 
 
+# Rounding a grid check allows, in ulps (2^-52 M) of the largest
+# |coordinate| M of the two diagrams.  To first order in u = 2^-53, in the
+# plane: a frame coordinate (1 - t) a + t b is off by at most 3u M, and by
+# at most 7u M on a leg through A, which adds the projection's and the
+# leg parameter's roundings; that moves a distance to the frame by at
+# most 7 sqrt(2) u M.  The distance, at most 2 sqrt(2) M, rounds by at
+# most 6 sqrt(2) u M in the Euclidean norm (2u M in the sup norm), and
+# t * d carries d's rounding and the product's, 8 sqrt(2) u M.  The sum,
+# 21 sqrt(2) u M < 32u M, is 16 ulps.  Shifted sup and Euclidean instances
+# of one to three points, in the plane, its products, the half-line and
+# the sup cube, deviated by at most 1.2 ulps.
+_ULPS_ALLOWED = 16
+
+
 def midpoint_check(sigma: Diagram, tau: Diagram, pair: MetricPair, grid: int = 11):
     """Verify the geodesic parametrization on a t-grid with the exact
-    solver; returns a probe report with the worst deviation."""
+    solver; returns a probe report with the worst deviation.  grid is
+    read by ``spaces._int_field``."""
+    grid = _int_field(grid, "grid")
     if grid < 2:
         raise ValueError("grid needs at least the two endpoints")
     _, report = _grid_check(geodesic_between(sigma, tau, pair), grid - 1)
@@ -185,9 +201,16 @@ def midpoint_check(sigma: Diagram, tau: Diagram, pair: MetricPair, grid: int = 1
 
 def _grid_check(path: DiagramPath, steps: int):
     """Frames (t, path.at(t)) at t = i / steps for i = 0..steps, and the
-    midpoint_check report verifying them with the exact solver."""
+    midpoint_check report verifying them with the exact solver.
+
+    A deviation passes up to 1e-9 plus ``_ULPS_ALLOWED`` ulps of M, the
+    largest |coordinate| of source and target: a frame's coordinates
+    and the distances between them are rounded at the scale of M, so
+    correct frames far from the origin deviate by about one ulp of M."""
     frames = [(i / steps, path.at(i / steps)) for i in range(steps + 1)]
     sigma, tau, pair, base = path.source, path.target, path.pair, path.value
+    M = max(float(np.abs(d.coords).max(initial=0.0)) for d in (sigma, tau))
+    tol = 1e-9 + _ULPS_ALLOWED * 2.0**-52 * M
     trace = []
     worst = 0.0
     for t, frame in frames:
@@ -196,7 +219,7 @@ def _grid_check(path: DiagramPath, steps: int):
         dev = max(abs(d_from - t * base), abs(d_to - (1.0 - t) * base))
         worst = max(worst, dev)
         trace.append((t, dev))
-    verdict = Verdict.WITNESSED if worst <= 1e-9 else Verdict.REFUTED
+    verdict = Verdict.WITNESSED if worst <= tol else Verdict.REFUTED
     return frames, ProbeReport(
         probe_name="midpoint_check",
         verdict=verdict,
@@ -215,8 +238,8 @@ def c0_truncation_gap(m: int):
     admits no midpoint in the untruncated space.  The 2^m subsets are
     enumerated, so m above ``SupCubeTruncatedC0.MAX_DIM`` raises TooLarge;
     the sup cube refuses m below 1 with ValueError.  m is read by
-    ``spaces._int_field``: a boolean or a fractional number is a
-    ParseError.  The costs come from ``_subset_cost_data``, bit for bit
+    ``spaces._int_field``: an integer of any type but bool, or a float
+    with no fractional part; anything else is a ParseError.  The costs come from ``_subset_cost_data``, bit for bit
     those of the sup-norm cost data.
     """
     m = _int_field(m, "m")

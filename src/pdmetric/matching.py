@@ -48,7 +48,6 @@ their multiplicities.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -63,7 +62,7 @@ from ._kernels import augmented_matching, solve_assignment
 from .diagram import Diagram, _check_same_space
 from .errors import ParseError, TooLarge
 from .spaces import (BASEPOINT, BasepointTag, MetricPair, Point, _coords_from_json,
-                     _point_to_json, _quotient_costs, _row_blocks)
+                     _json_value, _point_to_json, _quotient_costs, _row_blocks)
 
 __all__ = [
     "DEFAULT_NODE_CAP",
@@ -491,12 +490,13 @@ def matching_to_json(matching: Matching) -> dict:
 
 
 def _json_real(x, what: str) -> float:
-    """A JSON number, or a string float() accepts, as a float."""
+    """A JSON number, or a string float() accepts, as a float; an integer
+    beyond the float range is a ParseError too."""
     if not isinstance(x, (int, float, str)) or isinstance(x, bool):
         raise ParseError(f"{what} must be a number, got {x!r}")
     try:
         return float(x)
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:
         raise ParseError(f"{what} must be a number, got {x!r}") from e
 
 
@@ -504,11 +504,7 @@ def matching_from_json(obj: dict | str, pair: MetricPair) -> Matching:
     """Read a matching written by ``matching_to_json``.  Every malformed
     field raises ParseError: p must be >= 1 or "inf", each pair needs
     "left", "right" ("A" or a coordinate list) and a finite cost >= 0."""
-    if isinstance(obj, (str, bytes)):
-        try:
-            obj = json.loads(obj)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid matching JSON: {e}") from e
+    obj = _json_value(obj, "matching JSON")
     if not isinstance(obj, dict) or not isinstance(obj.get("pairs"), list):
         raise ParseError('matching JSON must be an object with a "pairs" list')
     p = _check_p(_json_real(obj.get("p", "inf"), "matching p"), ParseError, "matching p")

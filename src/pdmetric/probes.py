@@ -34,7 +34,8 @@ import numpy as np
 from .diagram import Diagram, _canonical, _check_same_space, _diagram_points_to_json
 from .errors import CoverageGap, EmptyAnnulus, NotCauchy, PreconditionViolated
 from .matching import DEFAULT_NODE_CAP, _check_size, bottleneck
-from .spaces import BasepointTag, FiniteExplicit, MetricPair, Point, _point_to_json, _row_blocks
+from .spaces import (BasepointTag, FiniteExplicit, MetricPair, Point, _int_field, _point_to_json,
+                     _row_blocks)
 
 __all__ = [
     "Verdict",
@@ -150,8 +151,10 @@ def vanishing_pair_demo(
     tail point.  A single-swap bijection bounds d(sigma_N, tau_N) by
     d(x, x_{N+1}), which vanishes along a tail converging to x.  When the
     last pair exceeds the solvers' size cap, TooLarge is raised before any
-    solve."""
+    solve.  n_max is read by ``spaces._int_field``: a boolean, a fraction
+    or a text is a ParseError."""
     tail = list(tail)
+    n_max = _int_field(n_max, "n_max")
     if n_max < 1:
         raise PreconditionViolated("n_max must be at least 1")
     if math.isnan(target):
@@ -434,7 +437,7 @@ def dense_family(
     net: EpsNet,
     validation_samples: Iterable[Point] = (),
 ) -> DenseFamily:
-    n = int(n)
+    n = _int_field(n, "n")
     if n < 1:
         raise PreconditionViolated("n must be at least 1")
     radius = 1.0 / n

@@ -31,6 +31,10 @@ takes the arclength path x -> A -> y.  ``DiagramPath.at``,
 ``QuotientOf.geodesic`` and ``quotient_geodesic`` place their points
 with it.
 
+Outside input has one reader of each kind here: ``_json_value`` parses
+the JSON text of spaces, diagrams and matchings, and ``_int_field`` reads
+every integer argument and descriptor field.
+
 All descriptors are immutable and all operations are pure, so values can
 be shared freely across threads or processes.
 """
@@ -40,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -329,7 +334,8 @@ class PlaneDiagonal(_VectorPair):
     The classical persistence plane is ``PlaneDiagonal()`` (one block).
     Distances use the sup norm by default; the Euclidean norm is available
     for both the plane and products.  ``n_pairs`` is read by
-    ``_int_field``: a boolean or a fractional number is a ParseError.
+    ``_int_field``: an integer of any type but bool, or a float with no
+    fractional part; anything else is a ParseError.
     """
 
     def __init__(self, n_pairs: int = 1, norm: str = SUP):
@@ -390,8 +396,8 @@ class HalfLineOrigin(_VectorPair):
 class SupCubeTruncatedC0(_VectorPair):
     """R^m with the sup norm and A = {0}: the m-coordinate truncation of
     the space of vanishing sequences.  Geodesics are straight segments.
-    m is read by ``_int_field``: a boolean or a fractional number is a
-    ParseError."""
+    m is read by ``_int_field``: an integer of any type but bool, or a
+    float with no fractional part; anything else is a ParseError."""
 
     MAX_DIM = 12
 
@@ -411,7 +417,8 @@ class FiniteExplicit(MetricPair):
     a chosen nonempty subset of indices.  Points are integer indices; the
     projection is the nearest index of A, and no geodesic oracle is
     provided (interpolation has no meaning here).  An index of A is read
-    by ``_int_field``: a boolean or a fractional number is a ParseError."""
+    by ``_int_field``: an integer of any type but bool, or a float with no
+    fractional part; anything else is a ParseError."""
 
     has_geodesic = False
 
@@ -629,7 +636,9 @@ def _leg_at(pair: MetricPair, x, y, ax: float, ay: float, through_A: bool, t: fl
 
 # -- serialization -------------------------------------------------------
 
-_PLANE_KINDS = {"EuclideanPlaneDiagonal", "HalfPlane2nDiagonal"}
+# a tuple, not a set: membership by == lets an unhashable kind fall through
+# to "unknown space kind"
+_PLANE_KINDS = ("EuclideanPlaneDiagonal", "HalfPlane2nDiagonal")
 
 
 def _point_to_json(p: Point | BasepointTag):
@@ -656,26 +665,33 @@ def _coords_from_json(v, dim: int) -> list[float]:
 
 
 def _int_field(value, name: str) -> int:
-    """An integer argument or descriptor field as an int.  Booleans,
-    numbers with a fractional part and any value that int() refuses (null,
-    inf, text) are a ParseError; integral values such as 4.0 are read
-    exactly."""
-    if isinstance(value, (bool, np.bool_)) or (
-            isinstance(value, (float, np.floating)) and not value.is_integer()):
-        raise ParseError(f"{name} must be an integer, got {value!r}")
-    try:
+    """An integer argument or descriptor field as an int: any integer type
+    but bool, or a float with no fractional part (4.0 reads as 4).
+    Anything else (a bool, a fraction, inf, nan, None, a text, a Fraction
+    or a Decimal) is a ParseError."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ParseError(f"{name} must be an integer, got {value!r}") from e
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ParseError(f"{name} must be an integer, got {value!r}")
+
+
+def _json_value(obj, what: str):
+    """obj parsed as JSON text when it is a str or bytes, else obj itself.
+    Anything json.loads raises on the text (malformed syntax, bad UTF-8,
+    an integer past Python's digit limit, nesting past the recursion
+    limit) is a ParseError "invalid <what>: ..."."""
+    if not isinstance(obj, (str, bytes)):
+        return obj
+    try:
+        return json.loads(obj)
+    except (ValueError, RecursionError) as e:
+        raise ParseError(f"invalid {what}: {e}") from e
 
 
 def space_from_json(obj: dict | str) -> MetricPair:
     """Build a descriptor from its JSON form (dict or JSON text)."""
-    if isinstance(obj, (str, bytes)):
-        try:
-            obj = json.loads(obj)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid space JSON: {e}") from e
+    obj = _json_value(obj, "space JSON")
     if not isinstance(obj, dict):
         raise ParseError("space descriptor must be a JSON object")
     kind = obj.get("kind")

@@ -169,8 +169,17 @@ POINT = '{"points": [{"coords": [0, 4]}]}'
 
 FINITE_A = '{"kind": "FiniteExplicit", "matrix": [[0, 1], [1, 0]], "A": [%s]}'
 FINITE3_A = '{"kind": "FiniteExplicit", "matrix": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "A": %s}'
-# TMP/ is the test's temporary directory; TMP/list.json holds a JSON list
+# TMP/ is the test's temporary directory, where the test writes the
+# TMP_FILES its argv names: a JSON list, JSON nested far past the recursion
+# limit, and a CSV cell past csv's field size limit (131,072 characters)
 LIST_FILE = "TMP/list.json"
+NESTED = "[" * 10_000 + "]" * 10_000
+TMP_FILES = {
+    "list.json": "[1, 2]",
+    "nested.json": '{"points": %s}' % NESTED,
+    "nested_space.json": '{"kind": "QuotientOf", "inner": %s}' % NESTED,
+    "big_cell.csv": "birth,death\n0,%s\n" % ("1" * 200_000),
+}
 
 # argv and the README exit code it ends with
 MALFORMED = [
@@ -203,6 +212,7 @@ MALFORMED = [
                  id="finite-A-fraction"),
     pytest.param(["dist", EMPTY, EMPTY, "--space", FINITE_A % "true"], 2, id="finite-A-true"),
     pytest.param(["dist", EMPTY, EMPTY, "--space", FINITE3_A % '"12"'], 2, id="finite-A-string"),
+    pytest.param(["dist", EMPTY, EMPTY, "--space", FINITE_A % '"1"'], 2, id="finite-A-text-index"),
     pytest.param(["dist", EMPTY, EMPTY, "--space", FINITE3_A % '{"2": 0}'], 2,
                  id="finite-A-object"),
     pytest.param(["dist", EMPTY, EMPTY, "--space", '{"kind": "FiniteExplicit", "A": [1]}'], 2,
@@ -224,6 +234,22 @@ MALFORMED = [
     pytest.param(["dist", SIGMA, TAU, "--space", PLANE, "--p=two"], 2, id="p-text"),
     pytest.param(["dist", EMPTY, EMPTY, "--space", '{"kind": "NoSuchKind"}'], 2,
                  id="unknown-kind"),
+    pytest.param(["dist", EMPTY, EMPTY, "--space", '{"kind": ["a"]}'], 2, id="kind-list"),
+    pytest.param(["dist", EMPTY, EMPTY, "--space", '{"kind": {}}'], 2, id="kind-object"),
+    pytest.param(["dist", '{"space": {"kind": ["a"]}, "points": []}', TAU, "--space", PLANE], 2,
+                 id="declared-space-kind-list"),
+    pytest.param(["dist", EMPTY, EMPTY, "--space",
+                  '{"kind": "SupCubeTruncatedC0", "dim": "4"}'], 2, id="supcube-dim-text"),
+    pytest.param(["dist", EMPTY, EMPTY, "--space",
+                  '{"kind": "HalfPlane2nDiagonal", "dim": "4"}'], 2, id="plane-dim-text"),
+    pytest.param(["dist", '{"points": %s}' % NESTED, TAU, "--space", PLANE], 2,
+                 id="diagram-inline-nested"),
+    pytest.param(["dist", "TMP/nested.json", TAU, "--space", PLANE], 2,
+                 id="diagram-file-nested"),
+    pytest.param(["dist", EMPTY, EMPTY, "--space", "TMP/nested_space.json"], 2,
+                 id="space-file-nested"),
+    pytest.param(["dist", "TMP/big_cell.csv", TAU, "--space", PLANE], 2,
+                 id="csv-cell-oversized"),
     pytest.param(["dist", '{"points": [{"coords": [0, 4], "mult": 0}]}', TAU, "--space", PLANE],
                  2, id="mult-zero"),
     pytest.param(["dist", '{"points": [{"coords": [0, 4], "mult": 1.5}]}', TAU, "--space", PLANE],
@@ -284,7 +310,9 @@ MALFORMED = [
 def test_malformed_input_ends_in_one_error_line(argv, code, tmp_path, capsys):
     """No malformed input reaches the user as a traceback: each ends with
     its typed exit code, no stdout and a single "pdmetric: error:" line."""
-    (tmp_path / "list.json").write_text("[1, 2]")
+    for name, text in TMP_FILES.items():
+        if f"TMP/{name}" in argv:
+            (tmp_path / name).write_text(text)
     argv = [a.replace("TMP/", f"{tmp_path}/") for a in argv]
     assert main(argv) == code  # an exception escaping here fails the test
     out = capsys.readouterr()
@@ -383,6 +411,15 @@ def test_geodesic_json(capsys):
     assert obj["frames"][0]["t"] == 0.0
     assert obj["frames"][-1]["t"] == 1.0
     assert obj["midpoint_check"]["verdict"] == "WITNESSED"
+
+
+def test_geodesic_far_from_the_origin_exits_0(capsys):
+    # its frames deviate by about 1e-8, the rounding of coordinates near 1e8
+    sigma = '{"points": [{"coords": [1e8, 100000001]}]}'
+    tau = '{"points": [{"coords": [100000000.5, 100000002]}]}'
+    code, out, _ = run_main(["geodesic", sigma, tau, "--space", PLANE], capsys)
+    assert code == 0
+    assert json.loads(out)["midpoint_check"]["verdict"] == "WITNESSED"
 
 
 def test_geodesic_through_A_leg_reaches_target(capsys):

@@ -127,7 +127,7 @@ def test_canonicalize_refuses_a_multiplicity_that_is_not_an_integer(mult):
     pair = plane()
     with pytest.raises(ValueError) as err:
         canonicalize([(pair.point(0.0, 4.0), mult)], pair)
-    assert str(err.value) == f"multiplicities must be integers, got {mult!r}"
+    assert str(err.value) == f"multiplicities must be an integer, got {mult!r}"
 
 
 @pytest.mark.parametrize("mult, want", [(3, 3), (np.int64(3), 3), (np.uint8(2), 2), (4.0, 4),

@@ -3,6 +3,7 @@ truncation gaps."""
 
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from pdmetric import (
     BASEPOINT,
+    DiagramPath,
     FiniteExplicit,
     GoodnessReason,
     HalfLineOrigin,
@@ -32,6 +34,7 @@ from pdmetric import (
     quotient_geodesic,
     wasserstein,
 )
+from pdmetric.geodesics import _grid_check
 
 from conftest import halfline, plane_sup, random_finite_pair, random_plane_diagram
 
@@ -284,6 +287,54 @@ def test_midpoint_check_grid_validation():
     s = empty_diagram(pair)
     with pytest.raises(ValueError):
         midpoint_check(s, s, pair, grid=1)
+
+
+SHIFTS = [0.0, 1e8, 1e9, 1e12, 2.0**30, 2.0**40, 2.0**50]
+
+
+def shifted_pair(s: float, pair):
+    """A one-point geodesic near births s: the point (s, s + 4D) moves to
+    (s + D, s + 5D), a direct leg of length D = max(1, s / 1024)."""
+    D = max(1.0, s / 1024)
+    sigma = canonicalize([pair.point(s, s + 4 * D)], pair)
+    tau = canonicalize([pair.point(s + D, s + 5 * D)], pair)
+    return sigma, tau, D
+
+
+@pytest.mark.parametrize("norm", ["sup", "euclidean"])
+@pytest.mark.parametrize("s", SHIFTS)
+def test_midpoint_check_witnesses_geodesics_far_from_the_origin(s, norm):
+    """Frames of a correct geodesic deviate by the rounding of coordinates
+    near s, about one ulp of s; the check allows a few ulps of them."""
+    pair = PlaneDiagonal(1, norm)
+    for sigma, tau in [shifted_pair(s, pair)[:2],
+                       (canonicalize([pair.point(s, s + 1.0)], pair),
+                        canonicalize([pair.point(s + 0.5, s + 2.0)], pair))]:
+        report = midpoint_check(sigma, tau, pair)
+        assert report.verdict is Verdict.WITNESSED, report.witnesses
+
+
+@pytest.mark.parametrize("s", SHIFTS)
+def test_midpoint_check_refutes_a_frame_displaced_by_a_millionth(s):
+    """Moving each inner frame's birth by 1e-6 of the distance is still
+    refuted, however far from the origin the geodesic lies."""
+    pair = plane_sup()
+    sigma, tau, D = shifted_pair(s, pair)
+    path = geodesic_between(sigma, tau, pair)
+    assert path.value == D
+
+    class Displaced(DiagramPath):
+        def at(self, t):
+            frame = super().at(t)
+            if 0.0 < t < 1.0:
+                (b, d), = frame.coords.tolist()
+                frame = canonicalize([pair.point(b + 1e-6 * D, d)], pair)
+            return frame
+
+    displaced = Displaced(**{f.name: getattr(path, f.name) for f in fields(path)})
+    _, report = _grid_check(displaced, 10)
+    assert report.verdict is Verdict.REFUTED
+    assert report.witnesses["max_deviation"] >= 0.9e-6 * D
 
 
 def test_constant_speed_along_path():

@@ -923,6 +923,12 @@ def test_matching_json_rejects_inconsistent_value():
     {"pairs": [{"left": {"1": 0, "5": 0}, "right": "A", "cost": 1}]},
     {"pairs": [{"left": [True, 2], "right": "A", "cost": 1}]},
     {"pairs": [{"left": "A", "right": [0, 10**400], "cost": 1}]},
+    {"pairs": [{"left": [0, 1], "right": "A", "cost": 10**400}]},
+    {"pairs": [], "value": 10**400},
+    {"pairs": [], "p": 10**400},
+    pytest.param('{"pairs": [], "p": %s}' % ("1" * 401), id="p-401-digits-text"),
+    pytest.param('{"pairs": %s}' % ("[" * 10_000 + "]" * 10_000), id="nested-text"),
+    pytest.param(b'{"pairs": [], "p": "\xff"}', id="bytes-not-utf8"),
 ])
 def test_matching_json_errors_are_typed(obj):
     with pytest.raises(ParseError):

@@ -4,6 +4,8 @@ import copy
 import json
 import math
 import pickle
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,10 +27,15 @@ from pdmetric import (
     QuotientOf,
     SpaceMismatch,
     SupCubeTruncatedC0,
+    c0_truncation_gap,
     canonicalize,
+    dense_family,
+    greedy_eps_net,
+    midpoint_check,
     quotient_distance,
     quotient_geodesic,
     space_from_json,
+    vanishing_pair_demo,
 )
 
 finite_coord = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
@@ -311,6 +318,67 @@ def test_dimension_arguments_are_read_as_integers():
         assert SupCubeTruncatedC0(good).dim == 4 and type(SupCubeTruncatedC0(good).dim) is int
         assert PlaneDiagonal(good) == PlaneDiagonal(4)
         assert PlaneDiagonal(good).dim == 8 and type(PlaneDiagonal(good).n_pairs) is int
+
+
+def _dense_family_n(v):
+    hl = HalfLineOrigin()
+    samples = [hl.point(float(x)) for x in np.arange(0.0625, 5.0, 0.0625)]
+    return dense_family(hl, v, greedy_eps_net(hl, 0.125, 4.5, 0.125, samples)).n
+
+
+def _vanishing_pair_n_max(v):
+    pair = PlaneDiagonal()
+    tail = [pair.point(1.0 / k, 4.0 + 1.0 / k) for k in range(1, 9)]
+    return len(vanishing_pair_demo(pair, pair.point(0.0, 4.0), tail, n_max=v).numeric_trace)
+
+
+def _midpoint_check_grid(v):
+    pair = PlaneDiagonal()
+    s = canonicalize([pair.point(0.0, 4.0)], pair)
+    t = canonicalize([pair.point(1.0, 5.0)], pair)
+    return midpoint_check(s, t, pair, grid=v).witnesses["grid"]
+
+
+def _finite_A_index(v):
+    return FiniteExplicit([[float(r != c) for c in range(5)] for r in range(5)], [v]).A_indices[0]
+
+
+def _mult(v):
+    pair = PlaneDiagonal()
+    return canonicalize([(pair.point(0.0, 4.0), v)], pair).mults[0]
+
+
+# every reader of an integer argument or descriptor field: the name its
+# message gives, and a call returning the int it read from the value
+INTEGER_READERS = [
+    pytest.param("n_pairs", lambda v: PlaneDiagonal(v).n_pairs, id="PlaneDiagonal"),
+    pytest.param("m", lambda v: SupCubeTruncatedC0(v).dim, id="SupCubeTruncatedC0"),
+    pytest.param("A index", _finite_A_index, id="FiniteExplicit"),
+    pytest.param("dim", lambda v: space_from_json({"kind": "SupCubeTruncatedC0", "dim": v}).dim,
+                 id="space_from_json"),
+    pytest.param("m", lambda v: c0_truncation_gap(v)[1].witnesses["m"], id="c0_truncation_gap"),
+    pytest.param("multiplicities", _mult, id="canonicalize"),
+    pytest.param("n", _dense_family_n, id="dense_family"),
+    pytest.param("n_max", _vanishing_pair_n_max, id="vanishing_pair_demo"),
+    pytest.param("grid", _midpoint_check_grid, id="midpoint_check"),
+]
+
+
+@pytest.mark.parametrize("bad", [Fraction(7, 2), Fraction(4), Decimal("4"), "4", 3.5, True],
+                         ids=repr)
+@pytest.mark.parametrize("name, read", INTEGER_READERS)
+def test_every_integer_reader_refuses_what_is_not_an_integer(name, read, bad):
+    """One rule reads every integer: a Fraction, a Decimal or a text is
+    refused even when its value is whole, not truncated by int()."""
+    with pytest.raises(ParseError, match=f"^{name} must be an integer, got "):
+        read(bad)
+
+
+@pytest.mark.parametrize("good", [4, 4.0, np.int64(4), np.float64(4.0)], ids=repr)
+@pytest.mark.parametrize("name, read", INTEGER_READERS)
+def test_every_integer_reader_reads_whole_numbers(name, read, good):
+    got = read(good)
+    assert got == 4 and type(got) is int
 
 
 # -- finite explicit -----------------------------------------------------------
