@@ -260,7 +260,9 @@ def _parse_csv(text: str, pair: MetricPair) -> Diagram:
 
     reader = csv.reader(io.StringIO(text))
     try:
-        for ln, row in enumerate(reader, start=1):
+        for row in reader:
+            # physical lines: a quoted cell may hold a newline
+            ln = reader.line_num
             row = [cell.strip() for cell in row]
             if not any(row):
                 continue

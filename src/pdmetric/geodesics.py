@@ -19,7 +19,8 @@ limit 1, which is the obstruction to geodesics in the untruncated space.
 Its cost matrix comes from the subsets' bit masks, not from a sup-norm
 pass over 2^(m-1) x 2^(m-1) pairs of m coordinates: the sup distance of
 two subset vectors is fixed by the least coordinate in which the subsets
-differ.
+differ.  The matrix holds one-byte ranks of the m + 1 distinct costs, on
+which the bottleneck search runs unchanged.
 
 Paths come from ``bottleneck`` and share its fixed size cap, which counts
 points with multiplicity before any is expanded; ``c0_truncation_gap``
@@ -40,7 +41,7 @@ from .errors import NoGeodesicOracle, TooLarge
 from .matching import Matching, MatchedPair, _bottleneck, bottleneck
 from .probes import ProbeReport, Verdict
 from .spaces import (BasepointTag, MetricPair, Point, SupCubeTruncatedC0, _check_t, _int_field,
-                     _leg_at, _quotient_costs, _row_blocks)
+                     _leg_at, _row_blocks)
 
 __all__ = [
     "GoodnessReason",
@@ -239,8 +240,14 @@ def c0_truncation_gap(m: int):
     enumerated, so m above ``SupCubeTruncatedC0.MAX_DIM`` raises TooLarge;
     the sup cube refuses m below 1 with ValueError.  m is read by
     ``spaces._int_field``: an integer of any type but bool, or a float
-    with no fractional part; anything else is a ParseError.  The costs come from ``_subset_cost_data``, bit for bit
-    those of the sup-norm cost data.
+    with no fractional part; anything else is a ParseError.
+
+    The bottleneck search runs on the uint8 ranks of ``_subset_ranks``,
+    not on float costs: it compares costs and never computes with them,
+    so it returns the rank of the gap, and the gap is that entry of the
+    rank table, bit for bit the value of the search over the float costs.
+    The witness matching is not read; its costs would be ranks.  At
+    m = 11 the ranks take 1 MiB where the float64 costs took 8 MiB.
     """
     m = _int_field(m, "m")
     if m > SupCubeTruncatedC0.MAX_DIM:
@@ -250,14 +257,14 @@ def c0_truncation_gap(m: int):
     sigma = _canonical(V[~odd], [1] * (len(V) // 2), space)
     tau = _canonical(V[odd], [1] * (len(V) // 2), space)
     # every subset is one point, so the solve's rows are the distinct points
-    Q, ax, ay = _subset_cost_data(sigma, tau, space)
-    gap, _ = _bottleneck(sigma, tau, Q, ax, ay)
-    # Q = min(d, ax + ay) is d itself at its minimum: an even and an odd
-    # subset differ in some coordinate i, so they are at least 1 + 1/m
-    # apart, and {1} and {1, m} are exactly that; every ax, ay is at least
-    # 1 + 1/m, so ax + ay is larger
-    min_cross = float(Q.min(initial=math.inf))
-    min_to_A = float(min(ax.min(initial=math.inf), ay.min(initial=math.inf)))
+    R, rax, ray, values = _subset_ranks(sigma, tau, space)
+    rank, _ = _bottleneck(sigma, tau, R, rax, ray)
+    gap = float(values[int(rank)])
+    # an even and an odd subset differ in some coordinate i, so they are at
+    # least 1 + 1/m apart, and {1} and {1, m} are exactly that
+    min_cross = float(values[R.min()]) if R.size else math.inf
+    # values[rax] and values[ray] are ax and ay bit for bit
+    min_to_A = float(values[min(rax.min(initial=m), ray.min(initial=m))])
     ok = gap > 1.0 and min_cross > 1.0 and min_to_A > 1.0
     report = ProbeReport(
         probe_name="c0_truncation_gap",
@@ -276,30 +283,40 @@ def c0_truncation_gap(m: int):
     return gap, report
 
 
-def _subset_cost_data(sigma: Diagram, tau: Diagram, space: SupCubeTruncatedC0):
-    """(Q, ax, ay) of two diagrams of subset vectors, bit for bit those of
-    ``matching._cost_data``, with no sup-norm pass over the coordinates.
+def _subset_ranks(sigma: Diagram, tau: Diagram, space: SupCubeTruncatedC0):
+    """(R, rax, ray, values): the cost data of two diagrams of subset
+    vectors as uint8 ranks into the ascending float64 table ``values`` =
+    [0, 1 + 1/m, ..., 1 + 1/1], so that ``values[R]``, ``values[rax]`` and
+    ``values[ray]`` are bit for bit the (Q, ax, ay) of
+    ``matching._cost_data``.  No n x m float array is built.
 
     Coordinate i of a subset vector is 1 + 1/i or 0, and 1 + 1/i falls as
-    i grows, so the sup distance between the vectors of F and G is
+    i grows, so the sup distance D[u, v] between the vectors of F and G is
     1 + 1/i at the least i in F ^ G: with a row's subset as the bit mask of
-    its nonzero coordinates, D[u, v] is ``table[lowbit(a[u] ^ b[v])]``,
-    where ``table[1 << (i - 1)]`` holds 1 + 1/i, computed as
-    ``_subset_vectors`` computes it.  D is filled one ``_row_blocks`` block
-    at a time through two reused int16 buffers, so the n x m float64 D is
-    the one full-size array.  ``take`` writes into D with ``mode="clip"``
-    (no index is out of range): with the default ``"raise"`` numpy would
-    buffer the output, one more block."""
+    its nonzero coordinates, R[u, v] is ``table[lowbit(a[u] ^ b[v])]``,
+    where ``table[1 << (i - 1)]`` holds the rank m + 1 - i of 1 + 1/i.  R
+    is filled one ``_row_blocks`` block at a time through two reused int16
+    buffers.  ``take`` writes into R with ``mode="clip"`` (no index is out
+    of range): with the default ``"raise"`` numpy would buffer the output,
+    one more block.
+
+    Two facts make the ranks exact, and both are checked rather than
+    assumed: each distance to A, 1 + 1/min F, is an entry of ``values``,
+    and Q = min(D, ax + ay) is D itself, since every D is at most
+    ``values[-1]`` = 2 and every ax + ay is larger.  A failed check raises
+    ArithmeticError."""
     m = space.dim
+    # the coordinates as ``_subset_vectors`` computes them, so every bit matches
+    values = np.concatenate(([0.0], (1.0 + 1.0 / np.arange(1, m + 1))[::-1]))
     bit = np.int16(1) << np.arange(m, dtype=np.int16)
     a = (sigma.coords != 0.0) @ bit
     b = (tau.coords != 0.0) @ bit
-    table = np.zeros(1 << m)
-    table[bit] = 1.0 + 1.0 / np.arange(1, m + 1)
-    D = np.empty((len(a), len(b)))
+    table = np.zeros(1 << m, np.uint8)
+    table[bit] = np.arange(m, 0, -1)
+    R = np.empty((len(a), len(b)), np.uint8)
     x = y = None
     for blk in _row_blocks(len(a), len(b)):
-        out = D[blk]
+        out = R[blk]
         # one pair of buffers for every block: only the last one can be shorter
         x = np.empty(out.shape, np.int16) if x is None else x[: len(out)]
         y = np.empty_like(x) if y is None else y[: len(out)]
@@ -307,7 +324,14 @@ def _subset_cost_data(sigma: Diagram, tau: Diagram, space: SupCubeTruncatedC0):
         np.bitwise_and(x, np.negative(x, out=y), out=x)
         table.take(x, out=out, mode="clip")
     ax, ay = space.dist_to_A_batch(sigma.coords), space.dist_to_A_batch(tau.coords)
-    return _quotient_costs(D, ax, ay), ax, ay
+    if not values[-1] < ax.min(initial=math.inf) + ay.min(initial=math.inf):
+        raise ArithmeticError("a subset distance reaches the route through A")
+    d = np.concatenate((ax, ay))
+    rank = values.searchsorted(d)
+    if not np.array_equal(values.take(rank, mode="clip"), d):
+        raise ArithmeticError("a distance to A is not a subset distance")
+    rax, ray = np.split(rank.astype(np.uint8), [len(ax)])
+    return R, rax, ray, values
 
 
 def _subset_vectors(m: int) -> tuple[np.ndarray, np.ndarray]:

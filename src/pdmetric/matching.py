@@ -329,13 +329,20 @@ def bottleneck(
 
 def _bottleneck(sigma: Diagram, tau: Diagram, Q: np.ndarray, ax: np.ndarray,
                 ay: np.ndarray) -> tuple[float, Matching]:
-    """``bottleneck`` on the cost data ``_cost_data(sigma, tau, pair)``."""
-    cheapest = np.concatenate((np.minimum(ax, Q.min(axis=1, initial=np.inf)),
-                               np.minimum(ay, Q.min(axis=0, initial=np.inf))))
-    value = float(cheapest.max(initial=0.0))
+    """``bottleneck`` on the cost data ``_cost_data(sigma, tau, pair)``.
+
+    The search reads Q, ax and ay only through comparisons, with each
+    other and with 0, so on a strictly increasing relabelling of their
+    values that keeps 0 at 0 (such as uint8 ranks into the sorted distinct
+    values of 0, Q, ax and ay) it returns the relabelled value."""
+    n, m = Q.shape
+    # a point's cheapest partner exists only when the other side has points
+    cheapest = np.concatenate((np.minimum(ax, Q.min(axis=1)) if m else ax,
+                               np.minimum(ay, Q.min(axis=0)) if n else ay))
+    value = float(cheapest.max(initial=0))
     ml = augmented_matching(Q, ax, ay, value)
     if (ml < 0).any():
-        ub = float(max(ax.max(initial=0.0), ay.max(initial=0.0)))
+        ub = float(max(ax.max(initial=0), ay.max(initial=0)))
         cands = _candidates(Q, ax, ay, value, ub)
         lo, hi = 0, len(cands) - 1
         while lo < hi:

@@ -335,8 +335,12 @@ class PlaneDiagonal(_VectorPair):
     Distances use the sup norm by default; the Euclidean norm is available
     for both the plane and products.  ``n_pairs`` is read by
     ``_int_field``: an integer of any type but bool, or a float with no
-    fractional part; anything else is a ParseError.
+    fractional part; anything else is a ParseError.  The dimension
+    2 n_pairs is capped at ``MAX_DIM``, so that one coordinate row fits
+    one ``_BLOCK_BYTES`` block.
     """
+
+    MAX_DIM = _BLOCK_BYTES // 8
 
     def __init__(self, n_pairs: int = 1, norm: str = SUP):
         if norm not in _NORMS:
@@ -344,6 +348,8 @@ class PlaneDiagonal(_VectorPair):
         n_pairs = _int_field(n_pairs, "n_pairs")
         if n_pairs < 1:
             raise ValueError("n_pairs must be at least 1")
+        if 2 * n_pairs > self.MAX_DIM:
+            raise ValueError(f"dim capped at {self.MAX_DIM} coordinates")
         self.n_pairs = n_pairs
         self.norm = norm
         self.dim = 2 * n_pairs
@@ -434,17 +440,18 @@ class FiniteExplicit(MetricPair):
         n = M.shape[0]
         if n == 0:
             raise InvalidMetric("distance matrix must be nonempty")
-        if not np.all(np.isfinite(M)):
+        if not np.isfinite(M).all():
             raise InvalidMetric("distances must be finite")
-        if np.any(M < 0):
+        if (M < 0).any():
             raise InvalidMetric("distances must be nonnegative")
-        if np.any(np.abs(np.diagonal(M)) > 0):
+        if (M.diagonal() > 0).any():  # no entry is negative here
             raise InvalidMetric("diagonal must be zero")
         if not np.array_equal(M, M.T):
             raise InvalidMetric("distance matrix must be symmetric")
-        # entry (k, i, j) of a block is M[i, k] + M[k, j] + TRIANGLE_TOL
+        # entry (k, i, j) of a block is M[i, k] + M[k, j] + TRIANGLE_TOL; M is
+        # symmetric, so M[k, i] is M[i, k] and the rows of M are read in place
         for b in _row_blocks(n, n * n):
-            if np.any(M > M.T[b, :, None] + M[b, None, :] + self.TRIANGLE_TOL):
+            if (M > M[b, :, None] + M[b, None, :] + self.TRIANGLE_TOL).any():
                 raise InvalidMetric("triangle inequality violated")
         if not a_idx:
             raise InvalidMetric("A must be nonempty")
@@ -458,8 +465,9 @@ class FiniteExplicit(MetricPair):
         self.size = n
         digest = hashlib.sha256(M.tobytes() + bytes(str(self.A_indices), "ascii")).hexdigest()[:12]
         self.space_id = f"finite:{digest}"
-        self._a_dist = M[:, a_idx].min(axis=1)
-        self._a_nearest = np.asarray(a_idx, dtype=np.int64)[M[:, a_idx].argmin(axis=1)]
+        to_A = M[:, a_idx]
+        self._a_dist = to_A.min(axis=1)
+        self._a_nearest = np.asarray(a_idx, dtype=np.int64)[to_A.argmin(axis=1)]
 
     def _outside(self, X: np.ndarray) -> np.ndarray:
         i = X[:, 0]

@@ -10,9 +10,10 @@ TOOL = ROOT / "tools" / "ab.py"
 SRC = ROOT / "src"
 
 
-def run_ab(parent, change, cwd):
+def run_ab(parent, change, cwd, *extra):
     return subprocess.run([sys.executable, str(TOOL), str(parent), str(change), "--smoke",
-                           "--best", "2"], cwd=cwd, capture_output=True, text=True, timeout=120)
+                           "--best", "2", *extra], cwd=cwd, capture_output=True, text=True,
+                          timeout=120)
 
 
 def test_ab_times_every_slot_of_one_tree_against_itself(workloads, tmp_path):
@@ -25,6 +26,23 @@ def test_ab_times_every_slot_of_one_tree_against_itself(workloads, tmp_path):
     for line in lines[1:]:
         parent_ms, change_ms, ratio = map(float, line.split()[1:4])
         assert parent_ms > 0.0 and change_ms > 0.0 and ratio > 0.0
+
+
+def test_ab_memory_traces_every_slot_of_one_tree_against_itself(workloads, tmp_path):
+    """``--memory`` prints each slot's traced peak in MiB on both trees,
+    then the largest of them."""
+    res = run_ab(SRC, SRC, tmp_path, "--memory")
+    assert (res.returncode, res.stderr) == (0, "")
+    lines = res.stdout.splitlines()
+    assert lines[0].split()[1:5] == ["parent", "MiB", "change", "MiB"]
+    rows = [line.split() for line in lines[1:-1]]
+    assert [row[0] for row in rows] == list(workloads.SLOTS["dense-solve"])
+    # the ratio is taken of the unrounded peaks, so both are above 0
+    assert all(float(row[3]) > 0.0 for row in rows)
+    peaks = [(float(row[1]), float(row[2])) for row in rows]
+    last = lines[-1].split()
+    assert last[0] == "max"
+    assert (float(last[1]), float(last[2])) == tuple(map(max, zip(*peaks)))
 
 
 def test_ab_fails_on_a_tree_whose_output_differs(tmp_path):

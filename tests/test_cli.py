@@ -208,6 +208,9 @@ MALFORMED = [
                   '{"kind": "EuclideanPlaneDiagonal", "norm": "l1"}'], 2, id="plane-norm-unknown"),
     pytest.param(["dist", EMPTY, EMPTY, "--space",
                   '{"kind": "SupCubeTruncatedC0", "dim": 13}'], 2, id="supcube-dim-too-large"),
+    pytest.param(["dist", EMPTY, EMPTY, "--space",
+                  '{"kind": "HalfPlane2nDiagonal", "dim": 100000000000}'], 2,
+                 id="plane-dim-too-large"),
     pytest.param(["dist", EMPTY, EMPTY, "--space", FINITE_A % "1.5"], 2,
                  id="finite-A-fraction"),
     pytest.param(["dist", EMPTY, EMPTY, "--space", FINITE_A % "true"], 2, id="finite-A-true"),

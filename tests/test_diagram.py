@@ -286,6 +286,9 @@ def test_csv_error_carries_line_number():
     with pytest.raises(ParseError) as exc:
         parse_diagram("0,10,1\nx,4,1\n", "csv", pair)
     assert "line 2" in str(exc.value)
+    # a quoted cell may hold a newline: lines count as lines, not as rows
+    with pytest.raises(ParseError, match="line 4: could not convert"):
+        parse_diagram('birth,death\n"1\n",2\n0,x\n', "csv", pair)
 
 
 def test_csv_rejected_off_plane():

@@ -409,10 +409,11 @@ def test_c0_gap_reads_m_as_an_integer():
 
 
 def test_c0_costs_from_subset_masks_equal_the_sup_norm_costs():
-    """The mask-built (Q, ax, ay) of the c0 gap equal those of
-    ``matching._cost_data`` bit for bit, for every m the gap accepts."""
+    """The uint8 ranks (R, rax, ray) of the c0 gap index its value table
+    to the (Q, ax, ay) of ``matching._cost_data`` bit for bit, for every m
+    the gap accepts."""
     from pdmetric.diagram import _canonical
-    from pdmetric.geodesics import _subset_cost_data, _subset_vectors
+    from pdmetric.geodesics import _subset_ranks, _subset_vectors
     from pdmetric.matching import _cost_data
     from pdmetric.spaces import SupCubeTruncatedC0
 
@@ -421,17 +422,37 @@ def test_c0_costs_from_subset_masks_equal_the_sup_norm_costs():
         V, odd = _subset_vectors(m)
         sigma = _canonical(V[~odd], [1] * (len(V) // 2), space)
         tau = _canonical(V[odd], [1] * (len(V) // 2), space)
-        got, want = _subset_cost_data(sigma, tau, space), _cost_data(sigma, tau, space)
-        for g, w in zip(got, want):
+        R, rax, ray, values = _subset_ranks(sigma, tau, space)
+        assert R.dtype == rax.dtype == ray.dtype == np.uint8, m
+        assert values.tolist() == sorted(set(values.tolist())) and len(values) == m + 1, m
+        for g, w in zip((values[R], values[rax], values[ray]), _cost_data(sigma, tau, space)):
             assert g.dtype == w.dtype == np.float64 and g.shape == w.shape, m
             assert np.array_equal(g.view(np.int64), w.view(np.int64)), m
 
 
+def test_c0_ranks_refuse_costs_outside_their_table():
+    """The ranks hold only when every distance to A is an entry of the
+    table and every route through A costs more than the largest entry;
+    points that are no subset vectors break both, and the ranks raise
+    rather than mislabel a cost."""
+    from pdmetric.geodesics import _subset_ranks
+    from pdmetric.spaces import SupCubeTruncatedC0
+
+    space = SupCubeTruncatedC0(2)
+    near_x = canonicalize([space.point(0.5, 0.0)], space)
+    near_y = canonicalize([space.point(0.0, 0.5)], space)
+    with pytest.raises(ArithmeticError, match="reaches the route through A"):
+        _subset_ranks(near_x, near_y, space)
+    with pytest.raises(ArithmeticError, match="not a subset distance"):
+        _subset_ranks(near_x, empty_diagram(space), space)
+
+
 def test_c0_gap_peaks_near_its_cost_matrix():
-    """A repeated ``c0_truncation_gap(11)`` peaks within 10.3 MiB of traced
-    memory: Q alone is 8 MiB (1024 x 1024 float64), and the masks work
-    through it in row blocks with two reused int16 buffers (full-size
-    int64 temporaries would peak near 10.5 MiB)."""
+    """A repeated ``c0_truncation_gap(11)`` peaks within 3.2 MiB of traced
+    memory: the 1024 x 1024 cost matrix holds uint8 ranks (1 MiB; float64
+    costs took 8 MiB), the masks fill it in row blocks with two reused
+    int16 buffers, and the search's boolean matrix {R <= r} is 1 MiB
+    more.  No n x m float array is built."""
     c0_truncation_gap(11)
     tracemalloc.start()
     try:
@@ -439,4 +460,4 @@ def test_c0_gap_peaks_near_its_cost_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 10.3 * (1 << 20)
+    assert peak <= 3.2 * (1 << 20)

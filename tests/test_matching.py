@@ -688,6 +688,43 @@ def test_bottleneck_matches_cold_search():
     assert len(cases) > 500
 
 
+def test_bottleneck_on_uint8_ranks_returns_the_rank_of_the_value(monkeypatch):
+    """The search reads its costs only through comparisons: on uint8 ranks
+    of (Q, ax, ay) into the sorted distinct values of 0, Q, ax and ay it
+    returns the rank of the float search's value, on tie-heavy integer
+    grids of the sup plane, the half-line and finite spaces, empty
+    diagrams among them.  Many of them fail at the lower bound, so the
+    candidates and the must-match decisions run on uint8 too."""
+    searched = []
+    candidates = pdmetric.matching._candidates
+
+    def spy(Q, *rest):
+        searched.append(Q.dtype)
+        return candidates(Q, *rest)
+
+    monkeypatch.setattr(pdmetric.matching, "_candidates", spy)
+    rng = np.random.default_rng(2929)
+    sup, half = plane_sup(), halfline()
+    solves = 0
+    for _ in range(140):
+        for pair, draw in ((grid_finite_pair(rng), random_finite_diagram),
+                           (sup, grid_plane_diagram), (half, grid_halfline_diagram)):
+            s, t = draw(pair, rng), draw(pair, rng)
+            Q, ax, ay = pdmetric.matching._cost_data(s, t, pair)
+            values, inverse = np.unique(np.concatenate(([0.0], Q.ravel(), ax, ay)),
+                                        return_inverse=True)
+            assert len(values) <= 256
+            rank = inverse.astype(np.uint8)
+            R = rank[1 : 1 + Q.size].reshape(Q.shape)
+            rax, ray = np.split(rank[1 + Q.size :], [len(ax)])
+            want = pdmetric.matching._bottleneck(s, t, Q, ax, ay)[0]
+            got = pdmetric.matching._bottleneck(s, t, R, rax, ray)[0]
+            assert values[int(got)].hex() == want.hex(), (pair.kind, s, t)
+            solves += 1
+    assert solves == 420
+    assert searched.count(np.uint8) > 100 and searched.count(np.uint8) == searched.count(np.float64)
+
+
 def assert_decisions_match_cold_kernel(s, t, pair):
     """At every candidate threshold the must-match decision answers as the
     cold augmented kernel does."""

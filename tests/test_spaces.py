@@ -73,6 +73,15 @@ def test_point_validation_plane():
     assert p.space_id == "plane2:sup"
     with pytest.raises(ValueError, match="n_pairs must be at least 1"):
         PlaneDiagonal(0)
+    # one coordinate row fits one block of distances, as the sup cube's m
+    # is capped: a ValueError here, a ParseError from a descriptor
+    assert PlaneDiagonal.MAX_DIM == 131_072
+    assert PlaneDiagonal(PlaneDiagonal.MAX_DIM // 2).dim == PlaneDiagonal.MAX_DIM
+    with pytest.raises(ValueError, match="dim capped at 131072"):
+        PlaneDiagonal(PlaneDiagonal.MAX_DIM // 2 + 1)
+    for dim in (131_074, 10**11):
+        with pytest.raises(ParseError, match="dim capped at 131072"):
+            space_from_json({"kind": "HalfPlane2nDiagonal", "dim": dim})
 
 
 def test_space_mismatch_detected():

@@ -2,6 +2,7 @@
 source trees of pdmetric in one process.
 
     python3 tools/ab.py PARENT_SRC CHANGE_SRC [--workload dense-solve] [--best 5] [--smoke]
+    python3 tools/ab.py PARENT_SRC CHANGE_SRC --memory [--workload dense-solve] [--smoke]
 
 PARENT_SRC and CHANGE_SRC are ``src`` directories, such as ``src`` of this
 checkout and ``src`` of a ``git archive`` of the parent commit.  Each tree's
@@ -18,6 +19,13 @@ the per-variant ratios, then the totals.  It exits 1 if any op's output
 digest differs between the two trees, naming the op.  A paired best-of-N in
 one process resolves gains far below the benchmark's run-to-run spread; it
 does not replace the benchmark's gates.
+
+With ``--memory`` each op instead runs once per tree under ``tracemalloc``,
+untimed, and the table holds, per slot, the largest traced peak (MiB) of the
+slot's variants on each tree and their ratio, then the largest over all
+slots.  Only allocations that Python's allocators see are traced, so a peak
+is the op's own memory above what it started with, not the process RSS.
+The digests are checked as above.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import importlib.util
 import os
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -73,6 +82,52 @@ def load_workloads():
     return module
 
 
+def best_times(trees, ops, keys, best):
+    """Each op's best time (s) per tree over ``best`` interleaved runs, and
+    the output digest of its first run on each tree."""
+    times = {key: [float("inf"), float("inf")] for key in keys}
+    digests = {key: [None, None] for key in keys}
+    runs = 0
+    for rep in range(best):
+        for key in keys:
+            for side in ((0, 1) if runs % 2 == 0 else (1, 0)):
+                install(trees[side])
+                op = ops[side][key]
+                t0 = time.perf_counter()
+                res = op.run()
+                dt = time.perf_counter() - t0
+                times[key][side] = min(times[key][side], dt)
+                if rep == 0:
+                    digests[key][side] = op.digest(res)
+            runs += 1
+    return times, digests
+
+
+def traced_peaks(trees, ops, keys):
+    """Each op's traced peak (bytes) per tree over one untimed run under
+    ``tracemalloc``, and that run's output digest.  Every op first runs
+    once untraced on both trees, so neither tree's peak holds what the
+    first call into a shared module allocates once for the process."""
+    peaks = {key: [0, 0] for key in keys}
+    digests = {key: [None, None] for key in keys}
+    for key in keys:
+        for side in (0, 1):
+            install(trees[side])
+            ops[side][key].run()
+    for key in keys:
+        for side in (0, 1):
+            install(trees[side])
+            op = ops[side][key]
+            tracemalloc.start()
+            try:
+                res = op.run()
+                peaks[key][side] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            digests[key][side] = op.digest(res)
+    return peaks, digests
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="src directory of the parent tree")
@@ -81,6 +136,8 @@ def main(argv=None) -> int:
                     choices=("dense-solve", "probe-mix", "ingest"))
     ap.add_argument("--best", type=int, default=5, help="runs per op and tree; the best counts")
     ap.add_argument("--smoke", action="store_true", help="the workloads' tiny smoke sizes")
+    ap.add_argument("--memory", action="store_true",
+                    help="traced peak memory of one untimed run per op instead of times")
     args = ap.parse_args(argv)
     if args.best < 1:
         ap.error("--best must be at least 1")
@@ -96,32 +153,22 @@ def main(argv=None) -> int:
         warm = factory.build(wl.WARMUP_SLOT[args.workload], 0)
         warm.run()
 
-    best = {key: [float("inf"), float("inf")] for key in keys}
-    digests = {key: [None, None] for key in keys}
-    runs = 0
-    for rep in range(args.best):
-        for key in keys:
-            for side in ((0, 1) if runs % 2 == 0 else (1, 0)):
-                install(trees[side])
-                op = ops[side][key]
-                t0 = time.perf_counter()
-                res = op.run()
-                dt = time.perf_counter() - t0
-                best[key][side] = min(best[key][side], dt)
-                if rep == 0:
-                    digests[key][side] = op.digest(res)
-            runs += 1
-
-    print(f"{'slot':<16} {'parent ms':>10} {'change ms':>10} {'ratio':>7}  variant ratios")
+    if args.memory:
+        measured, digests = traced_peaks(trees, ops, keys)
+        # a slot's peak is the largest of its variants', not their sum
+        unit, scale, combine, last = "MiB", 1.0 / (1 << 20), max, "max"
+    else:
+        measured, digests = best_times(trees, ops, keys, args.best)
+        unit, scale, combine, last = "ms", 1e3, sum, "total"
+    print(f"{'slot':<16} {'parent ' + unit:>10} {'change ' + unit:>10} {'ratio':>7}  variant ratios")
     total = [0.0, 0.0]
     for slot in wl.SLOTS[args.workload]:
-        times = [best[key] for key in keys if key[0] == slot]
-        a, b = (sum(t[side] for t in times) * 1e3 for side in (0, 1))
-        ratios = [t[1] / t[0] for t in times]
-        total[0] += a
-        total[1] += b
+        values = [measured[key] for key in keys if key[0] == slot]
+        a, b = (combine(v[side] for v in values) * scale for side in (0, 1))
+        ratios = [v[1] / v[0] for v in values]
+        total = [combine((total[0], a)), combine((total[1], b))]
         print(f"{slot:<16} {a:10.2f} {b:10.2f} {b / a:7.3f}  {min(ratios):.3f}-{max(ratios):.3f}")
-    print(f"{'total':<16} {total[0]:10.2f} {total[1]:10.2f} {total[1] / total[0]:7.3f}")
+    print(f"{last:<16} {total[0]:10.2f} {total[1]:10.2f} {total[1] / total[0]:7.3f}")
     differ = [key for key in keys if digests[key][0] != digests[key][1]]
     for slot, variant in differ:
         print(f"ab: {slot}/{variant}: output {digests[(slot, variant)][1]} != parent "
