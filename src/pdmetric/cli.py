@@ -44,7 +44,7 @@ from .errors import (
     TooLarge,
 )
 from .geodesics import _grid_check, c0_truncation_gap, geodesic_between
-from .matching import DEFAULT_NODE_CAP, _check_p, matching_to_json, wasserstein
+from .matching import _check_p, matching_to_json, wasserstein
 from .probes import (
     ProbeReport,
     Verdict,
@@ -75,16 +75,18 @@ _EXIT_BY_VERDICT = {Verdict.WITNESSED: 0, Verdict.REFUTED: 1, Verdict.INCONCLUSI
 # dense-family probes run one distance pass per net center over the whole
 # grid, so their time grows with its square
 MAX_GRID_SAMPLES = 40_000
+# the largest dense-family --n: its grid has 4 n^2 - 4 rows
+MAX_N = math.isqrt(MAX_GRID_SAMPLES // 4 + 1)
 
-# the largest --trials, --steps and --candidates: a run at each cap takes
-# a few seconds, and time grows linearly above it (quadratically for
-# --candidates, whose every solve holds up to that many points)
+# the largest --trials, --steps, --candidates and --nmax: a run at each
+# cap takes a few seconds, and time grows linearly above it (quadratically
+# for --candidates and --nmax, whose solves hold up to that many points;
+# vanishing-pair's last pair holds --nmax + 1 points on each side, within
+# the solvers' size cap)
 MAX_TRIALS = 10_000
 MAX_STEPS = 10_000
 MAX_CANDIDATES = 2_000
-# vanishing-pair's last pair holds --nmax + 1 points on each side, which
-# together may not pass the solvers' size cap
-MAX_NMAX = DEFAULT_NODE_CAP // 2 - 1
+MAX_NMAX = 1_000
 
 
 def fmt_real(x: float) -> str:
@@ -338,9 +340,7 @@ def probe_eps_net(args) -> ProbeReport:
 
 
 def probe_dense_family(args) -> ProbeReport:
-    n = args.n
-    if n < 1:
-        raise ParseError("--n must be at least 1")
+    n = _count(args.n, "--n", MAX_N)
     seeds = _trial_seeds(args)
     pair = HalfLineOrigin()
     radius = 1.0 / n

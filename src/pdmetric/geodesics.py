@@ -20,7 +20,7 @@ Its cost matrix comes from the subsets' bit masks, not from a sup-norm
 pass over 2^(m-1) x 2^(m-1) pairs of m coordinates: the sup distance of
 two subset vectors is fixed by the least coordinate in which the subsets
 differ.  The matrix holds one-byte ranks of the m + 1 distinct costs, on
-which the bottleneck search runs unchanged.
+which the bottleneck search runs unchanged; no diagram is built.
 
 Paths come from ``bottleneck`` and share its fixed size cap, which counts
 points with multiplicity before any is expanded; ``c0_truncation_gap``
@@ -242,23 +242,24 @@ def c0_truncation_gap(m: int):
     ``spaces._int_field``: an integer of any type but bool, or a float
     with no fractional part; anything else is a ParseError.
 
-    The bottleneck search runs on the uint8 ranks of ``_subset_ranks``,
-    not on float costs: it compares costs and never computes with them,
-    so it returns the rank of the gap, and the gap is that entry of the
-    rank table, bit for bit the value of the search over the float costs.
-    The witness matching is not read; its costs would be ranks.  At
-    m = 11 the ranks take 1 MiB where the float64 costs took 8 MiB.
+    No diagram is built: the even subsets but the empty one (the origin,
+    which lies in A) and the odd subsets are the rows of the two sides,
+    each one point.  The bottleneck search ``matching._bottleneck`` runs
+    on their uint8 cost ranks from ``_subset_ranks``, not on float costs:
+    it compares costs and never computes with them, so it returns the
+    rank of the gap, and the gap is that entry of the rank table, bit for
+    bit the value of the search over the float costs.  No witness is
+    built.  At m = 11 the ranks take 1 MiB where float64 costs would take
+    8 MiB.
     """
     m = _int_field(m, "m")
     if m > SupCubeTruncatedC0.MAX_DIM:
         raise TooLarge(f"subset enumeration capped at m = {SupCubeTruncatedC0.MAX_DIM}")
     space = SupCubeTruncatedC0(m)
     V, odd = _subset_vectors(m)
-    sigma = _canonical(V[~odd], [1] * (len(V) // 2), space)
-    tau = _canonical(V[odd], [1] * (len(V) // 2), space)
-    # every subset is one point, so the solve's rows are the distinct points
-    R, rax, ray, values = _subset_ranks(sigma, tau, space)
-    rank, _ = _bottleneck(sigma, tau, R, rax, ray)
+    # the empty subset, the first even one, is the origin, which lies in A
+    R, rax, ray, values = _subset_ranks(V[~odd][1:], V[odd], space)
+    rank, _ = _bottleneck(R, rax, ray)
     gap = float(values[int(rank)])
     # an even and an odd subset differ in some coordinate i, so they are at
     # least 1 + 1/m apart, and {1} and {1, m} are exactly that
@@ -275,20 +276,21 @@ def c0_truncation_gap(m: int):
             "limit": 1.0,
             "min_cross_distance": min_cross,
             "min_dist_to_A": min_to_A,
-            "even_size": sigma.size,
-            "odd_size": tau.size,
+            "even_size": len(rax),
+            "odd_size": len(ray),
         },
         numeric_trace=((float(m), gap),),
     )
     return gap, report
 
 
-def _subset_ranks(sigma: Diagram, tau: Diagram, space: SupCubeTruncatedC0):
-    """(R, rax, ray, values): the cost data of two diagrams of subset
-    vectors as uint8 ranks into the ascending float64 table ``values`` =
-    [0, 1 + 1/m, ..., 1 + 1/1], so that ``values[R]``, ``values[rax]`` and
-    ``values[ray]`` are bit for bit the (Q, ax, ay) of
-    ``matching._cost_data``.  No n x m float array is built.
+def _subset_ranks(X: np.ndarray, Y: np.ndarray, space: SupCubeTruncatedC0):
+    """(R, rax, ray, values): the cost data between the rows of X and Y,
+    subset vectors, as uint8 ranks into the ascending float64 table
+    ``values`` = [0, 1 + 1/m, ..., 1 + 1/1], so that ``values[R]``,
+    ``values[rax]`` and ``values[ray]`` are bit for bit the (Q, ax, ay) of
+    ``matching._cost_data`` on diagrams whose expanded rows are X and Y.
+    No n x m float array is built.
 
     Coordinate i of a subset vector is 1 + 1/i or 0, and 1 + 1/i falls as
     i grows, so the sup distance D[u, v] between the vectors of F and G is
@@ -309,8 +311,8 @@ def _subset_ranks(sigma: Diagram, tau: Diagram, space: SupCubeTruncatedC0):
     # the coordinates as ``_subset_vectors`` computes them, so every bit matches
     values = np.concatenate(([0.0], (1.0 + 1.0 / np.arange(1, m + 1))[::-1]))
     bit = np.int16(1) << np.arange(m, dtype=np.int16)
-    a = (sigma.coords != 0.0) @ bit
-    b = (tau.coords != 0.0) @ bit
+    a = (X != 0.0) @ bit
+    b = (Y != 0.0) @ bit
     table = np.zeros(1 << m, np.uint8)
     table[bit] = np.arange(m, 0, -1)
     R = np.empty((len(a), len(b)), np.uint8)
@@ -323,7 +325,7 @@ def _subset_ranks(sigma: Diagram, tau: Diagram, space: SupCubeTruncatedC0):
         np.bitwise_xor(a[blk, None], b, out=x)
         np.bitwise_and(x, np.negative(x, out=y), out=x)
         table.take(x, out=out, mode="clip")
-    ax, ay = space.dist_to_A_batch(sigma.coords), space.dist_to_A_batch(tau.coords)
+    ax, ay = space.dist_to_A_batch(X), space.dist_to_A_batch(Y)
     if not values[-1] < ax.min(initial=math.inf) + ay.min(initial=math.inf):
         raise ArithmeticError("a subset distance reaches the route through A")
     d = np.concatenate((ax, ay))

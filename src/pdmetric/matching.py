@@ -151,25 +151,31 @@ def _power_scale(p: float, *costs: np.ndarray) -> float:
     return 1.0 if tiny**p >= sys.float_info.min else cmax
 
 
-def _power_sum(costs: Iterable[float], p: float) -> float:
+def _power_sum(costs: Iterable[float], p: float, mults=None) -> float:
     """The correctly rounded sum of the p-th cost powers (finite p >= 1),
-    which ``math.fsum`` returns in any order.
+    which ``math.fsum`` returns in any order.  With ``mults``, power i
+    counts ``mults[i]`` times in an exact rational sum rounded once: the
+    correctly rounded sum of the repeated powers, none of them built.
 
     Raises TooLarge when a power or the sum overflows the float range."""
     try:
-        return math.fsum(c**p for c in costs)
+        if mults is None:
+            return math.fsum(c**p for c in costs)
+        return float(sum((Fraction(c**p) * k for c, k in zip(costs, mults)), Fraction(0)))
     except OverflowError as e:
         raise TooLarge(f"cost powers overflow the float range at p = {p}") from e
 
 
-def p_norm(costs: Iterable[float], p: float) -> float:
-    """The p-norm of a cost multiset (the max for p = inf), order-independent.
-    Costs are scaled by ``_power_scale`` before their powers are summed."""
+def p_norm(costs: Iterable[float], p: float, mults=None) -> float:
+    """The p-norm of a cost multiset (the max for p = inf), order-independent;
+    cost i counts ``mults[i]`` times when ``mults`` is given.  Costs are
+    scaled by ``_power_scale`` before their powers are summed, so with or
+    without ``mults`` the value is the same to the bit."""
     costs = list(costs)
     if math.isinf(p):
         return max(costs, default=0.0)
     s = _power_scale(p, np.array(costs))
-    return s * _power_sum([c / s for c in costs], p) ** (1.0 / p)
+    return s * _power_sum([c / s for c in costs], p, mults) ** (1.0 / p)
 
 
 def _matching(pairs, p: float) -> Matching:
@@ -180,37 +186,16 @@ def _matching(pairs, p: float) -> Matching:
 
 def total_persistence(diagram: Diagram, p: float, pair: MetricPair) -> float:
     """Distance to the empty diagram: sup of dist-to-A for p = inf, else
-    the p-norm of the dist-to-A multiset.
-
-    No point is expanded into its copies: each distinct point's power is
-    taken once and weighted by its multiplicity in an exact rational sum,
-    rounded once.  That is the correctly rounded sum of the expanded
-    powers, so the value equals ``p_norm`` of the expanded distances to the
-    bit (its ``fsum`` is correctly rounded too)."""
+    the p-norm of the dist-to-A multiset, each distinct point's distance
+    weighted by its multiplicity, so no point is expanded into its copies."""
     _check_same_space(diagram, pair)
-    p = _check_p(p)
-    costs = pair.dist_to_A_batch(diagram.coords)
-    if math.isinf(p):
-        return float(costs.max(initial=0.0))
-    s = _power_scale(p, costs)
-    try:
-        total = sum((Fraction((c / s) ** p) * k
-                     for c, k in zip(costs.tolist(), diagram.mults)), Fraction(0))
-        return s * float(total) ** (1.0 / p)
-    except OverflowError as e:
-        raise TooLarge(f"cost powers overflow the float range at p = {p}") from e
+    return p_norm(pair.dist_to_A_batch(diagram.coords).tolist(), _check_p(p), diagram.mults)
 
 
 def _expand(diagram: Diagram) -> np.ndarray:
     """The diagram's coordinate rows, each repeated by its multiplicity in
     place; only after a size check."""
     return np.repeat(diagram.coords, diagram.mults, axis=0)
-
-
-def _row_points(diagram: Diagram) -> list[Point]:
-    """The Point of each row of ``_expand``; built only when a witness's
-    pairs are."""
-    return list(diagram.iter_points())
 
 
 def _check_size(sigma: Diagram, tau: Diagram, pair: MetricPair, limit: int) -> None:
@@ -235,9 +220,15 @@ def _cost_data(sigma: Diagram, tau: Diagram, pair: MetricPair):
     return _quotient_costs(pair.pairwise_dist(X, Y), ax, ay), ax, ay
 
 
-def _build_pairs(sigma, tau, assign_l, Q, ax, ay) -> tuple[MatchedPair, ...]:
-    """Convert a left-to-right node assignment over the expanded rows of
-    ``sigma`` and ``tau`` into matched pairs.
+def _build_pairs(sigma, tau, partner, Q, ax, ay) -> tuple[MatchedPair, ...]:
+    """The matched pairs of a matching over the expanded rows of ``sigma``
+    and ``tau``: each x in order with its partner or with A, then (A, y)
+    for every y that no x took, in order.
+
+    Only the first n entries of ``partner`` are read, entry u holding x_u's
+    partner column, a value >= m standing for A.  An augmented kernel
+    array reads the same: its slot row n + k can take only y_k, so the y
+    that no x took are those its slot rows take, in the same order.
 
     A point pair whose quotient cost is the route through A (Q equals
     d(x, A) + d(y, A)) is split into the two explicit A-assignments it
@@ -248,21 +239,19 @@ def _build_pairs(sigma, tau, assign_l, Q, ax, ay) -> tuple[MatchedPair, ...]:
     over the unquotiented pair.
     """
     n, m = Q.shape
-    xs, ys = _row_points(sigma), _row_points(tau)
+    xs, ys = list(sigma.iter_points()), list(tau.iter_points())
+    partner = partner[:n].tolist()
     out = []
-    for u, v in enumerate(assign_l):
-        if u < n:
-            if v < m:
-                if Q[u, v] == ax[u] + ay[v]:
-                    out.append(MatchedPair(xs[u], BASEPOINT, float(ax[u])))
-                    out.append(MatchedPair(BASEPOINT, ys[v], float(ay[v])))
-                else:
-                    out.append(MatchedPair(xs[u], ys[v], float(Q[u, v])))
-            else:
-                out.append(MatchedPair(xs[u], BASEPOINT, float(ax[u])))
-        elif v < m:
+    for u, v in enumerate(partner):
+        if v >= m:
+            out.append(MatchedPair(xs[u], BASEPOINT, float(ax[u])))
+        elif Q[u, v] == ax[u] + ay[v]:
+            out.append(MatchedPair(xs[u], BASEPOINT, float(ax[u])))
             out.append(MatchedPair(BASEPOINT, ys[v], float(ay[v])))
-        # slot-to-slot assignments carry no mass
+        else:
+            out.append(MatchedPair(xs[u], ys[v], float(Q[u, v])))
+    taken = set(partner)
+    out.extend(MatchedPair(BASEPOINT, ys[v], float(ay[v])) for v in range(m) if v not in taken)
     return tuple(out)
 
 
@@ -295,7 +284,7 @@ def feasible_at_threshold(
     ml = augmented_matching(Q, ax, ay, float(r))
     if (ml < 0).any():
         return False, None
-    return True, _matching(_build_pairs(sigma, tau, ml, Q, ax, ay), math.inf)
+    return True, _matching(_bottleneck_pairs(sigma, tau, Q, ax, ay, float(r), ml), math.inf)
 
 
 def bottleneck(
@@ -324,12 +313,16 @@ def bottleneck(
     (see ``Matching``), by one more cold augmented run at the value unless
     the LB run's matching is the witness.
     """
-    return _bottleneck(sigma, tau, *_cost_data(sigma, tau, pair))
+    Q, ax, ay = _cost_data(sigma, tau, pair)
+    value, ml = _bottleneck(Q, ax, ay)
+    return value, Matching._deferred(
+        partial(_bottleneck_pairs, sigma, tau, Q, ax, ay, value, ml), value, math.inf)
 
 
-def _bottleneck(sigma: Diagram, tau: Diagram, Q: np.ndarray, ax: np.ndarray,
-                ay: np.ndarray) -> tuple[float, Matching]:
-    """``bottleneck`` on the cost data ``_cost_data(sigma, tau, pair)``.
+def _bottleneck(Q: np.ndarray, ax: np.ndarray, ay: np.ndarray):
+    """(value, ml): the bracketed search of ``bottleneck`` on the cost data
+    (Q, ax, ay) alone.  ``ml`` is the LB run's augmented matching when that
+    run is the witness, else None.
 
     The search reads Q, ax and ay only through comparisons, with each
     other and with 0, so on a strictly increasing relabelling of their
@@ -352,14 +345,14 @@ def _bottleneck(sigma: Diagram, tau: Diagram, Q: np.ndarray, ax: np.ndarray,
             else:
                 hi = mid
         value, ml = float(cands[lo]), None
-    return value, Matching._deferred(
-        partial(_bottleneck_pairs, sigma, tau, Q, ax, ay, value, ml), value, math.inf)
+    return value, ml
 
 
 def _bottleneck_pairs(sigma, tau, Q, ax, ay, value: float, ml) -> tuple[MatchedPair, ...]:
-    """The pairs of the bottleneck witness: the augmented matching ``ml``
-    at ``value`` when the search kept one (the LB run's), else one cold
-    augmented run there."""
+    """The pairs of a bottleneck witness: those of the augmented matching
+    ``ml`` at ``value`` when there is one (the LB run's, or the feasible
+    run of ``feasible_at_threshold``), else of one cold augmented run
+    there."""
     if ml is None:
         ml = augmented_matching(Q, ax, ay, value)
     return _build_pairs(sigma, tau, ml, Q, ax, ay)
@@ -409,20 +402,17 @@ def wasserstein(
     W[:n, m:] = axp[:, None]
     W[n:, :m] = ayp[None, :]
     row_of_col = solve_assignment(W)
-    # every x goes to its A slot and every y comes from its own; a pair the
-    # kernel assigns is matched instead when that is strictly cheaper (its
-    # entry of W, the smaller of its power and the sum, is below the sum),
-    # and its y's slot row then takes the x's freed slot column
-    assign_l = np.concatenate((m + np.arange(n), np.arange(m)))
+    # a pair the kernel assigns is matched when that is strictly cheaper
+    # (its entry of W, the smaller of its power and the sum, is below the
+    # sum); every other x goes to A
     rows = row_of_col[:m]
     v = np.flatnonzero(rows < n)
     u = rows[v]
     with np.errstate(over="ignore"):
         hit = W[u, v] < axp[u] + ayp[v]
-    u, v = u[hit], v[hit]
-    assign_l[u] = v
-    assign_l[n + v] = m + u
-    matching = _matching(_build_pairs(sigma, tau, assign_l, Q, ax, ay), p)
+    partner = np.full(n, m)
+    partner[u[hit]] = v[hit]
+    matching = _matching(_build_pairs(sigma, tau, partner, Q, ax, ay), p)
     return matching.value, matching
 
 
@@ -467,7 +457,7 @@ def brute_force_dp(
                         assign[i] = j
                     best_assign = tuple(assign)
     assert best_assign is not None
-    xs, ys = _row_points(sigma), _row_points(tau)
+    xs, ys = list(sigma.iter_points()), list(tau.iter_points())
     pairs = []
     for i, j in enumerate(best_assign):
         if j >= 0:

@@ -26,14 +26,14 @@ import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .diagram import Diagram, _canonical, _check_same_space, _diagram_points_to_json
 from .errors import CoverageGap, EmptyAnnulus, NotCauchy, PreconditionViolated
-from .matching import DEFAULT_NODE_CAP, _check_size, bottleneck
+from .matching import DEFAULT_NODE_CAP, Matching, _check_size, bottleneck
 from .spaces import (BasepointTag, FiniteExplicit, MetricPair, Point, _int_field, _point_to_json,
                      _row_blocks)
 
@@ -253,12 +253,18 @@ def cauchy_chain_limit(diagrams: Sequence[Diagram], pair: MetricPair):
             f"only {len(stages)} geometric envelope stages in {L} sampled diagrams"
         )
 
+    # stage indices never decrease and often repeat, so a stage pair often
+    # repeats the previous one, which keeps its matching
+    @lru_cache(maxsize=1)
+    def stage_matching(i: int, j: int) -> Matching:
+        return bottleneck(diags[i], diags[j], pair)[1]
+
     # trajectories through composed optimal matchings between stages
-    stage_diags = [diags[idx] for _, idx, _ in stages]
-    trajs: list[list[Point]] = [[pt] for pt in stage_diags[0].iter_points()]
+    idxs = [idx for _, idx, _ in stages]
+    trajs: list[list[Point]] = [[pt] for pt in diags[idxs[0]].iter_points()]
     live = list(range(len(trajs)))
-    for s in range(len(stage_diags) - 1):
-        _, mt = bottleneck(stage_diags[s], stage_diags[s + 1], pair)
+    for i, j in zip(idxs, idxs[1:]):
+        mt = stage_matching(i, j)
         takes: dict[tuple[float, ...], deque] = defaultdict(deque)
         births: list[Point] = []
         for mp in mt.pairs:
@@ -292,10 +298,15 @@ def cauchy_chain_limit(diagrams: Sequence[Diagram], pair: MetricPair):
             unresolved += 1
     limit = _canonical(np.array(limit_rows).reshape(-1, pair.dim), [1] * len(limit_rows), pair)
 
+    @lru_cache(maxsize=1)
+    def to_limit(i: int) -> float:
+        """d(diags[i], limit), kept while the stage index repeats."""
+        return bottleneck(diags[i], limit, pair)[0]
+
     trace = []
     verified = True
-    for k_idx, (k, idx, bound) in enumerate(stages):
-        d_lim, _ = bottleneck(diags[idx], limit, pair)
+    for k, idx, bound in stages:
+        d_lim = to_limit(idx)
         trace.append((float(k), d_lim))
         if d_lim > 2.0 * bound + CONV_TOL:
             verified = False

@@ -377,6 +377,8 @@ class PlaneDiagonal(_VectorPair):
         out = []
         for k in range(self.n_pairs):
             m = (c[2 * k] + c[2 * k + 1]) * 0.5
+            if math.isinf(m):  # the sum overflowed; the halves cannot
+                m = c[2 * k] * 0.5 + c[2 * k + 1] * 0.5
             out.extend((m, m))
         return Point(self.space_id, tuple(out))
 

@@ -289,6 +289,8 @@ MALFORMED = [
     pytest.param(["probe", "c0-gap", "--m", "0"], 2, id="c0-gap-m-zero"),
     pytest.param(["probe", "c0-gap", "--sweep", "--m", "1"], 2, id="c0-sweep-m-one"),
     pytest.param(["probe", "dense-family", "--n", "100000"], 4, id="dense-family-grid-too-large"),
+    # 1 / n of this n overflows the float range
+    pytest.param(["probe", "dense-family", "--n", "9" * 401], 4, id="dense-family-n-past-floats"),
     pytest.param(["probe", "eps-net", "--D", "1e9"], 4, id="eps-net-grid-too-large"),
     pytest.param(["probe", "vanishing-pair", "--nmax", "5000"], 4, id="vanishing-pair-too-large"),
     pytest.param(["probe", "vanishing-pair", "--nmax", "1000000000"], 4, id="nmax-huge"),
@@ -343,6 +345,7 @@ def no_solve(*args, **kwargs):
 @pytest.mark.parametrize("cap, argv", [
     pytest.param("MAX_TRIALS", ["probe", "isolated-bound", "--trials"], id="isolated-bound"),
     pytest.param("MAX_TRIALS", ["probe", "dense-family", "--trials"], id="dense-family"),
+    pytest.param("MAX_N", ["probe", "dense-family", "--n"], id="dense-family-n"),
     pytest.param("MAX_CANDIDATES", ["probe", "adversary", "--candidates"], id="adversary"),
     pytest.param("MAX_NMAX", ["probe", "vanishing-pair", "--nmax"], id="vanishing-pair"),
     pytest.param("MAX_STEPS", ["geodesic", SIGMA, TAU, "--space", PLANE, "--steps"],
@@ -368,7 +371,20 @@ def test_nmax_cap_is_the_solvers_size_cap():
     from pdmetric.cli import MAX_NMAX
 
     # the last pair holds nmax + 1 points on each side
-    assert 2 * (MAX_NMAX + 1) == DEFAULT_NODE_CAP
+    assert 2 * (MAX_NMAX + 1) <= DEFAULT_NODE_CAP
+
+
+def test_dense_family_n_cap_is_the_largest_grid_that_fits():
+    from pdmetric.cli import MAX_GRID_SAMPLES, MAX_N, _sample_grid
+
+    # level n samples [1/n, n) in steps of 1/(4n): 4 n^2 - 4 rows
+    def grid(n):
+        return _sample_grid(1.0 / n, float(n), 1.0 / n / 4.0)
+
+    assert 4 * MAX_N**2 - 4 <= MAX_GRID_SAMPLES < 4 * (MAX_N + 1) ** 2 - 4
+    assert len(grid(MAX_N)) == 4 * MAX_N**2 - 4
+    with pytest.raises(TooLarge):
+        grid(MAX_N + 1)
 
 
 @pytest.mark.parametrize("flag, value", [("--D", "inf"), ("--D", "nan"), ("--delta", "nan")])
@@ -423,6 +439,20 @@ def test_geodesic_far_from_the_origin_exits_0(capsys):
     code, out, _ = run_main(["geodesic", sigma, tau, "--space", PLANE], capsys)
     assert code == 0
     assert json.loads(out)["midpoint_check"]["verdict"] == "WITNESSED"
+
+
+@pytest.mark.parametrize("sigma, tau", [
+    ('{"points": [{"coords": [1e308, 1.5e308]}]}', '{"points": []}'),
+    ('{"points": [{"coords": [1e308, 1.5e308]}, {"coords": [1.2e308, 1.6e308]}]}',
+     '{"points": [{"coords": [1.1e308, 1.4e308]}]}'),
+], ids=["one-point", "two-points"])
+def test_geodesic_whose_projection_sum_overflows_exits_0(sigma, tau, capsys):
+    # b + d overflows to inf here, so the projection may not add first
+    code, out, err = run_main(["geodesic", sigma, tau, "--space", PLANE, "--steps", "2"], capsys)
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert obj["midpoint_check"]["verdict"] == "WITNESSED"
+    assert all(math.isfinite(c) for f in obj["frames"] for q in f["points"] for c in q["coords"])
 
 
 def test_geodesic_through_A_leg_reaches_target(capsys):

@@ -6,6 +6,7 @@ import math
 import time
 import tracemalloc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 
@@ -203,6 +204,23 @@ def test_total_persistence_weighs_multiplicities_without_expanding():
     # every power is finite, their weighted sum is not
     with pytest.raises(TooLarge):
         total_persistence(canonicalize([(pair.point(0.0, 2e154), 10**12)], pair), 2.0, pair)
+
+
+def test_total_persistence_is_the_p_norm_weighted_by_huge_multiplicities():
+    """``total_persistence`` is ``p_norm`` over the distinct distances to A
+    with the multiplicities as weights, also where the weights are far
+    beyond any expansion; for p = 1 that is the exact weighted sum rounded
+    once, and tiny costs keep their weight through the scaling."""
+    pair = plane()
+    for scale in (1.0, 1e-200):
+        d = canonicalize([(pair.point(0.0, 2.0 * scale), 10**30),
+                          (pair.point(1.0 * scale, 4.0 * scale), 3),
+                          (pair.point(0.0, 1e-3 * scale), 7 * 10**18)], pair)
+        dist = pair.dist_to_A_batch(d.coords).tolist()
+        for p in (1.0, 2.0, 3.5, math.inf):
+            assert total_persistence(d, p, pair).hex() == p_norm(dist, p, d.mults).hex()
+        exact = sum((Fraction(c) * k for c, k in zip(dist, d.mults)), Fraction(0))
+        assert total_persistence(d, 1.0, pair) == float(exact)
 
 
 def test_total_persistence_equals_the_expanded_sum():

@@ -422,7 +422,7 @@ def test_c0_costs_from_subset_masks_equal_the_sup_norm_costs():
         V, odd = _subset_vectors(m)
         sigma = _canonical(V[~odd], [1] * (len(V) // 2), space)
         tau = _canonical(V[odd], [1] * (len(V) // 2), space)
-        R, rax, ray, values = _subset_ranks(sigma, tau, space)
+        R, rax, ray, values = _subset_ranks(sigma.coords, tau.coords, space)
         assert R.dtype == rax.dtype == ray.dtype == np.uint8, m
         assert values.tolist() == sorted(set(values.tolist())) and len(values) == m + 1, m
         for g, w in zip((values[R], values[rax], values[ray]), _cost_data(sigma, tau, space)):
@@ -442,9 +442,9 @@ def test_c0_ranks_refuse_costs_outside_their_table():
     near_x = canonicalize([space.point(0.5, 0.0)], space)
     near_y = canonicalize([space.point(0.0, 0.5)], space)
     with pytest.raises(ArithmeticError, match="reaches the route through A"):
-        _subset_ranks(near_x, near_y, space)
+        _subset_ranks(near_x.coords, near_y.coords, space)
     with pytest.raises(ArithmeticError, match="not a subset distance"):
-        _subset_ranks(near_x, empty_diagram(space), space)
+        _subset_ranks(near_x.coords, empty_diagram(space).coords, space)
 
 
 def test_c0_gap_peaks_near_its_cost_matrix():

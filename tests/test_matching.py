@@ -717,12 +717,44 @@ def test_bottleneck_on_uint8_ranks_returns_the_rank_of_the_value(monkeypatch):
             rank = inverse.astype(np.uint8)
             R = rank[1 : 1 + Q.size].reshape(Q.shape)
             rax, ray = np.split(rank[1 + Q.size :], [len(ax)])
-            want = pdmetric.matching._bottleneck(s, t, Q, ax, ay)[0]
-            got = pdmetric.matching._bottleneck(s, t, R, rax, ray)[0]
+            want = pdmetric.matching._bottleneck(Q, ax, ay)[0]
+            got = pdmetric.matching._bottleneck(R, rax, ray)[0]
             assert values[int(got)].hex() == want.hex(), (pair.kind, s, t)
             solves += 1
     assert solves == 420
     assert searched.count(np.uint8) > 100 and searched.count(np.uint8) == searched.count(np.float64)
+
+
+def test_witness_reads_an_augmented_array_as_its_partner_array():
+    """``_build_pairs`` reads the first n entries of an augmented kernel
+    array as x's partners (a slot column as A) and lists the y that no x
+    took; those are exactly the y its slot rows take, slot row n + k only
+    y_k, so the augmented array and the length-n partner array give the
+    same witness.  On tie-heavy grids, at the bottleneck value and at the
+    largest candidate, with pairs split through A among them."""
+    build = pdmetric.matching._build_pairs
+    rng = np.random.default_rng(3030)
+    sup, half = plane_sup(), halfline()
+    reads = splits = 0
+    for _ in range(60):
+        for pair, draw in ((grid_finite_pair(rng), random_finite_diagram),
+                           (sup, grid_plane_diagram), (half, grid_halfline_diagram)):
+            s, t = draw(pair, rng), draw(pair, rng)
+            Q, ax, ay = pdmetric.matching._cost_data(s, t, pair)
+            n, m = Q.shape
+            value, _ = bottleneck(s, t, pair)
+            for r in (value, candidate_thresholds(s, t, pair)[-1]):
+                ml = augmented_matching(Q, ax, ay, r)
+                assert (ml >= 0).all()
+                free = np.setdiff1d(np.arange(m), ml[:n])
+                slots = ml[n:]
+                assert np.array_equal(np.flatnonzero(slots < m), free)
+                assert np.array_equal(slots[free], free)
+                want = build(s, t, np.minimum(ml[:n], m), Q, ax, ay)
+                assert build(s, t, ml, Q, ax, ay) == want, (pair.kind, s, t, r)
+                splits += sum(q.left is BASEPOINT for q in want) - len(free)
+                reads += 1
+    assert reads == 360 and splits > 50
 
 
 def assert_decisions_match_cold_kernel(s, t, pair):

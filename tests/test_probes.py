@@ -1,5 +1,7 @@
 """Probe behavior on hand-built scenarios, plus their refusal paths."""
 
+import collections
+import copy
 import math
 import time
 import tracemalloc
@@ -205,6 +207,34 @@ def test_cauchy_absorbing_sequence():
     limit, report = cauchy_chain_limit(diags, pair)
     assert limit.is_empty
     assert report.verdict is Verdict.WITNESSED
+
+
+def test_cauchy_probe_solves_a_repeated_stage_pair_or_limit_check_once(monkeypatch):
+    """In the three CLI scenarios, with every diagram a distinct object, no
+    pair of objects is solved twice but a step between two distinct stages:
+    the envelope keeps only its distance, so the step solves it once more
+    for its matching.  A step that repeats while the stage index repeats
+    keeps its matching, and a repeated stage's limit check its distance."""
+    import pdmetric.probes as probes
+    from pdmetric.cli import _CAUCHY_SCENARIOS, _cauchy_sequence
+
+    pair = plane_sup()
+    solves = collections.Counter()
+
+    def counted(sigma, tau, pair):
+        solves[id(sigma), id(tau)] += 1
+        return bottleneck(sigma, tau, pair)
+
+    monkeypatch.setattr(probes, "bottleneck", counted)
+    for name in _CAUCHY_SCENARIOS:
+        seq = [copy.copy(d) for d in _cauchy_sequence(name, pair)]
+        solves.clear()
+        _, report = cauchy_chain_limit(seq, pair)
+        idxs = [idx for _, idx, _ in report.witnesses["stages"]]
+        assert len(idxs) > len(set(idxs)), name  # some stage index repeats
+        steps = {(id(seq[i]), id(seq[j])) for i, j in zip(idxs, idxs[1:]) if i < j}
+        assert max(solves.values()) <= 2, name
+        assert {ij for ij, k in solves.items() if k == 2} <= steps, name
 
 
 def test_cauchy_slow_sampling_is_inconclusive():

@@ -289,6 +289,26 @@ def test_product_plane_dist_and_projection():
     assert pair.dist(x, y) == 4.0  # sup over coordinate differences
 
 
+def test_plane_projection_is_the_plain_midpoint_unless_the_sum_overflows():
+    """Where b + d is finite, each projected coordinate is (b + d) * 0.5 to
+    the bit, subnormal rows included; where it overflows, the halves are
+    summed instead."""
+    pair = PlaneDiagonal(2, SUP)
+    rng = np.random.default_rng(3131)
+    checked = 0
+    for scale in (1e-320, 1e-310, 1e-300, 1.0, 1e150, 5e307):
+        b = rng.uniform(-1.0, 1.0, (200, 2)) * scale
+        d = b + rng.uniform(0.0, 1.0, (200, 2)) * scale
+        for bs, ds in zip(b.tolist(), d.tolist()):
+            coords = pair.proj_to_A(pair.point(bs[0], ds[0], bs[1], ds[1])).coords
+            want = [(bs[k] + ds[k]) * 0.5 for k in range(2)]
+            assert [c.hex() for c in coords] == [w.hex() for w in want for _ in range(2)]
+            checked += 1
+    assert checked == 1200
+    big = pair.proj_to_A(pair.point(1e308, 1.5e308, -1.5e308, -1e308))
+    assert big.coords == (1.25e308, 1.25e308, -1.25e308, -1.25e308)
+
+
 def test_product_plane_euclidean_dist_to_A():
     pair = PlaneDiagonal(2, EUCLIDEAN)
     x = pair.point(0.0, 2.0, 0.0, 4.0)
