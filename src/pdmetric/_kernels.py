@@ -25,34 +25,35 @@ when ax <= r, and each of the m slot rows is the one mask of the n right
 slots plus right point k's bit when ay[k] <= r.  No (n+m) x (n+m)
 matrix is built.
 
-``solve_assignment`` finds an exact min-cost perfect assignment of any
-square matrix (Hungarian algorithm with potentials).  The p-Wasserstein
-solver hands it a max(n, m) x max(n, m) matrix, not the (n+m) x (n+m)
-augmented one: see ``pdmetric.matching.wasserstein``.
+``solve_assignment`` finds a min-cost perfect assignment of a square
+float matrix with scipy's compiled ``linear_sum_assignment``, the
+shortest augmenting path method of Jonker and Volgenant as described by
+Crouse (IEEE TAES 52(4), 2016).  The p-Wasserstein solver hands it a
+max(n, m) x max(n, m) matrix, not the (n+m) x (n+m) augmented one, and
+certifies its answer exactly: see ``pdmetric.matching.wasserstein``.
 
-There is one kernel path, in numpy and plain Python: no compiler or JIT.
-Each kernel keeps the scan order of the element-by-element loops it
-replaced: neighbours are visited in ascending column order, ties go to
-the first candidate, and every floating-point operation happens in the
-same order.  The augmented matching and the assignment are therefore
-identical to that scalar reference (kept as ``tests/reference_kernels.py``)
-on every input, which the tests check.  A decision's matchings have no
-reference; only its yes/no answer is used.
+The compiled routine is loaded from its own extension file,
+scipy/optimize/_lsap, by ``importlib.machinery.ExtensionFileLoader``:
+importing ``scipy.optimize`` would load the whole of scipy's optimizers
+(about 0.4 s and 50 MB) for one function.  A missing file raises
+ImportError naming it; there is no fallback kernel.
 
-The Hungarian kernel spends its time in the inner search step, and many
-steps of a Wasserstein instance have delta = 0 (the padding rows or
-columns repeat, and so do the rows and columns of repeated points).  It
-therefore masks the columns already in the search tree with +inf/-inf
-sentinels instead of a boolean mask, applies the tree's potential updates
-with one ``np.add`` on a contiguous 1-D array that is written back once
-per row, hands its ufuncs Python floats rather than numpy scalars, and
-skips every update on a zero-delta step.  A step writes with
-``np.putmask`` and reads its cost row and the potentials from Python
-lists.  ``solve_assignment`` explains why none of this changes a
-comparison, so the output stays identical.
+The matching kernels run in numpy and plain Python, with no compiler or
+JIT.  They keep the scan order of the element-by-element loops they
+replaced: neighbours are visited in ascending column order and ties go to
+the first candidate.  The augmented matching is therefore identical to
+that scalar reference (kept in ``tests/reference_kernels.py``) on every
+input, which the tests check.  A decision's matchings have no reference;
+only its yes/no answer is used.  Among the many optimal assignments of a
+tied matrix, the compiled kernel may return another one than the
+reference Hungarian loop there; only the optimal cost is promised.
 """
 
 from __future__ import annotations
+
+import importlib.machinery
+import importlib.util
+import os
 
 import numpy as np
 
@@ -210,96 +211,37 @@ def _max_matching(nbrs, c):
     return ml
 
 
+
+
+def _load_lsap():
+    """scipy's compiled ``linear_sum_assignment``, loaded from the extension
+    file scipy/optimize/_lsap alone, without importing scipy or
+    ``scipy.optimize``.  Raises ImportError naming the file when scipy or
+    the file is missing."""
+    scipy = importlib.util.find_spec("scipy")
+    where = os.path.join(*(scipy.submodule_search_locations if scipy else ["scipy"]), "optimize")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(where, "_lsap" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"pdmetric needs scipy's compiled assignment kernel "
+                          f"{os.path.join(where, '_lsap')}{importlib.machinery.EXTENSION_SUFFIXES[0]}"
+                          ", which is missing; install scipy>=1.11")
+    name = "scipy.optimize._lsap"
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    return module.linear_sum_assignment
+
+
+_linear_sum_assignment = _load_lsap()
+
+
 def solve_assignment(cost):
-    """Min-cost perfect assignment on a square matrix; returns, for each
-    column, the row assigned to it (int64).  Hungarian algorithm with
-    potentials, O(n^3), doing the floating-point operations of the scalar
-    reference loop in the same order, so the returned array is identical.
-
-    Each step of a row's search is one vectorized pass over all columns.
-    Columns already in the search tree are masked by sentinels instead of
-    a boolean mask: their ``minv`` is +inf and their entry of ``vm`` (a
-    working copy of ``v``) is -inf, so their reduced cost is +inf and they
-    never win the strict ``<`` or the ``argmin``, which keeps the first
-    minimum as a strict ``<`` scan in column order would.
-
-    The tree's potentials are deferred.  A row's ``u`` is read once, when
-    its column joins the tree and before it receives any delta, and no tree
-    column's ``v`` is read during the search; so the tree keeps ``u`` and
-    ``-v`` side by side in one 1-D array, the pair of the t-th joined
-    column at 2t and 2t + 1.  Each step adds delta to its leading
-    contiguous slice with one ``np.add``, and the values are scattered back
-    when the row ends.  Keeping ``-v`` turns each ``v - delta`` into
-    ``-v + delta``, the same rounding up to the sign of a zero.  A step
-    with delta = 0 updates nothing: adding or subtracting a zero changes at
-    most the sign of a zero result, and ``<`` and ``argmin`` treat -0.0 and
-    +0.0 as equal.  The scalars handed to the ufuncs (the row's ``u`` and
-    delta) are Python floats, which numpy reads faster than its own scalars
-    and which hold the same float64 values.
-
-    Each step is two subtractions, one comparison, two ``np.putmask``
-    writes of the improved ``minv`` and ``way`` entries and an
-    ``argmin``.  ``u`` is a Python list, because it is read one entry at
-    a time and written back from the tree once per row.  ``v`` is written
-    only when a row ends and ``way`` only during its search, so a row
-    reads the ``-v`` of each joining column from one ``tolist()`` copy
-    taken before its search, and follows ``way`` back from one taken after
-    it.
-    """
-    nn = cost.shape[0]
-    crow = list(cost)  # row views, built once
-    u = [0.0] * (nn + 1)
-    v = np.zeros(nn + 1, np.float64)
-    p = [0] * (nn + 1)
-    way = np.zeros(nn + 1, np.int64)
-    minv = np.empty(nn + 1, np.float64)
-    vm = np.empty(nn + 1, np.float64)
-    cur = np.empty(nn, np.float64)
-    better = np.empty(nn, np.bool_)
-    tree = np.empty(2 * (nn + 1), np.float64)  # u of a row, then -v of its column
-    # views over columns 1..nn
-    minv1, vm1, way1 = minv[1:], vm[1:], way[1:]
-    for i in range(1, nn + 1):
-        p[0] = i
-        j0 = 0
-        minv.fill(np.inf)
-        np.copyto(vm, v)
-        vl = v.tolist()
-        rows, cols = [], []
-        k = 0
-        while True:
-            # column j0 joins the tree with its row i0
-            i0 = p[j0]
-            ui = u[i0]
-            rows.append(i0)
-            cols.append(j0)
-            tree[2 * k] = ui
-            tree[2 * k + 1] = -vl[j0]
-            k += 1
-            minv[j0] = np.inf
-            vm[j0] = -np.inf
-            np.subtract(crow[i0 - 1], ui, cur)
-            np.subtract(cur, vm1, cur)
-            np.less(cur, minv1, better)
-            np.putmask(minv1, better, cur)
-            np.putmask(way1, better, j0)
-            j1 = int(minv1.argmin())
-            delta = float(minv1[j1])
-            if delta:
-                t = tree[: 2 * k]
-                np.add(t, delta, out=t)
-                minv1 -= delta
-            j0 = j1 + 1
-            if p[j0] == 0:
-                break
-        for r, ur in zip(rows, tree[0 : 2 * k : 2].tolist()):
-            u[r] = ur
-        v[cols] = -tree[1 : 2 * k : 2]
-        wl = way.tolist()
-        while True:
-            j1 = wl[j0]
-            p[j0] = p[j1]
-            j0 = j1
-            if j0 == 0:
-                break
-    return np.array(p[1:], np.int64) - 1
+    """Min-cost perfect assignment on a square float64 matrix with finite
+    entries; returns, for each column, the row assigned to it (int64)."""
+    rows, cols = _linear_sum_assignment(cost)
+    row_of_col = np.empty(len(cols), np.int64)
+    row_of_col[cols] = rows
+    return row_of_col

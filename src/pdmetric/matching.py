@@ -23,9 +23,14 @@ Wasserstein values come from an exact min-cost assignment.  Every point
 left unmatched goes to A, so a matching costs the fixed sum of all powers
 d(x, A)^p and d(y, A)^p plus, per matched pair, Q^p - d(x, A)^p - d(y, A)^p;
 the assignment therefore runs on a max(n, m) x max(n, m) matrix, not on
-the (n+m) x (n+m) augmented one.  The witness lists each x in order with
-its partner or with A (a pair split through A as its two halves), then
-the (A, y) pairs of the unmatched y in order.  Wasserstein values are
+the (n+m) x (n+m) augmented one.  A compiled kernel solves that matrix in
+float, and an exact pass certifies or repairs its assignment, so that the
+witness minimizes the exact sum of the rounded cost powers that the value
+is recomputed from: the objective of ``brute_force_dp``, over matchings
+that pair x and y only when Q < d(x, A) + d(y, A) in float.  The
+witness lists each x in order with its partner or with A (a pair split
+through A as its two halves), then the (A, y) pairs of the unmatched y
+in order.  Wasserstein values are
 recomputed from the witness pairs as the correctly rounded sum of the cost
 powers (``math.fsum``), which is insensitive to the order the solver
 discovered the pairs in.  When the power of a nonzero cost would be 0 or
@@ -48,6 +53,7 @@ their multiplicities.
 
 from __future__ import annotations
 
+import heapq
 import math
 import sys
 from dataclasses import dataclass
@@ -384,7 +390,10 @@ def wasserstein(
     # scale of the costs it compares.  The point block is filled from Q one
     # row block at a time, so no other n x m array is built.  Every power
     # must be finite; a sum ax^p + ay^p may overflow to inf, and then the
-    # pair is matched.
+    # pair is matched.  The kernel solves W in float; ``_certified`` then
+    # makes its assignment exactly optimal for the exact entries of the
+    # same instance, ``exact.cost(i, j)``, so which of the float optima the
+    # kernel returns does not change the value.
     k = max(n, m)
     W = np.empty((k, k))
     overflow = TooLarge(f"cost powers overflow the float range at p = {p}")
@@ -402,18 +411,306 @@ def wasserstein(
     W[:n, m:] = axp[:, None]
     W[n:, :m] = ayp[None, :]
     row_of_col = solve_assignment(W)
-    # a pair the kernel assigns is matched when that is strictly cheaper
-    # (its entry of W, the smaller of its power and the sum, is below the
-    # sum); every other x goes to A
-    rows = row_of_col[:m]
-    v = np.flatnonzero(rows < n)
-    u = rows[v]
-    with np.errstate(over="ignore"):
-        hit = W[u, v] < axp[u] + ayp[v]
+    col = np.empty(k, np.int64)
+    col[row_of_col] = np.arange(k)
+    exact = _ExactCosts(Q, ax, ay, s, p)
+    col = _certified(W, col, axp, ayp, p, exact).tolist()
+    # a pair of the optimum is matched when that is exactly cheaper than
+    # sending both points to A; every other x goes to A
     partner = np.full(n, m)
-    partner[u[hit]] = v[hit]
+    for u in range(n):
+        v = col[u]
+        if v < m and exact.cost(u, v) < exact.gx[u] + exact.gy[v]:
+            partner[u] = v
     matching = _matching(_build_pairs(sigma, tau, partner, Q, ax, ay), p)
     return matching.value, matching
+
+
+_FIXED = 1074  # every finite float is an integer multiple of 2**-1074
+_FIXED_ONE = 1 << _FIXED
+
+
+def _fixed(x: float) -> int:
+    """The finite float x times 2**1074, an exact int."""
+    num, den = x.as_integer_ratio()
+    return num << (_FIXED + 1 - den.bit_length())
+
+
+def _rounded(x: int) -> float:
+    """The int x, at the scale of ``_fixed``, rounded to a float; +-inf
+    beyond the float range."""
+    try:
+        return x / _FIXED_ONE
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+class _ExactCosts:
+    """The exact entries of the k x k assignment instance of
+    ``wasserstein``, k = max(n, m), as ints at the scale of ``_fixed``, with
+    the powers taken as ``p_norm`` takes them, (c / s)**p in Python floats.
+
+    ``gx[i]`` is x_i's power to A and ``gy[j]`` is y_j's, both 0 for a
+    padding row or column.  Entry (i, j) is their sum, a split, except at
+    a point pair that is matchable (Q[i, j] < ax[i] + ay[j] in float, the
+    rule of ``_build_pairs``) and whose own power is exactly below that
+    sum.  A power that overflows raises TooLarge, as in ``p_norm``."""
+
+    def __init__(self, Q, ax, ay, s: float, p: float):
+        self.Q, self.ax, self.ay, self.s, self.p = Q, ax, ay, s, p
+        n, m = Q.shape
+        self.gx = [self.power(c) for c in ax.tolist()] + [0] * (m - n)
+        self.gy = [self.power(c) for c in ay.tolist()] + [0] * (n - m)
+        self.axl, self.ayl = ax.tolist(), ay.tolist()
+
+    def power(self, c: float) -> int:
+        try:
+            return _fixed((c / self.s) ** self.p)
+        except OverflowError as e:
+            raise TooLarge(f"cost powers overflow the float range at p = {self.p}") from e
+
+    def cost(self, i: int, j: int) -> int:
+        split = self.gx[i] + self.gy[j]
+        if i < len(self.axl) and j < len(self.ayl):
+            q = self.Q.item(i, j)
+            if q < self.axl[i] + self.ayl[j]:
+                return min(self.power(q), split)
+        return split
+
+    def split(self, i, j) -> np.ndarray:
+        """For the index arrays i and j, whether entry (i, j) is a split
+        by the float rule alone: a padding entry or an unmatchable pair."""
+        out = (i >= len(self.axl)) | (j >= len(self.ayl))
+        pt = ~out
+        i, j = i[pt], j[pt]
+        out[pt] = self.Q[i, j] >= self.ax[i] + self.ay[j]
+        return out
+
+
+def _potentials(R, row_of, thr):
+    """(phi, parent): float column labels with phi[j] <= phi[c] +
+    R[row_of[c], j] + thr[row_of[c]] for every column c and j, found from
+    phi = 0 by Gauss-Seidel Bellman-Ford on the row graph R, and for each
+    column the column whose row last lowered its label (-1 for none).
+
+    Relaxing column c's row lowers every label above phi[c] +
+    R[row_of[c], j] + thr to phi[c] + R[row_of[c], j]; a fall of no more
+    than the row's ``thr`` does not count, so float rounding cannot keep
+    the rounds going.  Each round relaxes the columns whose label fell
+    since they were last relaxed (every column in the first), in preorder
+    of the forest of parent arcs as it stood when the round began, so a
+    column comes after the one whose row set its label.  Shortest paths
+    are paths of that forest, and a fall travels down a whole one in one
+    round: on the half-line, where those paths run along the line, rounds
+    in descending order of the labels carried it a few arcs each, 790
+    rounds at n = 2000.  Without a negative cycle the rounds end within
+    len(R) rounds; they stop there in any case."""
+    k = len(R)
+    phi, t, rows = np.zeros(k), np.empty(k), list(R)
+    parent, below = np.full(k, -1), np.empty(k, bool)
+    fell = [True] * k
+    for _ in range(k):
+        if not any(fell):
+            break
+        kids = [[] for _ in range(k + 1)]  # the roots are the kids of k
+        for j, c in enumerate(parent.tolist()):
+            kids[c].append(j)
+        stack = kids[-1][::-1]
+        while stack:
+            c = stack.pop()
+            stack.extend(reversed(kids[c]))
+            if not fell[c]:
+                continue
+            fell[c] = False
+            i = row_of[c]
+            np.add(rows[i], phi.item(c) + thr[i], out=t)
+            lower = np.less(t, phi, out=below).nonzero()[0]
+            if len(lower):
+                phi[lower] = t[lower] - thr[i]
+                parent[lower] = c
+                for j in lower.tolist():
+                    fell[j] = True
+    return phi, parent
+
+
+def _ids(keys) -> np.ndarray:
+    """An int id for each of ``keys``, equal for equal keys."""
+    ids = {}
+    return np.array([ids.setdefault(key, len(ids)) for key in keys], np.int64)
+
+
+def _parent_cycle(parent) -> list[int]:
+    """The nodes of a cycle of the parent graph (node v's parent is
+    parent[v], -1 for none), or [] when it has none."""
+    walk = [-1] * len(parent)
+    for start in range(len(parent)):
+        x = start
+        while x >= 0 and walk[x] < 0:
+            walk[x] = start
+            x = parent[x]
+        if x >= 0 and walk[x] == start:
+            cycle, y = [x], parent[x]
+            while y != x:
+                cycle.append(y)
+                y = parent[y]
+            return cycle
+    return []
+
+
+def _certified(W, col, axp, ayp, p: float, exact: _ExactCosts) -> np.ndarray:
+    """An exactly optimal assignment of the instance whose exact entries
+    are ``exact.cost(i, j)``, given W, a float approximation of those
+    entries, and ``col``, an assignment (the column of each row) that is
+    optimal or nearly so on W.  W is overwritten.
+
+    An assignment is optimal exactly when the row graph, with an arc
+    col[i] -> j of weight cost(i, j) - cost(i, col[i]) for every row i
+    and column j, has no negative cycle, that is when some labels d make
+    every reduced weight w + d[col[i]] - d[j] >= 0.
+
+    - W becomes the float row graph in place, row i minus its entry in
+      col[i], and ``_potentials`` finds float labels on it.  Exact labels
+      d follow them along their tree, so every tree arc is exactly tight.
+    - Each arc's reduced weight is taken in float, one row block at a
+      time.  ``bound`` bounds its error: the float powers of W may differ
+      by an ulp or two from Python's, a pair routed through A may cost up
+      to about p ulps less in W than the sum of its powers to A, and each
+      of the few float operations rounds once.  An arc whose float reduced
+      weight exceeds twice the bound is positive by more than the bound;
+      the others, the suspects, are tested exactly.  When both entries of
+      an arc are splits, its weight is gy[j] - gy[col[i]], so its reduced
+      weight is e[col[i]] - e[j] with e = d - gy, and one comparison of
+      ranks of e tests all such arcs at once.  Any other arc is tested in
+      ints, once per distinct combination of the values its test reads.
+    - Only when a suspect is negative does label-correcting Bellman-Ford
+      run, relaxing the suspects of the column with the highest label
+      first.  A row's suspects stay complete while its column's label
+      falls by no more than the bound, and are found again otherwise.
+      Every k relaxations it looks for a cycle of parent arcs; such a
+      cycle is negative (Cherkassky and Goldberg, Math. Programming 85,
+      1999) and is cancelled: each of its rows moves to the column its arc
+      points at, which lowers the exact cost.  It stops when no arc is
+      negative, which proves the assignment optimal."""
+    k = len(W)
+    if k == 0:
+        return col
+    n = len(axp)
+    cost, slack = exact.cost, (p + 16.0) * 2.0**-50
+    cols = col.tolist()
+    row_of = [0] * k
+    for i, c in enumerate(cols):
+        row_of[c] = i
+    with np.errstate(over="ignore"):
+        big = np.max(W, axis=1)
+        big[:n] += axp
+        big += ayp.max(initial=0.0)
+        W -= W[np.arange(k), col][:, None]
+        phi, tree = _potentials(W, row_of, (slack / 4 * big).tolist())
+    d = [0] * k
+    below = [[] for _ in range(k)]
+    for j, c in enumerate(tree.tolist()):
+        if c >= 0:
+            below[c].append(j)
+    here = [cost(i, c) for i, c in enumerate(cols)]  # each row's own entry
+    order = (tree < 0).nonzero()[0].tolist()
+    for c in order:
+        i = row_of[c]
+        for j in below[c]:
+            d[j] = d[c] + cost(i, j) - here[i]
+            order.append(j)
+    phi = np.array([_rounded(x) for x in d])
+
+    def suspects(b):
+        """(i, j, bound): the rows and columns of the suspect arcs out of
+        the rows of slice b, own arcs left out, and each row's bound."""
+        at = col[b]
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = W[b] + (phi[at] - W[np.arange(k)[b], at])[:, None]
+            t -= phi
+            bound = slack * (big[b] - phi.min()) + 2.0**-1000
+            i, j = np.nonzero(~(t > 2.0 * bound[:, None]))
+        i += b.start
+        own = j == col[i]
+        return i[~own], j[~own], bound
+
+    # columns to relax, highest label first: the order of the shortest
+    # paths, along which the labels mostly fall
+    heap, queued = [], [False] * k
+
+    def push(c):
+        queued[c] = True
+        heapq.heappush(heap, (-phi.item(c), c))
+
+    # queue the column of each row with a negative suspect; e ranked
+    # with ties equal
+    e = [x - y for x, y in zip(d, exact.gy)]
+    ranked = sorted(range(k), key=e.__getitem__)
+    rank = [0] * k
+    for before, j in zip(ranked, ranked[1:]):
+        rank[j] = rank[before] + (e[j] != e[before])
+    rank = np.array(rank)
+    # the exact test of any other arc reads its row's d[col[i]] - here[i]
+    # and d(x, A), its column's d[j] and d(y, A), and its Q, so it runs once
+    # per distinct combination of them: once for all copies of a point
+    m, pad = len(exact.ayl), [None] * k
+    rid = _ids(zip([d[c] - h for c, h in zip(cols, here)], exact.axl + pad[n:]))
+    cid = _ids(zip(d, exact.ayl + pad[m:]))
+    # on ties every entry of a block may be a suspect, held in several
+    # index arrays, so a block has an eighth of the usual rows
+    for b in _row_blocks(k, 8 * k):
+        rows, js, _ = suspects(b)
+        at = col[rows]
+        both = exact.split(rows, js) & exact.split(rows, at)
+        bad = set(rows[both & (rank[at] < rank[js])].tolist())
+        rows, js = rows[~both], js[~both]
+        q = np.zeros(len(rows))
+        pt = (rows < n) & (js < m)
+        q[pt] = exact.Q[rows[pt], js[pt]]
+        qid = np.unique(q, return_inverse=True)[1]
+        key = (rid[rows] * k + cid[js]) * len(q) + qid
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        neg = [d[cols[i]] + cost(i, j) - here[i] < d[j]
+               for i, j in zip(rows[first].tolist(), js[first].tolist())]
+        bad.update(rows[np.array(neg, bool)[inverse]].tolist())
+        for i in bad:
+            push(cols[i])
+    # a relaxed row's suspects with their exact weights, its column's
+    # label when they were found, and their bound
+    found = [None] * k
+    parent, steps = [-1] * k, 0
+    while heap:
+        a = heapq.heappop(heap)[1]
+        if not queued[a]:
+            continue
+        queued[a] = False
+        i = row_of[a]
+        if found[i] is None or found[i][1] - d[a] > found[i][2]:
+            _, js, bound = suspects(slice(i, i + 1))
+            here[i], bound = cost(i, a), bound.item()
+            found[i] = ([(j, cost(i, j) - here[i]) for j in js.tolist()], d[a],
+                        _fixed(bound) if bound < math.inf else bound)
+        for j, w in found[i][0]:
+            label = d[a] + w
+            if label < d[j]:
+                d[j] = label
+                phi[j] = _rounded(label)
+                parent[j] = a
+                push(j)
+                steps += 1
+        if steps < k:
+            continue
+        # every k relaxations, look for a cycle of parent arcs; it is
+        # negative, and each of its rows moves along its arc
+        steps, cycle = 0, _parent_cycle(parent)
+        for r, v in [(row_of[parent[v]], v) for v in cycle]:
+            cols[r] = v
+            row_of[v] = r
+            found[r] = None
+            push(v)
+        if cycle:
+            col[:] = cols
+            parent = [-1] * k
+    return col
 
 
 def brute_force_dp(

@@ -4,8 +4,12 @@ search ``pdmetric.matching.bottleneck`` runs.
 
 ``augmented_matching`` and ``solve_assignment`` are the element-by-element
 Hopcroft-Karp and Hungarian loops the package shipped before its kernels
-were vectorized; the vectorized kernels must return exactly the same
-arrays.  ``augmented_wasserstein`` is the p-Wasserstein solve on the
+were vectorized.  The vectorized matching kernel must return exactly the
+same arrays.  The package's assignment kernel is now scipy's compiled
+one, which may return another of the optimal assignments of a tied
+matrix: it must reach the same optimal cost, and the Wasserstein witness
+must cost no more, exactly, than the reference assignment read the same
+way.  ``augmented_wasserstein`` is the p-Wasserstein solve on the
 (n+m) x (n+m) augmented matrix that the package used before it moved to the
 reduced max(n, m) x max(n, m) instance; the reduced solve must report the
 same values.  ``cold_bottleneck`` is the bottleneck search the package used
@@ -202,8 +206,9 @@ def augmented_wasserstein(sigma, tau, p, pair):
     matrix: Q^p between points, d(x, A)^p from a point to any A slot and 0
     between slots.  The cost data and the witness assembly are the
     package's; what is frozen is this matrix and how its assignment is read.
-    The kernel is the vectorized one, which returns the same arrays as
-    ``solve_assignment`` above in a fraction of the time."""
+    The kernel is the package's compiled one, which reaches the optimal cost
+    of ``solve_assignment`` above in a fraction of the time; its float
+    optimum is not certified exactly here, as ``wasserstein``'s is."""
     Q, ax, ay = matching._cost_data(sigma, tau, pair)
     n, m = Q.shape
     N = n + m

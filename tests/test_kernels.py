@@ -1,14 +1,21 @@
 """Kernel-level checks: feasibility vs direct enumeration, assignment vs
-scipy, and identity with the frozen scalar reference kernels."""
+scipy, the matching's identity with the frozen scalar reference kernel and
+the assignment's optimal cost against the frozen Hungarian kernel."""
 
+import importlib.machinery
+import importlib.util
 import math
+import subprocess
+import sys
+from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import reference_kernels as ref
-from pdmetric import PlaneDiagonal, canonicalize, matching
+from pdmetric import PlaneDiagonal, _kernels, canonicalize, matching
 from pdmetric._kernels import augmented_matching, solve_assignment
 
 
@@ -72,7 +79,7 @@ def test_feasibility_matches_enumeration():
 
 
 def test_assignment_matches_scipy():
-    scipy_opt = pytest.importorskip("scipy.optimize")
+    from scipy.optimize import linear_sum_assignment
     rng = np.random.default_rng(11)
     for _ in range(80):
         nn = int(rng.integers(1, 9))
@@ -82,7 +89,7 @@ def test_assignment_matches_scipy():
         row_of_col = solve_assignment(cost)
         assert sorted(row_of_col.tolist()) == list(range(nn))
         ours = float(cost[row_of_col, np.arange(nn)].sum())
-        ri, ci = scipy_opt.linear_sum_assignment(cost)
+        ri, ci = linear_sum_assignment(cost)
         ref = float(cost[ri, ci].sum())
         assert math.isclose(ours, ref, rel_tol=1e-12, abs_tol=1e-12)
 
@@ -154,18 +161,31 @@ def test_must_match_decision_equals_cold_answer():
     assert checked > 10_000 and 0.2 < feasible / checked < 0.8
 
 
-def assert_same_as_reference(cost):
+def exact_sum(cost, row_of_col):
+    """The exact sum of the entries an assignment picks."""
+    return sum(map(Fraction, cost[row_of_col, np.arange(len(cost))].tolist()), Fraction(0))
+
+
+def assert_same_sum_as_reference(cost):
+    """A permutation whose exact sum equals the scalar Hungarian kernel's
+    on a matrix of integers and halves, whose sums are exact in float;
+    within 1e-12 of it on any other matrix."""
     got = solve_assignment(cost)
     want = ref.solve_assignment(cost)
     assert got.dtype == want.dtype
-    assert np.array_equal(got, want), cost
+    assert sorted(got.tolist()) == list(range(len(cost)))
+    if np.array_equal(2 * cost, np.round(2 * cost)):
+        assert exact_sum(cost, got) == exact_sum(cost, want), cost
+    else:
+        assert math.isclose(exact_sum(cost, got), exact_sum(cost, want), rel_tol=1e-12), cost
 
 
-def test_assignment_identical_to_scalar_reference(monkeypatch):
-    """Same column-to-row array as the scalar Hungarian kernel, on square
-    matrices with integer ties, on augmented Wasserstein cost matrices
-    (free slot-to-slot block, repeated point-to-slot costs) and on the
-    reduced matrices ``wasserstein`` builds."""
+def test_assignment_sums_equal_the_scalar_reference(monkeypatch):
+    """The optimal cost of the scalar Hungarian kernel, on square matrices
+    with integer ties, on augmented Wasserstein cost matrices (free
+    slot-to-slot block, repeated point-to-slot costs) and on the reduced
+    matrices ``wasserstein`` builds.  Ties allow many optimal
+    permutations, and the compiled kernel need not return the reference's."""
     rng = np.random.default_rng(31)
     for k in range(2000):
         if k % 2:
@@ -181,13 +201,10 @@ def test_assignment_identical_to_scalar_reference(monkeypatch):
             cost[:n, :m] = Q**p
             cost[:n, m:] = (ax**p)[:, None]
             cost[n:, :m] = (ay**p)[None, :]
-        got = solve_assignment(cost)
-        want = ref.solve_assignment(cost)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want), cost
+        assert_same_sum_as_reference(cost)
 
-    # zero-delta steps and sentinels: all-equal matrices, repeated rows (as
-    # the augmented slot rows are), negative and -0.0 entries
+    # all-equal matrices, repeated rows (as the augmented slot rows are),
+    # negative and -0.0 entries
     for k in range(900):
         nn = int(rng.integers(0, 13))
         if k % 3 == 0:
@@ -198,14 +215,15 @@ def test_assignment_identical_to_scalar_reference(monkeypatch):
         else:
             cost = rng.integers(-3, 3, (nn, nn)).astype(np.float64)
             cost[cost == 0.0] = rng.choice([0.0, -0.0], int((cost == 0.0).sum()))
-        assert_same_as_reference(cost)
+        assert_same_sum_as_reference(cost)
 
     # the reduced W1/W2 matrices ``wasserstein`` builds for grid-tied
-    # plane diagrams of n = m = N / 2 points: k x k with k = max(n, m)
+    # plane diagrams of n = m = N / 2 points: k x k with k = max(n, m);
+    # the exact pass overwrites them, so each is copied first
     costs = []
 
     def recording(cost):
-        costs.append(cost)
+        costs.append(cost.copy())
         return solve_assignment(cost)
 
     monkeypatch.setattr(matching, "solve_assignment", recording)
@@ -223,26 +241,73 @@ def test_assignment_identical_to_scalar_reference(monkeypatch):
             matching.wasserstein(sigma, tau, p, pair)
     assert [c.shape[0] for c in costs] == [20, 20, 30, 30, 50, 50]
     for cost in costs:
-        assert_same_as_reference(cost)
+        assert_same_sum_as_reference(cost)
 
 
-def test_assignment_identical_to_scalar_reference_at_benchmark_size(workloads, monkeypatch):
-    """Same column-to-row array as the scalar Hungarian kernel on the 14
-    W_p matrices (k = 49-100) of one ``dense-solve`` round of the
-    benchmark, captured from its own ops."""
-    costs = []
+def test_witness_at_benchmark_size_costs_no_more_than_the_reference(workloads, monkeypatch):
+    """On the 14 W_p instances (k = 49-100) of one ``dense-solve`` round of
+    the benchmark, captured from its own ops, the witness's exact sum of
+    cost powers is at most that of the scalar Hungarian kernel's
+    assignment, read as ``wasserstein`` reads one: a pair is matched when
+    its entry is below the sum of its powers to A and Q < d(x, A) + d(y, A)."""
+    solves = []
+    cost_data, solve = matching._cost_data, solve_assignment
+
+    def recording_cost_data(*args):
+        solves.append([cost_data(*args)])
+        return solves[-1][0]
 
     def recording(cost):
-        costs.append(cost)
-        return solve_assignment(cost)
+        solves[-1].append(cost.copy())
+        return solve(cost)
 
+    monkeypatch.setattr(matching, "_cost_data", recording_cost_data)
     monkeypatch.setattr(matching, "solve_assignment", recording)
     factory = workloads.OpFactory("dense-solve", smoke=False)
+    witnesses = []
     for slot, _, p, _ in workloads.DENSE_SLOTS:
         if p is not None and not math.isinf(p):
             for variant in range(workloads.POOL["dense-solve"]):
-                factory.build(slot, variant).run()
-    sizes = [len(c) for c in costs]
-    assert len(sizes) == 14 and min(sizes) == 49 and max(sizes) == 100
-    for cost in costs:
-        assert_same_as_reference(cost)
+                witnesses.append((p, factory.build(slot, variant).run()[1]))
+    assert len(solves) == len(witnesses) == 14
+    sizes = [len(W) for _, W in solves]
+    assert min(sizes) == 49 and max(sizes) == 100
+    for ((Q, ax, ay), W), (p, witness) in zip(solves, witnesses):
+        n, m = Q.shape
+        s = matching._power_scale(p, Q, ax, ay)
+
+        def power(c):
+            return Fraction((c / s) ** p)
+
+        axp, ayp = (ax / s) ** p, (ay / s) ** p
+        matched = [(u, v) for v, u in enumerate(ref.solve_assignment(W)[:m].tolist())
+                   if u < n and W[u, v] < axp[u] + ayp[v] and Q[u, v] < ax[u] + ay[v]]
+        xs, ys = {u for u, _ in matched}, {v for _, v in matched}
+        total = sum((power(Q.item(u, v)) for u, v in matched), Fraction(0))
+        total += sum(power(c) for u, c in enumerate(ax.tolist()) if u not in xs)
+        total += sum(power(c) for v, c in enumerate(ay.tolist()) if v not in ys)
+        assert sum((power(q.cost) for q in witness.pairs), Fraction(0)) <= total
+
+
+def test_the_assignment_kernel_is_scipys_compiled_routine_alone():
+    """``import pdmetric`` loads scipy's compiled ``linear_sum_assignment``
+    from its own extension file, scipy/optimize/_lsap, and does not import
+    ``scipy.optimize``."""
+    code = ("import sys, pdmetric\n"
+            "from pdmetric._kernels import _linear_sum_assignment as f\n"
+            "print('scipy.optimize' in sys.modules, type(f).__name__, f.__self__.__file__)")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    imported, kind, path = run.stdout.split()
+    assert imported == "False" and kind == "builtin_function_or_method"
+    path = Path(path)
+    assert path.parent.parts[-2:] == ("scipy", "optimize")
+    assert path.name in ["_lsap" + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+
+
+def test_a_missing_kernel_file_is_an_import_error_naming_it(monkeypatch):
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".absent.so"])
+    with pytest.raises(ImportError, match=r"scipy[/\\]optimize[/\\]_lsap\.absent\.so"):
+        _kernels._load_lsap()
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)  # no scipy at all
+    with pytest.raises(ImportError, match=r"scipy[/\\]optimize[/\\]_lsap\.absent\.so"):
+        _kernels._load_lsap()
