@@ -45,8 +45,8 @@ the first candidate.  The augmented matching is therefore identical to
 that scalar reference (kept in ``tests/reference_kernels.py``) on every
 input, which the tests check.  A decision's matchings have no reference;
 only its yes/no answer is used.  Among the many optimal assignments of a
-tied matrix, the compiled kernel may return another one than the
-reference Hungarian loop there; only the optimal cost is promised.
+tied matrix the compiled kernel returns one of them; only the optimal
+cost is promised.
 """
 
 from __future__ import annotations
@@ -209,8 +209,6 @@ def _max_matching(nbrs, c):
                     mr[v] = u
                     ml[u] = v
     return ml
-
-
 
 
 def _load_lsap():

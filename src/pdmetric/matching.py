@@ -16,9 +16,7 @@ LB is infeasible does it build the candidates in (LB, UB] and halve over
 them, deciding each by the must-match rule, which matches only the points
 farther than the threshold from A.  The value is the smallest feasible
 candidate, read from the search.  The witness is always an augmented
-kernel matching at that candidate, so none of this shows in the output;
-it is built when its ``pairs`` are first read, and a solve whose witness
-is never read runs no kernel after its last decision.
+kernel matching at that candidate, so none of this shows in the output.
 Wasserstein values come from an exact min-cost assignment.  Every point
 left unmatched goes to A, so a matching costs the fixed sum of all powers
 d(x, A)^p and d(y, A)^p plus, per matched pair, Q^p - d(x, A)^p - d(y, A)^p;
@@ -27,15 +25,23 @@ the (n+m) x (n+m) augmented one.  A compiled kernel solves that matrix in
 float, and an exact pass certifies or repairs its assignment, so that the
 witness minimizes the exact sum of the rounded cost powers that the value
 is recomputed from: the objective of ``brute_force_dp``, over matchings
-that pair x and y only when Q < d(x, A) + d(y, A) in float.  The
+that pair x and y only when Q < d(x, A) + d(y, A) in float.  The pass
+works on whole arrays: its exact entries come from one bulk routine
+(``_ExactCosts.costs``), its float labels from block relaxations.  The
 witness lists each x in order with its partner or with A (a pair split
 through A as its two halves), then the (A, y) pairs of the unmatched y
-in order.  Wasserstein values are
-recomputed from the witness pairs as the correctly rounded sum of the cost
-powers (``math.fsum``), which is insensitive to the order the solver
-discovered the pairs in.  When the power of a nonzero cost would be 0 or
-subnormal and the largest cost is below 1, every cost is first divided by
-the largest one (``_power_scale``), which only raises the powers.
+in order.  Wasserstein values are the p-norm of the witness's costs,
+taken from its cost arrays before any pair is built: the correctly
+rounded sum of the cost powers (``math.fsum``), which is insensitive to
+the order the solver discovered the pairs in, so it is the value of the
+pairs when they are built.  When the power of a nonzero cost would be 0
+or subnormal and the largest cost is below 1, every cost is first divided
+by the largest one (``_power_scale``), which only raises the powers.
+
+Both solvers build their witness when its ``pairs`` are first read, not
+during the solve (``Matching._deferred``), so a solve whose witness is
+never read makes no ``Point`` and no ``MatchedPair``, and a bottleneck
+solve runs no kernel after its last decision.
 
 Every solver refuses an instance with more than ``DEFAULT_NODE_CAP``
 points in both diagrams together, counted with multiplicity, by raising
@@ -68,7 +74,8 @@ from ._kernels import augmented_matching, solve_assignment
 from .diagram import Diagram, _check_same_space
 from .errors import ParseError, TooLarge
 from .spaces import (BASEPOINT, BasepointTag, MetricPair, Point, _coords_from_json,
-                     _json_value, _point_to_json, _quotient_costs, _row_blocks)
+                     _block_rows, _json_value, _point_to_json, _quotient_costs,
+                     _row_blocks)
 
 __all__ = [
     "DEFAULT_NODE_CAP",
@@ -100,10 +107,12 @@ class Matching:
     """A bijection witness between two diagrams' augmented point sets.
 
     ``value`` is the matching's objective: the max cost for p = inf, else
-    the p-norm of the costs.  A witness from ``bottleneck`` builds its
-    ``pairs`` on first read and keeps them; until then it holds the
-    solve's cost data (the n x m matrix Q among them), which it drops once
-    they are built.  Equality, hashing, repr and pickling read ``pairs``.
+    the p-norm of the costs.  A witness from ``bottleneck`` or
+    ``wasserstein`` builds its ``pairs`` on first read and keeps them;
+    until then it holds the solve's cost data (the n x m matrix Q among
+    them), which it drops once they are built.  Its ``value`` is known
+    before: the search's value, or the p-norm of the costs the pairs will
+    carry.  Equality, hashing, repr and pickling read ``pairs``.
     """
 
     pairs: tuple[MatchedPair, ...]
@@ -392,7 +401,7 @@ def wasserstein(
     # must be finite; a sum ax^p + ay^p may overflow to inf, and then the
     # pair is matched.  The kernel solves W in float; ``_certified`` then
     # makes its assignment exactly optimal for the exact entries of the
-    # same instance, ``exact.cost(i, j)``, so which of the float optima the
+    # same instance, ``exact.costs``, so which of the float optima the
     # kernel returns does not change the value.
     k = max(n, m)
     W = np.empty((k, k))
@@ -414,26 +423,29 @@ def wasserstein(
     col = np.empty(k, np.int64)
     col[row_of_col] = np.arange(k)
     exact = _ExactCosts(Q, ax, ay, s, p)
-    col = _certified(W, col, axp, ayp, p, exact).tolist()
+    col, here = _certified(W, col, axp, ayp, p, exact)
     # a pair of the optimum is matched when that is exactly cheaper than
     # sending both points to A; every other x goes to A
-    partner = np.full(n, m)
-    for u in range(n):
-        v = col[u]
-        if v < m and exact.cost(u, v) < exact.gx[u] + exact.gy[v]:
-            partner[u] = v
-    matching = _matching(_build_pairs(sigma, tau, partner, Q, ax, ay), p)
-    return matching.value, matching
+    u = (col[:n] < m).nonzero()[0]
+    v, gx, gy = col[u], exact.gx, exact.gy
+    cheaper = [here[i] < gx[i] + gy[j] for i, j in zip(u.tolist(), v.tolist())]
+    u, v = u[cheaper], v[cheaper]
+    partner, taken = np.full(n, m), np.zeros(m, bool)
+    partner[u], taken[v] = v, True
+    # the witness's costs: its point pairs, then the x and the y sent to A
+    value = p_norm(np.concatenate((Q[u, v], ax[partner == m], ay[~taken])).tolist(), p)
+    return value, Matching._deferred(
+        partial(_build_pairs, sigma, tau, partner, Q, ax, ay), value, p)
 
 
 _FIXED = 1074  # every finite float is an integer multiple of 2**-1074
 _FIXED_ONE = 1 << _FIXED
 
 
-def _fixed(x: float) -> int:
-    """The finite float x times 2**1074, an exact int."""
-    num, den = x.as_integer_ratio()
-    return num << (_FIXED + 1 - den.bit_length())
+def _fixed(xs) -> list[int]:
+    """Each of the finite floats xs times 2**1074, an exact int."""
+    return [num << (_FIXED + 1 - den.bit_length())
+            for num, den in map(float.as_integer_ratio, xs)]
 
 
 def _rounded(x: int) -> float:
@@ -459,77 +471,107 @@ class _ExactCosts:
     def __init__(self, Q, ax, ay, s: float, p: float):
         self.Q, self.ax, self.ay, self.s, self.p = Q, ax, ay, s, p
         n, m = Q.shape
-        self.gx = [self.power(c) for c in ax.tolist()] + [0] * (m - n)
-        self.gy = [self.power(c) for c in ay.tolist()] + [0] * (n - m)
-        self.axl, self.ayl = ax.tolist(), ay.tolist()
+        g = self.powers(np.concatenate((ax, ay)))
+        self.gx, self.gy = g[:n] + [0] * (m - n), g[n:] + [0] * (n - m)
 
-    def power(self, c: float) -> int:
+    def powers(self, c: np.ndarray) -> list[int]:
+        """(c / s)**p of each cost in c, taken in Python floats: numpy's
+        powers may differ from them in the last bit."""
+        p = self.p
         try:
-            return _fixed((c / self.s) ** self.p)
+            return _fixed([x**p for x in (c / self.s).tolist()])
         except OverflowError as e:
-            raise TooLarge(f"cost powers overflow the float range at p = {self.p}") from e
+            raise TooLarge(f"cost powers overflow the float range at p = {p}") from e
 
-    def cost(self, i: int, j: int) -> int:
-        split = self.gx[i] + self.gy[j]
-        if i < len(self.axl) and j < len(self.ayl):
-            q = self.Q.item(i, j)
-            if q < self.axl[i] + self.ayl[j]:
-                return min(self.power(q), split)
-        return split
+    def matchable(self, i, j):
+        """(t, q) for the index arrays i and j: the positions t whose entry
+        is a point pair matchable by the float rule, Q[i, j] < ax[i] +
+        ay[j], and their Q."""
+        n, m = self.Q.shape
+        t = ((i < n) & (j < m)).nonzero()[0]
+        i, j = i[t], j[t]
+        q = self.Q[i, j]
+        ok = q < self.ax[i] + self.ay[j]
+        return t[ok], q[ok]
 
     def split(self, i, j) -> np.ndarray:
         """For the index arrays i and j, whether entry (i, j) is a split
         by the float rule alone: a padding entry or an unmatchable pair."""
-        out = (i >= len(self.axl)) | (j >= len(self.ayl))
-        pt = ~out
-        i, j = i[pt], j[pt]
-        out[pt] = self.Q[i, j] >= self.ax[i] + self.ay[j]
+        out = np.ones(len(i), bool)
+        out[self.matchable(i, j)[0]] = False
+        return out
+
+    def costs(self, i, j) -> list[int]:
+        """The exact entries (i[t], j[t]) for the index arrays i and j:
+        each split sum, lowered to the pair's own power where that is
+        matchable and exactly cheaper."""
+        gx, gy = self.gx, self.gy
+        out = [gx[a] + gy[b] for a, b in zip(i.tolist(), j.tolist())]
+        t, q = self.matchable(i, j)
+        for u, c in zip(t.tolist(), self.powers(q)):
+            if c < out[u]:
+                out[u] = c
         return out
 
 
 def _potentials(R, row_of, thr):
     """(phi, parent): float column labels with phi[j] <= phi[c] +
-    R[row_of[c], j] + thr[row_of[c]] for every column c and j, found from
-    phi = 0 by Gauss-Seidel Bellman-Ford on the row graph R, and for each
-    column the column whose row last lowered its label (-1 for none).
+    R[row_of[c], j] + thr[row_of[c]] for every column c and j, found by
+    Bellman-Ford on the row graph R from phi = 0, and the forest of
+    parent arcs that sets them (-1 for a root).  Every label is the
+    length of its column's path in that forest.
 
-    Relaxing column c's row lowers every label above phi[c] +
-    R[row_of[c], j] + thr to phi[c] + R[row_of[c], j]; a fall of no more
-    than the row's ``thr`` does not count, so float rounding cannot keep
-    the rounds going.  Each round relaxes the columns whose label fell
-    since they were last relaxed (every column in the first), in preorder
-    of the forest of parent arcs as it stood when the round began, so a
-    column comes after the one whose row set its label.  Shortest paths
-    are paths of that forest, and a fall travels down a whole one in one
-    round: on the half-line, where those paths run along the line, rounds
-    in descending order of the labels carried it a few arcs each, 790
-    rounds at n = 2000.  Without a negative cycle the rounds end within
-    len(R) rounds; they stop there in any case."""
+    It starts from the best paths along consecutive columns, arcs j - 1
+    -> j, found at once with a running maximum of prefix sums.  Each
+    round then relaxes the columns whose label fell since they were last
+    relaxed, in index order, a block of rows at a time: every column
+    takes the lowest label through any row of the block, and a fall of
+    no more than that row's ``thr`` does not count, so float rounding
+    cannot keep the rounds going.  A column that falls once the round
+    has passed it waits for the next round.  After each round the labels
+    are recomputed along the forest (``_path_sums``), so a fall runs down
+    a whole path in one round, and every column whose label fell is
+    relaxed in the next one.  On the half-line the shortest paths run
+    along the sorted columns, so the start often has them all; relaxing
+    one row at a time in descending order of the labels carried a fall a
+    few arcs a round, 790 rounds at n = 2000.  Without a negative cycle
+    the rounds end within len(R) rounds; they stop there in any case."""
     k = len(R)
-    phi, t, rows = np.zeros(k), np.empty(k), list(R)
-    parent, below = np.full(k, -1), np.empty(k, bool)
-    fell = [True] * k
+    at = np.arange(k)
+    w = np.zeros(k)  # the weight of the arc into each column
+    w[1:] = R[row_of[:-1], at[1:]]
+    prefix = np.cumsum(w)
+    on = prefix < np.maximum.accumulate(prefix)
+    parent = np.where(on, at - 1, -1)
+    w[~on] = 0.0
+    phi = _path_sums(parent, w)[0]
+    fell = np.ones(k, bool)
+    size = _block_rows(8 * k)  # the block and its temporaries
     for _ in range(k):
-        if not any(fell):
-            break
-        kids = [[] for _ in range(k + 1)]  # the roots are the kids of k
-        for j, c in enumerate(parent.tolist()):
-            kids[c].append(j)
-        stack = kids[-1][::-1]
-        while stack:
-            c = stack.pop()
-            stack.extend(reversed(kids[c]))
-            if not fell[c]:
-                continue
-            fell[c] = False
-            i = row_of[c]
-            np.add(rows[i], phi.item(c) + thr[i], out=t)
-            lower = np.less(t, phi, out=below).nonzero()[0]
+        start, moved = 0, False
+        while True:
+            cs = fell[start:].nonzero()[0][:size] + start
+            if not len(cs):
+                break
+            start = cs[-1] + 1
+            fell[cs] = False
+            rs = row_of[cs]
+            t = R[rs]
+            t += (phi[cs] + thr[rs])[:, None]
+            lower = (t.min(axis=0) < phi).nonzero()[0]
             if len(lower):
-                phi[lower] = t[lower] - thr[i]
+                c = cs[t[:, lower].argmin(axis=0)]
                 parent[lower] = c
-                for j in lower.tolist():
-                    fell[j] = True
+                w[lower] = R[row_of[c], lower]
+                phi[lower] = phi[c] + w[lower]
+                fell[lower] = moved = True
+        if not moved:
+            break
+        # a column on or below a cycle of parent arcs keeps its label
+        new, cyclic = _path_sums(parent, w)
+        new[cyclic] = phi[cyclic]
+        fell |= new < phi
+        phi = new
     return phi, parent
 
 
@@ -537,6 +579,33 @@ def _ids(keys) -> np.ndarray:
     """An int id for each of ``keys``, equal for equal keys."""
     ids = {}
     return np.array([ids.setdefault(key, len(ids)) for key in keys], np.int64)
+
+
+def _ranks(values: list) -> np.ndarray:
+    """The rank of each of ``values`` in ascending order, equal for equal
+    values; the values may be ints of any size."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    rank = [0] * len(values)
+    for before, j in zip(order, order[1:]):
+        rank[j] = rank[before] + (values[j] != values[before])
+    return np.array(rank, np.int64)
+
+
+def _path_sums(parent: np.ndarray, w: np.ndarray):
+    """(sums, cyclic): the sum of w over each node's path of parent arcs
+    up to its root (parent -1), the root's own entry included, and which
+    nodes lie on or below a cycle of the parent graph, whose sums are not
+    defined.  By pointer jumping, so in O(log k) numpy passes over the k
+    nodes; w may hold floats or, as an object array, Python ints."""
+    hop, sums = parent.copy(), w.copy()
+    for _ in range(len(parent).bit_length()):
+        live = (hop >= 0).nonzero()[0]
+        if not len(live):
+            break
+        up = hop[live]
+        sums[live] += sums[up]
+        hop[live] = hop[up]
+    return sums, hop >= 0
 
 
 def _parent_cycle(parent) -> list[int]:
@@ -557,11 +626,12 @@ def _parent_cycle(parent) -> list[int]:
     return []
 
 
-def _certified(W, col, axp, ayp, p: float, exact: _ExactCosts) -> np.ndarray:
-    """An exactly optimal assignment of the instance whose exact entries
-    are ``exact.cost(i, j)``, given W, a float approximation of those
-    entries, and ``col``, an assignment (the column of each row) that is
-    optimal or nearly so on W.  W is overwritten.
+def _certified(W, col, axp, ayp, p: float, exact: _ExactCosts):
+    """(col, here): an exactly optimal assignment of the instance whose
+    exact entries are ``exact.costs``, and each row's exact entry in it,
+    given W, a float approximation of those entries, and ``col``, an
+    assignment (the column of each row) that is optimal or nearly so on
+    W.  W is overwritten, and so is ``col`` when it is repaired.
 
     An assignment is optimal exactly when the row graph, with an arc
     col[i] -> j of weight cost(i, j) - cost(i, col[i]) for every row i
@@ -570,7 +640,10 @@ def _certified(W, col, axp, ayp, p: float, exact: _ExactCosts) -> np.ndarray:
 
     - W becomes the float row graph in place, row i minus its entry in
       col[i], and ``_potentials`` finds float labels on it.  Exact labels
-      d follow them along their tree, so every tree arc is exactly tight.
+      d follow them along their tree: one bulk call takes the exact
+      entries of every row's own arc and every tree arc, and the arc
+      weights are summed along the tree in Python ints (``_path_sums`` on
+      an object array), so every tree arc is exactly tight.
     - Each arc's reduced weight is taken in float, one row block at a
       time.  ``bound`` bounds its error: the float powers of W may differ
       by an ulp or two from Python's, a pair routed through A may cost up
@@ -580,59 +653,114 @@ def _certified(W, col, axp, ayp, p: float, exact: _ExactCosts) -> np.ndarray:
       the others, the suspects, are tested exactly.  When both entries of
       an arc are splits, its weight is gy[j] - gy[col[i]], so its reduced
       weight is e[col[i]] - e[j] with e = d - gy, and one comparison of
-      ranks of e tests all such arcs at once.  Any other arc is tested in
-      ints, once per distinct combination of the values its test reads.
-    - Only when a suspect is negative does label-correcting Bellman-Ford
-      run, relaxing the suspects of the column with the highest label
-      first.  A row's suspects stay complete while its column's label
-      falls by no more than the bound, and are found again otherwise.
-      Every k relaxations it looks for a cycle of parent arcs; such a
-      cycle is negative (Cherkassky and Goldberg, Math. Programming 85,
-      1999) and is cancelled: each of its rows moves to the column its arc
-      points at, which lowers the exact cost.  It stops when no arc is
-      negative, which proves the assignment optimal."""
+      ranks of e tests all such arcs at once; the ranks are built only
+      when a block has such a suspect.  Any other arc but a tree arc,
+      which is tight, is tested in ints, once per distinct combination
+      of the values its test reads, keyed over the rows and columns of
+      the block's suspects alone.
+    - Only when a suspect is negative does ``_repair`` run."""
     k = len(W)
     if k == 0:
-        return col
-    n = len(axp)
-    cost, slack = exact.cost, (p + 16.0) * 2.0**-50
-    cols = col.tolist()
-    row_of = [0] * k
-    for i, c in enumerate(cols):
-        row_of[c] = i
+        return col, []
+    n, m = len(axp), len(ayp)
+    slack = (p + 16.0) * 2.0**-50
+    row_of = np.empty(k, np.int64)
+    row_of[col] = np.arange(k)
     with np.errstate(over="ignore"):
         big = np.max(W, axis=1)
         big[:n] += axp
         big += ayp.max(initial=0.0)
         W -= W[np.arange(k), col][:, None]
-        phi, tree = _potentials(W, row_of, (slack / 4 * big).tolist())
-    d = [0] * k
-    below = [[] for _ in range(k)]
-    for j, c in enumerate(tree.tolist()):
-        if c >= 0:
-            below[c].append(j)
-    here = [cost(i, c) for i, c in enumerate(cols)]  # each row's own entry
-    order = (tree < 0).nonzero()[0].tolist()
-    for c in order:
-        i = row_of[c]
-        for j in below[c]:
-            d[j] = d[c] + cost(i, j) - here[i]
-            order.append(j)
+        tree = _potentials(W, row_of, slack / 4 * big)[1]
+    # each row's own entry, then the exact weight of each tree arc, summed
+    # along the tree in Python ints; a column on or below a cycle of
+    # parent arcs keeps d = 0
+    kids = (tree >= 0).nonzero()[0]
+    rows = row_of[tree[kids]]
+    ws = exact.costs(np.concatenate((np.arange(k), rows)), np.concatenate((col, kids)))
+    here, d = ws[:k], np.zeros(k, object)
+    d[kids] = np.fromiter((w - here[i] for w, i in zip(ws[k:], rows.tolist())), object, len(kids))
+    d, cyclic = _path_sums(tree, d)
+    d[cyclic] = 0
+    up = np.where(cyclic, -1, tree)  # the tree arc into each column, exactly tight
+    d = d.tolist()
     phi = np.array([_rounded(x) for x in d])
 
     def suspects(b):
         """(i, j, bound): the rows and columns of the suspect arcs out of
         the rows of slice b, own arcs left out, and each row's bound."""
-        at = col[b]
+        at, Wb = col[b], W[b]
         with np.errstate(over="ignore", invalid="ignore"):
-            t = W[b] + (phi[at] - W[np.arange(k)[b], at])[:, None]
+            t = Wb + (phi[at] - Wb[np.arange(len(at)), at])[:, None]
             t -= phi
             bound = slack * (big[b] - phi.min()) + 2.0**-1000
             i, j = np.nonzero(~(t > 2.0 * bound[:, None]))
         i += b.start
-        own = j == col[i]
-        return i[~own], j[~own], bound
+        other = j != col[i]
+        return i[other], j[other], bound
 
+    # the rows with a negative suspect
+    bad, rank = set(), None
+    cols, own_split = col.tolist(), exact.split(np.arange(k), col)
+    axl, ayl = exact.ax.tolist(), exact.ay.tolist()
+    # on ties every entry of a block may be a suspect, held in several
+    # index arrays, so a block has an eighth of the usual rows
+    for b in _row_blocks(k, 8 * k):
+        rows, js, _ = suspects(b)
+        at = col[rows]
+        both = exact.split(rows, js) & own_split[rows]
+        if both.any():
+            if rank is None:  # e ranked with ties equal
+                rank = _ranks([x - y for x, y in zip(d, exact.gy)])
+            bad.update(rows[both & (rank[at] < rank[js])].tolist())
+        rows, js = rows[~both], js[~both]
+        other = up[js] != col[rows]
+        rows, js = rows[other], js[other]
+        if not len(rows):
+            continue
+        # the exact test of such an arc reads its row's d[col[i]] - here[i]
+        # and d(x, A), its column's d[j] and d(y, A), and its Q, so it runs
+        # once per distinct combination of them: once for all copies of a
+        # point.  Only the rows and columns that have such an arc get ids.
+        rid, cid = np.zeros(k, np.int64), np.zeros(k, np.int64)
+        ur = np.bincount(rows, minlength=k).nonzero()[0]
+        uc = np.bincount(js, minlength=k).nonzero()[0]
+        rid[ur] = _ids((d[cols[i]] - here[i], axl[i] if i < n else None) for i in ur.tolist())
+        cid[uc] = _ids((d[j], ayl[j] if j < m else None) for j in uc.tolist())
+        q = np.zeros(len(rows))
+        pt = (rows < n) & (js < m)
+        q[pt] = exact.Q[rows[pt], js[pt]]
+        qid = np.unique(q, return_inverse=True)[1]
+        key = (rid[rows] * k + cid[js]) * len(q) + qid
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        ri, ji = rows[first], js[first]
+        neg = [d[cols[i]] + w - here[i] < d[j]
+               for i, j, w in zip(ri.tolist(), ji.tolist(), exact.costs(ri, ji))]
+        bad.update(rows[np.array(neg, bool)[inverse]].tolist())
+    if not bad:
+        return col, here
+    return _repair(col, row_of.tolist(), d, phi, here, bad, suspects, exact), here
+
+
+def _repair(col, row_of, d, phi, here, bad, suspects, exact: _ExactCosts) -> np.ndarray:
+    """The optimal assignment ``_certified`` returns when a suspect arc is
+    negative: label-correcting Bellman-Ford in ints from the exact labels
+    d, relaxing the suspects of the column with the highest label first.
+    ``bad`` holds the rows with a negative suspect; ``suspects`` finds the
+    suspect arcs out of a row; col, row_of, d, phi (d rounded) and here
+    (each row's own exact entry) are updated in place.  A row that a
+    cancelled cycle moves is relaxed again, so ``here`` ends up right for
+    every row.
+
+    A row's suspects stay complete while its column's label falls by no
+    more than their bound, and are found again otherwise.  Every k
+    relaxations it looks for a cycle of parent arcs; such a cycle is
+    negative (Cherkassky and Goldberg, Math. Programming 85, 1999) and is
+    cancelled: each of its rows moves to the column its arc points at,
+    which lowers the exact cost.  It stops when no arc is negative, which
+    proves the assignment optimal."""
+    k = len(col)
+    cols = col.tolist()
     # columns to relax, highest label first: the order of the shortest
     # paths, along which the labels mostly fall
     heap, queued = [], [False] * k
@@ -641,39 +769,8 @@ def _certified(W, col, axp, ayp, p: float, exact: _ExactCosts) -> np.ndarray:
         queued[c] = True
         heapq.heappush(heap, (-phi.item(c), c))
 
-    # queue the column of each row with a negative suspect; e ranked
-    # with ties equal
-    e = [x - y for x, y in zip(d, exact.gy)]
-    ranked = sorted(range(k), key=e.__getitem__)
-    rank = [0] * k
-    for before, j in zip(ranked, ranked[1:]):
-        rank[j] = rank[before] + (e[j] != e[before])
-    rank = np.array(rank)
-    # the exact test of any other arc reads its row's d[col[i]] - here[i]
-    # and d(x, A), its column's d[j] and d(y, A), and its Q, so it runs once
-    # per distinct combination of them: once for all copies of a point
-    m, pad = len(exact.ayl), [None] * k
-    rid = _ids(zip([d[c] - h for c, h in zip(cols, here)], exact.axl + pad[n:]))
-    cid = _ids(zip(d, exact.ayl + pad[m:]))
-    # on ties every entry of a block may be a suspect, held in several
-    # index arrays, so a block has an eighth of the usual rows
-    for b in _row_blocks(k, 8 * k):
-        rows, js, _ = suspects(b)
-        at = col[rows]
-        both = exact.split(rows, js) & exact.split(rows, at)
-        bad = set(rows[both & (rank[at] < rank[js])].tolist())
-        rows, js = rows[~both], js[~both]
-        q = np.zeros(len(rows))
-        pt = (rows < n) & (js < m)
-        q[pt] = exact.Q[rows[pt], js[pt]]
-        qid = np.unique(q, return_inverse=True)[1]
-        key = (rid[rows] * k + cid[js]) * len(q) + qid
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        neg = [d[cols[i]] + cost(i, j) - here[i] < d[j]
-               for i, j in zip(rows[first].tolist(), js[first].tolist())]
-        bad.update(rows[np.array(neg, bool)[inverse]].tolist())
-        for i in bad:
-            push(cols[i])
+    for i in bad:
+        push(cols[i])
     # a relaxed row's suspects with their exact weights, its column's
     # label when they were found, and their bound
     found = [None] * k
@@ -686,9 +783,10 @@ def _certified(W, col, axp, ayp, p: float, exact: _ExactCosts) -> np.ndarray:
         i = row_of[a]
         if found[i] is None or found[i][1] - d[a] > found[i][2]:
             _, js, bound = suspects(slice(i, i + 1))
-            here[i], bound = cost(i, a), bound.item()
-            found[i] = ([(j, cost(i, j) - here[i]) for j in js.tolist()], d[a],
-                        _fixed(bound) if bound < math.inf else bound)
+            ws = exact.costs(np.full(len(js) + 1, i), np.concatenate(([a], js)))
+            here[i] = ws[0]
+            found[i] = ([(j, x - here[i]) for j, x in zip(js.tolist(), ws[1:])], d[a],
+                        _fixed(bound.tolist())[0] if bound[0] < math.inf else math.inf)
         for j, w in found[i][0]:
             label = d[a] + w
             if label < d[j]:

@@ -259,10 +259,16 @@ def _lerp(x: tuple[float, ...], y: tuple[float, ...], t: float) -> tuple[float, 
 _BLOCK_BYTES = 1 << 20
 
 
+def _block_rows(per_row: int) -> int:
+    """How many rows (at least one) fit in _BLOCK_BYTES at per_row float64
+    entries a row."""
+    return max(1, _BLOCK_BYTES // (8 * max(1, per_row)))
+
+
 def _row_blocks(n: int, per_row: int):
-    """Slices covering rows 0..n-1 in order, each block as many rows (at
-    least one) as fit in _BLOCK_BYTES at per_row float64 entries a row."""
-    rows = max(1, _BLOCK_BYTES // (8 * max(1, per_row)))
+    """Slices covering rows 0..n-1 in order, each block ``_block_rows``
+    rows."""
+    rows = _block_rows(per_row)
     return [slice(s, s + rows) for s in range(0, n, rows)]
 
 

@@ -59,3 +59,16 @@ def test_ab_fails_on_a_tree_whose_output_differs(tmp_path):
     assert res.returncode == 1
     named = [line.split(":")[1].strip() for line in res.stderr.splitlines()]
     assert named == ["c0-gap-11/0", "c0-gap-11/1"]
+
+
+def test_ab_slots_times_only_the_slots_whose_name_holds_the_text(workloads, tmp_path):
+    """``--slots=-W`` keeps the seven W_p slots of ``dense-solve``, in
+    workload order; a text no slot holds is a usage error."""
+    res = run_ab(SRC, SRC, tmp_path, "--slots=-W")
+    assert (res.returncode, res.stderr) == (0, "")
+    lines = res.stdout.splitlines()
+    slots = [line.split()[0] for line in lines[1:-1]]
+    assert slots == [s for s in workloads.SLOTS["dense-solve"] if "-W" in s]
+    assert len(slots) == 7 and lines[-1].split()[0] == "total"
+    res = run_ab(SRC, SRC, tmp_path, "--slots", "no-such-slot")
+    assert res.returncode == 2 and "no dense-solve slot contains 'no-such-slot'" in res.stderr

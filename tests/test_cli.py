@@ -69,6 +69,29 @@ def test_dist_matching_output(tmp_path, capsys):
     assert any(e["left"] == "A" or e["right"] == "A" for e in obj["pairs"])
 
 
+def test_dist_wasserstein_matching_keeps_its_bytes(tmp_path, capsys):
+    """``dist --p 2 --matching`` on two seeded diagrams of 30 and 24 points
+    on a 0.1 grid, where some costs tie, prints the value and writes the
+    witness file with the bytes recorded when W_p witnesses were built
+    during the solve."""
+    rng = np.random.default_rng(2024)
+
+    def diagram(n):
+        b = np.round(rng.uniform(0.0, 20.0, n), 1).tolist()
+        g = np.round(rng.uniform(0.0, 4.0, n), 1).tolist()
+        return json.dumps({"points": [{"coords": [x, x + y]} for x, y in zip(b, g)]})
+
+    sigma, tau = diagram(30), diagram(24)
+    target = tmp_path / "matching.json"
+    code, out, _ = run_main(["dist", sigma, tau, "--space", PLANE, "--p", "2",
+                             "--matching", str(target)], capsys)
+    assert (code, out) == (0, "4.95100999797\n")
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+        "816e1abdbd2e0c2a46293da86d4b30d71e66bbce50ee6af89ae02e7a617a2e8e")
+    pairs = json.loads(target.read_text())["pairs"]
+    assert len(pairs) == 37 and sum("A" not in (e["left"], e["right"]) for e in pairs) == 17
+
+
 def test_dist_from_files(tmp_path, capsys):
     space_file = tmp_path / "space.json"
     space_file.write_text(PLANE)

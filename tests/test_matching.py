@@ -3,6 +3,7 @@ p-norm structure, and the serialization of matchings."""
 
 import contextlib
 import math
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -369,9 +370,49 @@ def test_exact_costs_refuse_a_power_that_overflows():
     # but its own power does not fit
     Q, ax, ay = np.array([[2e154]]), np.array([1.2e154]), np.array([1.2e154])
     exact = exact_costs(Q, ax, ay, 1.0, 2.0)
-    assert exact.gx == exact.gy == [pdmetric.matching._fixed(1.2e154**2)]
+    assert exact.gx == exact.gy == [int(Fraction(1.2e154**2) * 2**1074)]
     with pytest.raises(TooLarge):
-        exact.cost(0, 0)
+        exact.costs(np.array([0]), np.array([0]))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 17.0])
+def test_exact_costs_follow_the_definition(p):
+    """Every entry of the k x k instance, taken in bulk, is its definition
+    as an exact rational times 2**1074: a padding row or column costs the
+    other point's power to A, an unmatchable pair (Q >= fl(ax + ay)) and a
+    tie (Q == ax + ay) cost the sum of both powers to A, and a matchable
+    pair costs the smaller of its own power and that sum.  The powers are
+    Python's, so 2e-19**17, a subnormal, keeps its bits."""
+    pm = pdmetric.matching
+    ax = np.array([1.0, 2.0, 0.75, 3.0])
+    ay = np.array([2.0, 1.5, 1.25])
+    Q = np.array([[2.9, 3.5, 2e-19],    # matchable, cheaper at p = 1 only; unmatchable; tiny
+                  [1.0, 3.5, 3.25],     # matchable; a tie, 2 + 1.5; a tie, 2 + 1.25
+                  [2.75, 0.5, 2.0],     # a tie, 0.75 + 2; matchable; a tie
+                  [5.0, 4.5, 0.0]])     # a tie; a tie; a zero cost
+    s = pm._power_scale(p, Q, ax, ay)
+    exact = pm._ExactCosts(Q.T.copy(), ay, ax, s, p)  # n = 3 rows, m = 4 columns
+
+    def power(c):
+        return Fraction((c / s) ** p)
+
+    def entry(i, j):
+        gx = power(ay[i]) if i < 3 else Fraction(0)
+        gy = power(ax[j]) if j < 4 else Fraction(0)
+        if i < 3 and j < 4 and Q[j, i] < ay[i] + ax[j]:
+            return min(power(Q[j, i]), gx + gy)
+        return gx + gy
+
+    i, j = (a.ravel() for a in np.indices((4, 4)))
+    got = exact.costs(i, j)
+    want = [int(entry(a, b) * 2**1074) for a, b in zip(i.tolist(), j.tolist())]
+    assert got == want
+    if p == 17.0:  # a subnormal pair power, kept exactly
+        assert 0.0 < 2e-19**17 < sys.float_info.min
+        assert int(Fraction(2e-19**17) * 2**1074) in got
+    kinds = {("pad" if a == 3 else "point", exact.split(np.array([a]), np.array([b]))[0])
+             for a, b in zip(i.tolist(), j.tolist())}
+    assert kinds == {("pad", True), ("point", True), ("point", False)}
 
 
 def test_solves_near_the_top_of_the_float_range_are_exact_or_too_large():
@@ -658,6 +699,105 @@ def test_repair_finds_the_optimum_from_any_assignment(monkeypatch):
             ours, matching = wasserstein(s, t, p, pair)
             assert ours == brute_force_dp(s, t, p, pair)[0], (pair.kind, p, s, t)
             assert_witness_rule(matching, s, t, pair)
+
+
+def test_path_sums_follow_the_forest_and_flag_cycles():
+    """Sums of w along each node's path to its root, for floats and for
+    Python ints beyond int64 in an object array; the nodes on a cycle and
+    below it are flagged."""
+    pm = pdmetric.matching
+    # 0 <- 1 <- 2, 3 a root, 4 -> 5 -> 4 a cycle with 6 below it
+    parent = np.array([-1, 0, 1, -1, 5, 4, 4])
+    sums, cyclic = pm._path_sums(parent, np.array([1.0, 2.0, 4.0, 8.0, 0.0, 0.0, 0.0]))
+    assert sums[:4].tolist() == [1.0, 3.0, 7.0, 8.0]
+    assert cyclic.tolist() == [False] * 4 + [True] * 3
+    big = np.array([0, 2**1100, -(2**1100) + 1, 5], object)
+    assert pm._path_sums(np.array([-1, 0, 1, 2]), big)[0].tolist() == [0, 2**1100, 1, 6]
+
+
+def test_labels_are_shortest_path_labels_of_the_row_graph():
+    """On the row graph of an optimal assignment of a random matrix, with
+    and without the ties of an integer matrix, every label is its
+    column's path length in the returned forest and no arc lowers a
+    label by more than its row's allowance."""
+    pm = pdmetric.matching
+    rng = np.random.default_rng(8)
+    for k, ints in [(1, False), (7, False), (40, False), (40, True), (300, False)]:
+        W = rng.integers(0, 5, (k, k)).astype(float) if ints else rng.uniform(0.0, 9.0, (k, k))
+        col = np.empty(k, np.int64)
+        col[pm.solve_assignment(W)] = np.arange(k)
+        row_of = np.empty(k, np.int64)
+        row_of[col] = np.arange(k)
+        R = W - W[np.arange(k), col][:, None]
+        thr = np.full(k, 1e-12)
+        phi, parent = pm._potentials(R.copy(), row_of, thr)
+        arc = np.where(parent >= 0, R[row_of[np.maximum(parent, 0)], np.arange(k)], 0.0)
+        sums, cyclic = pm._path_sums(parent, arc)
+        assert not cyclic.any() and np.allclose(sums, phi, rtol=0, atol=1e-9)
+        assert (phi[None, :] <= phi[col][:, None] + R + thr[:, None] + 1e-9).all()
+
+
+def test_an_exactly_optimal_kernel_assignment_comes_back_untouched(workloads, monkeypatch):
+    """On the 14 W_p instances of the benchmark's ``dense-solve``, the
+    compiled kernel's assignment is already exactly optimal: the exact pass
+    returns it as it is and never starts its repair."""
+    pm = pdmetric.matching
+    certify, seen = pm._certified, []
+
+    def recording(W, col, *args):
+        kernel = col.copy()
+        out, here = certify(W, col, *args)
+        seen.append(bool((out == kernel).all()))
+        return out, here
+
+    def repair(*args):
+        raise AssertionError("the repair ran")
+
+    monkeypatch.setattr(pm, "_certified", recording)
+    monkeypatch.setattr(pm, "_repair", repair)
+    factory = workloads.OpFactory("dense-solve", False)
+    slots = [slot for slot in workloads.SLOTS["dense-solve"] if "-W" in slot]
+    for slot in slots:
+        for variant in range(workloads.POOL["dense-solve"]):
+            op = factory.build(slot, variant)
+            assert op.digest(op.run()) == workloads.load_goldens(
+                workloads.golden_path("dense-solve", False))[op.key]["output"]
+    assert seen == [True] * 14
+
+
+def test_wasserstein_builds_its_witness_on_first_read(monkeypatch):
+    """A W_p solve builds no pair until its witness's ``pairs`` is read,
+    then builds them once.  The pairs and the value, to the bit, are those
+    of the witness built eagerly from the same pairs; equality, hashing,
+    repr and pickling read the pairs."""
+    import copy
+    import pickle
+
+    pm = pdmetric.matching
+    build, calls = pm._build_pairs, []
+
+    def counting(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(pm, "_build_pairs", counting)
+    cases = [(pair, gen(pair), gen(pair)) for pair, gen in spaces_and_generators()
+             for _ in range(4)]
+    for pair, s, t in cases:
+        for p in (1.0, 2.0, 3.0):
+            calls.clear()
+            value, witness = wasserstein(s, t, p, pair)
+            assert not calls and witness.value == value and witness.p == p
+            unread = wasserstein(s, t, p, pair)[1]
+            first = witness.pairs
+            assert witness.pairs is first and len(calls) == 1
+            eager = pm._matching(first, p)
+            assert eager.value.hex() == value.hex()
+            assert unread == eager and hash(unread) == hash(eager)
+            assert repr(wasserstein(s, t, p, pair)[1]) == repr(eager)
+            data = pickle.dumps(wasserstein(s, t, p, pair)[1])
+            assert b"_build" not in data and pickle.loads(data) == eager
+            assert copy.copy(wasserstein(s, t, p, pair)[1]) == eager
 
 
 # -- the reduced assignment against the augmented reference ---------------------

@@ -2,6 +2,7 @@
 source trees of pdmetric in one process.
 
     python3 tools/ab.py PARENT_SRC CHANGE_SRC [--workload dense-solve] [--best 5] [--smoke]
+                        [--slots SUBSTR]
     python3 tools/ab.py PARENT_SRC CHANGE_SRC --memory [--workload dense-solve] [--smoke]
 
 PARENT_SRC and CHANGE_SRC are ``src`` directories, such as ``src`` of this
@@ -11,7 +12,9 @@ before each of its ops runs.  The ops are those of ``perfbench/workloads.py``
 (imported read-only, every slot and variant of the workload), built once per
 tree.  Each op runs ``--best`` times on each tree, interleaved: parent and
 change alternate which runs first from one run to the next.  An op's time is
-its best run.
+its best run.  ``--slots SUBSTR`` keeps only the slots whose name contains
+SUBSTR (``--slots=-W``, the W_p slots of ``dense-solve``), so those can take
+more runs in the same time.
 
 It prints, per slot, the parent's and the change's ms (summed over the
 slot's variants), the ratio change / parent of those sums and the range of
@@ -138,12 +141,17 @@ def main(argv=None) -> int:
     ap.add_argument("--smoke", action="store_true", help="the workloads' tiny smoke sizes")
     ap.add_argument("--memory", action="store_true",
                     help="traced peak memory of one untimed run per op instead of times")
+    ap.add_argument("--slots", default="", metavar="SUBSTR",
+                    help="only the slots whose name contains SUBSTR")
     args = ap.parse_args(argv)
     if args.best < 1:
         ap.error("--best must be at least 1")
 
     wl = load_workloads()
-    keys = [(slot, v) for slot in wl.SLOTS[args.workload] for v in range(wl.POOL[args.workload])]
+    slots = [slot for slot in wl.SLOTS[args.workload] if args.slots in slot]
+    if not slots:
+        ap.error(f"no {args.workload} slot contains {args.slots!r}")
+    keys = [(slot, v) for slot in slots for v in range(wl.POOL[args.workload])]
     trees = [load_tree(args.parent), load_tree(args.change)]
     ops = []
     for modules in trees:
@@ -162,7 +170,7 @@ def main(argv=None) -> int:
         unit, scale, combine, last = "ms", 1e3, sum, "total"
     print(f"{'slot':<16} {'parent ' + unit:>10} {'change ' + unit:>10} {'ratio':>7}  variant ratios")
     total = [0.0, 0.0]
-    for slot in wl.SLOTS[args.workload]:
+    for slot in slots:
         values = [measured[key] for key in keys if key[0] == slot]
         a, b = (combine(v[side] for v in values) * scale for side in (0, 1))
         ratios = [v[1] / v[0] for v in values]
