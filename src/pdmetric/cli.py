@@ -30,7 +30,7 @@ import sys
 
 import numpy as np
 
-from .diagram import _CSV_SPACE_IDS, Diagram, _canonical, _diagram_points_to_json, parse_diagram
+from .diagram import _CSV_SPACE_IDS, Diagram, _canonical, _points_json, parse_diagram
 from .errors import (
     CoverageGap,
     EmptyAnnulus,
@@ -192,7 +192,7 @@ def cmd_geodesic(args) -> int:
     if args.format == "csv":
         lines = ["t,birth,death,mult"]
         for t, frame in frames:
-            for (b, d), m in zip(frame.coords.tolist(), frame.mults):
+            for b, d, m in zip(*frame.coords.T.tolist(), frame.mults):
                 lines.append(f"{t!r},{b!r},{d!r},{m}")
         lines.append(
             f"# midpoint_check={check.verdict.value}"
@@ -200,14 +200,12 @@ def cmd_geodesic(args) -> int:
         )
         print("\n".join(lines))
     else:
-        out = {
-            "value": path.value,
-            "frames": [
-                {"t": t, "points": _diagram_points_to_json(frame)} for t, frame in frames
-            ],
-            "midpoint_check": check.to_json(),
-        }
-        print(json.dumps(out, sort_keys=True))
+        # json.dumps of {"value", "frames": [{"t", "points"}], "midpoint_check"}
+        # with sorted keys, each frame's points written by the diagram writer
+        texts = [f'{{"points": {_points_json(frame)}, "t": {json.dumps(t)}}}' for t, frame in frames]
+        print(f'{{"frames": [{", ".join(texts)}], '
+              f'"midpoint_check": {json.dumps(check.to_json(), sort_keys=True)}, '
+              f'"value": {json.dumps(path.value)}}}')
     return _EXIT_BY_VERDICT[check.verdict]
 
 

@@ -23,6 +23,9 @@ Serialization formats:
   per point, multiplicity defaulting to 1.
 
 Floats are written with ``repr`` so a write/parse round trip is exact.
+Readers and writers work by columns: a parser extends one flat list of
+cells, and a writer formats each coordinate column as a whole, so no
+container is built per row beyond what ``csv`` and ``json.loads`` return.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ class Diagram:
         """(Point, multiplicity) of each distinct row, each Point built as
         it is reached."""
         sid = self.space_id
-        return ((Point(sid, tuple(c)), m) for c, m in zip(self.coords.tolist(), self.mults))
+        return ((Point(sid, c), m) for c, m in zip(zip(*self.coords.T.tolist()), self.mults))
 
     @property
     def size(self) -> int:
@@ -157,7 +160,7 @@ def canonicalize(
     errors are raised in input order; the coordinates of the remaining
     entries are then canonicalized as one array.
     """
-    rows, mults = [], []
+    sid, rows, mults = pair.space_id, [], []
     for entry in points:
         if isinstance(entry, tuple):
             p, mult = entry
@@ -171,7 +174,8 @@ def canonicalize(
             continue
         if isinstance(p, BasepointTag):
             continue
-        pair.check_point(p)
+        if type(p) is not Point or p.space_id != sid:  # check_point's test, inline
+            pair.check_point(p)
         rows.append(p.coords)
         mults.append(mult)
     return _canonical(np.array(rows, dtype=np.float64).reshape(len(rows), pair.dim), mults, pair)
@@ -223,13 +227,14 @@ def _parse_json(text: str, pair: MetricPair) -> Diagram:
     entries = obj["points"]
     if not isinstance(entries, list):
         raise ParseError('"points" must be a list')
-    rows, mults = [], []
+    dim, cells, mults = pair.dim, [], []  # cells: the coordinates of each entry in turn
+    floats = [float] * dim
 
     def at(i: int, why: str) -> ParseError:
         return ParseError(f"points[{i}]: {why}")
 
     def bad_entry(message: str) -> ParseError:
-        _point_rows(rows, pair, at)  # a bad point in an earlier entry comes first
+        _point_rows(cells, pair, at)  # a bad point in an earlier entry comes first
         return ParseError(message)
 
     for i, e in enumerate(entries):
@@ -238,12 +243,16 @@ def _parse_json(text: str, pair: MetricPair) -> Diagram:
         mult = e.get("mult", 1)
         if type(mult) is not int or mult < 1:
             raise bad_entry(f"points[{i}] has bad multiplicity {mult!r}")
-        try:
-            rows.append(_coords_from_json(e["coords"], pair.dim))
-        except (TypeError, ValueError, OverflowError) as err:
-            raise bad_entry(f"points[{i}]: {err}") from err
+        c = e["coords"]
+        if type(c) is list and [*map(type, c)] == floats:
+            cells += c
+        else:
+            try:
+                cells += _coords_from_json(c, dim)
+            except (TypeError, ValueError, OverflowError) as err:
+                raise bad_entry(f"points[{i}]: {err}") from err
         mults.append(mult)
-    return _canonical(_point_rows(rows, pair, at), mults, pair)
+    return _canonical(_point_rows(cells, pair, at), mults, pair)
 
 
 def _parse_csv(text: str, pair: MetricPair) -> Diagram:
@@ -258,11 +267,24 @@ def _parse_csv(text: str, pair: MetricPair) -> Diagram:
         _point_rows(cells, pair, at)  # a bad point on an earlier line comes first
         return ParseError(message, line=ln)
 
+    if text.startswith("\ufeff"):
+        text = text[1:]  # a byte-order mark, which a utf-8 read keeps
     reader = csv.reader(io.StringIO(text))
     try:
         for row in reader:
             # physical lines: a quoted cell may hold a newline
             ln = reader.line_num
+            if len(row) == 2:
+                # float() ignores the whitespace strip() removes and fails on
+                # a blank, comment or header cell, which the rules below take
+                try:
+                    cells += float(row[0]), float(row[1])
+                except ValueError:
+                    pass
+                else:
+                    mults.append(1)
+                    lines.append(ln)
+                    continue
             row = [cell.strip() for cell in row]
             if not any(row):
                 continue
@@ -315,29 +337,33 @@ def _looks_numeric(cell: str) -> bool:
 # -- writing ---------------------------------------------------------------
 
 
-def _diagram_points_to_json(diagram: Diagram) -> list[dict]:
-    """JSON form of a diagram's points: [{"coords": [...], "mult": k}, ...]."""
-    return [{"coords": c, "mult": m} for c, m in zip(diagram.coords.tolist(), diagram.mults)]
+def _points_json(diagram: Diagram) -> str:
+    """The JSON text of a diagram's points, ``[{"coords": [...], "mult":
+    k}, ...]``, exactly as ``json.dumps`` writes their dict form.  Each
+    coordinate column is formatted by one ``json.dumps``, so every number
+    is json's own token (``-0.0``, ``1e+16``, ``Infinity``, ``NaN``)."""
+    # an empty column reads as one empty token, which zip with the empty
+    # mults drops
+    cols = [json.dumps(col)[1:-1].split(", ") for col in diagram.coords.T.tolist()]
+    entries = zip(map(", ".join, zip(*cols)), diagram.mults)
+    return "[" + ", ".join([f'{{"coords": [{c}], "mult": {m}}}' for c, m in entries]) + "]"
 
 
 def write_diagram(diagram: Diagram, fmt: str, pair: MetricPair | None = None) -> str:
     """Serialize a diagram; the inverse of parse_diagram up to canonical
     form (exactly: parse(write(d)) == d).  A given pair must be the
     diagram's own space; CSV is written only for a diagram over a
-    two-coordinate plane pair, with or without the pair."""
+    two-coordinate plane pair, with or without the pair.  JSON is
+    ``json.dumps`` of ``{"space": ..., "points": [...]}`` with sorted keys."""
     if pair is not None:
         _check_same_space(diagram, pair)
     if fmt == "json":
-        obj = {
-            "space": pair.to_json() if pair is not None else diagram.space_id,
-            "points": _diagram_points_to_json(diagram),
-        }
-        return json.dumps(obj, sort_keys=True)
+        space = json.dumps(pair.to_json() if pair is not None else diagram.space_id, sort_keys=True)
+        return f'{{"points": {_points_json(diagram)}, "space": {space}}}'
     if fmt == "csv":
         if diagram.space_id not in _CSV_SPACE_IDS:
             raise ParseError("CSV diagrams are only defined for two-coordinate plane pairs")
-        lines = ["birth,death,mult"]
-        rows = zip(diagram.coords.tolist(), diagram.mults)
-        lines.extend(f"{b!r},{d!r},{m}" for (b, d), m in rows)
-        return "\n".join(lines) + "\n"
+        births, deaths = diagram.coords.T.tolist()
+        rows = zip(births, deaths, diagram.mults)
+        return "\n".join(["birth,death,mult", *(f"{b!r},{d!r},{m}" for b, d, m in rows)]) + "\n"
     raise ParseError(f"unknown diagram format {fmt!r}")

@@ -31,11 +31,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .diagram import Diagram, _canonical, _check_same_space, _diagram_points_to_json
+from .diagram import Diagram, _canonical, _check_same_space, _points_json
 from .errors import CoverageGap, EmptyAnnulus, NotCauchy, PreconditionViolated
 from .matching import DEFAULT_NODE_CAP, Matching, _check_size, bottleneck
-from .spaces import (BasepointTag, FiniteExplicit, MetricPair, Point, _int_field, _point_to_json,
-                     _row_blocks)
+from .spaces import (BasepointTag, FiniteExplicit, MetricPair, Point, _int_field, _json_value,
+                     _point_to_json, _row_blocks)
 
 __all__ = [
     "Verdict",
@@ -84,7 +84,7 @@ def _jsonify(v):
     if isinstance(v, (Point, BasepointTag)):
         return _point_to_json(v)
     if isinstance(v, Diagram):
-        return _diagram_points_to_json(v)
+        return _json_value(_points_json(v), "diagram JSON")
     if isinstance(v, dict):
         return {str(k): _jsonify(u) for k, u in v.items()}
     if isinstance(v, (list, tuple)):

@@ -77,14 +77,21 @@ _NORMS = (SUP, EUCLIDEAN)
 
 @dataclass(frozen=True)
 class Point:
-    """A point of some metric pair, tagged with the pair's identity."""
+    """A point of some metric pair, tagged with the pair's identity.
 
+    Slotted, with no per-instance dict; it pickles to its constructor,
+    since a frozen slotted class would unpickle through ``setattr``."""
+
+    __slots__ = ("space_id", "coords", "__weakref__")
     space_id: str
     coords: tuple[float, ...]
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(c) for c in self.coords)
         return f"({inner})"
+
+    def __reduce__(self):
+        return Point, (self.space_id, self.coords)
 
 
 class BasepointTag:
@@ -141,7 +148,7 @@ class MetricPair:
     def _points(self, X: np.ndarray) -> list[Point]:
         """The rows of the (k, dim) array X as Points of this pair."""
         sid = self.space_id
-        return [Point(sid, tuple(c)) for c in self._checked(X).tolist()]
+        return [Point(sid, c) for c in zip(*self._checked(X).T.tolist())]
 
     def _checked(self, X: np.ndarray) -> np.ndarray:
         """X itself once every row of it is a point of this pair; the

@@ -1,4 +1,4 @@
-"""The paired A/B timer in tools/ab.py on the smoke sizes of ``dense-solve``."""
+"""The paired A/B timer in tools/ab.py on the smoke sizes of the benchmark workloads."""
 
 import shutil
 import subprocess
@@ -72,3 +72,24 @@ def test_ab_slots_times_only_the_slots_whose_name_holds_the_text(workloads, tmp_
     assert len(slots) == 7 and lines[-1].split()[0] == "total"
     res = run_ab(SRC, SRC, tmp_path, "--slots", "no-such-slot")
     assert res.returncode == 2 and "no dense-solve slot contains 'no-such-slot'" in res.stderr
+
+
+def test_ab_gc_counts_collections_around_the_timed_runs(workloads, tmp_path):
+    """``--gc`` follows the timing table of ``ingest`` with each tree's
+    gen0 and gen2 collections per slot, then their totals; it does not go
+    with ``--memory``."""
+    res = run_ab(SRC, SRC, tmp_path, "--workload", "ingest", "--gc")
+    assert (res.returncode, res.stderr) == (0, "")
+    lines = res.stdout.splitlines()
+    slots = list(workloads.SLOTS["ingest"])
+    at = len(slots) + 2  # the timing table: header, slots, total
+    assert [line.split()[0] for line in lines[1:at]] == slots + ["total"]
+    assert lines[at].split() == ["slot", "parent", "gen0", "parent", "gen2", "change", "gen0",
+                                 "change", "gen2"]
+    rows = [line.split() for line in lines[at + 1:]]
+    assert [row[0] for row in rows] == slots + ["total"]
+    counts = [list(map(int, row[1:])) for row in rows]
+    assert all(len(row) == 4 and min(row) >= 0 for row in counts)
+    assert counts[-1] == [sum(column) for column in zip(*counts[:-1])]
+    res = run_ab(SRC, SRC, tmp_path, "--gc", "--memory")
+    assert res.returncode == 2 and "--gc counts around timed runs" in res.stderr

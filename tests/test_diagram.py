@@ -446,6 +446,14 @@ CSV_CASES = [
     ("below, then 4 columns", "1,4\n5,2\n1,2,3,4\n",
      "line 2: coordinate pair (5.0, 2.0) lies below the diagonal"),
     ("inf, then below", "inf,4\n5,2\n", "line 1: coordinates must be finite"),
+    # a byte-order mark, which a utf-8 read keeps, is not part of the first cell
+    ("bom", "\ufeff0.5,2.0\n1.0,3.0\n", (((0.5, 2.0), 1), ((1.0, 3.0), 1))),
+    # two-cell rows, read at once when both cells are floats, else by the rules
+    ("padded floats", " 1.5 , 4 \n\t2\t,\t5.5\t\n", (((1.5, 4.0), 1), ((2.0, 5.5), 1))),
+    ("two-cell comment", "#1,4\n2,5\n", (((2.0, 5.0), 1),)),
+    ("two-cell header", "birth,death\n1,4\n", (((1.0, 4.0), 1),)),
+    ("empty second cell", "1,4\n2,\n", "line 2: could not convert string to float: ''"),
+    ("quoted newline, then bad", '"1\n",4\n0,x\n', "line 3: could not convert string to float: 'x'"),
 ]
 
 
@@ -648,3 +656,53 @@ def test_array_form_matches_dict_reference(rows, rnd):
     fewer = entries[1:]
     assert (canonicalize([(pair.point(*c), m) for c, m in fewer], pair) == d) == (
         _dict_reference(fewer) == ref)
+
+
+def _dumps_form(d: Diagram, pair) -> str:
+    """The diagram's JSON as json.dumps writes its dict form."""
+    points = [{"coords": c, "mult": m} for c, m in zip(d.coords.tolist(), d.mults)]
+    space = pair.to_json() if pair is not None else d.space_id
+    return json.dumps({"space": space, "points": points}, sort_keys=True)
+
+
+_WRITE_VALUES = [0.0, -0.0, 1e16, -1e16, 1e-300, 5e-324, 0.1, 2.5, 1e300, -7.0]
+
+
+@pytest.mark.parametrize("pair", [plane(), PlaneDiagonal(2, "sup"), HalfLineOrigin()],
+                         ids=["plane", "dim-4 plane", "half-line"])
+@pytest.mark.parametrize("seed", range(4))
+def test_json_writer_is_json_dumps_of_the_dict_form(pair, seed):
+    """Byte for byte, with and without the pair, over signed zeros, 1e+16,
+    1e-300, 5e-324 and a multiplicity of 2**70."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 30))
+    values = _WRITE_VALUES + rng.uniform(-50.0, 50.0, 10).tolist()
+    rows = np.array(values)[rng.integers(0, len(values), (k, pair.dim))]
+    if isinstance(pair, HalfLineOrigin):
+        rows = np.abs(rows)
+    else:
+        rows = np.sort(rows.reshape(k, -1, 2), axis=-1).reshape(k, pair.dim)  # on or above
+    mults = rng.choice([1, 2, 3, 2**70], k).tolist()
+    d = canonicalize([(pair.point(*r), m) for r, m in zip(rows.tolist(), mults)], pair)
+    assert not d.is_empty
+    for given_pair in (pair, None):
+        assert write_diagram(d, "json", given_pair) == _dumps_form(d, given_pair)
+    assert parse_diagram(write_diagram(d, "json", pair), "json", pair) == d
+
+
+def test_json_writer_matches_json_dumps_on_specials_and_empty_diagrams():
+    pair = plane()
+    d = canonicalize([(pair.point(-0.0, 1e16), 2**70), (pair.point(5e-324, 1e-300), 1),
+                      pair.point(0.0, 2.0)], pair)
+    text = write_diagram(d, "json")
+    assert text == _dumps_form(d, None)
+    assert "[-0.0, 1e+16]" in text and "[5e-324, 1e-300]" in text and str(2**70) in text
+    for p in (pair, PlaneDiagonal(2, "sup"), HalfLineOrigin()):
+        e = empty_diagram(p)
+        assert write_diagram(e, "json", p) == _dumps_form(e, p)
+        assert write_diagram(e, "json") == f'{{"points": [], "space": "{p.space_id}"}}'
+    # only a Diagram built directly holds these; json writes its own tokens
+    raw = Diagram(pair.space_id, np.array([[0.0, math.inf], [math.nan, -math.inf]]), (1, 3))
+    text = write_diagram(raw, "json", pair)
+    assert text == _dumps_form(raw, pair)
+    assert "[0.0, Infinity]" in text and "[NaN, -Infinity]" in text

@@ -1,9 +1,11 @@
 """Metric pair descriptors: distances, projections, geodesics, quotients."""
 
 import copy
+import dataclasses
 import json
 import math
 import pickle
+import weakref
 from decimal import Decimal
 from fractions import Fraction
 
@@ -31,6 +33,7 @@ from pdmetric import (
     canonicalize,
     dense_family,
     greedy_eps_net,
+    matching_from_json,
     midpoint_check,
     quotient_distance,
     quotient_geodesic,
@@ -58,6 +61,33 @@ def test_basepoint_survives_copy_and_pickle():
     assert copy.deepcopy(BASEPOINT) is BASEPOINT
     assert copy.deepcopy([BASEPOINT, (BASEPOINT,)]) == [BASEPOINT, (BASEPOINT,)]
     assert pickle.loads(pickle.dumps(BASEPOINT)) is BASEPOINT
+
+
+def test_point_is_slotted_frozen_and_pickles_to_its_constructor():
+    """A Point has no instance dict and cannot be changed; -0.0 and 0.0
+    give equal, equally hashed points with their own repr; it pickles and
+    copies, alone or inside a read Matching; it takes a weak reference."""
+    pair = PlaneDiagonal()
+    p, q = pair.point(-0.0, 2.5), pair.point(0.0, 2.5)
+    assert not hasattr(p, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.coords = (1.0, 2.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del p.space_id
+    assert p == q and hash(p) == hash(q)
+    assert (repr(p), repr(q)) == ("(-0.0, 2.5)", "(0.0, 2.5)")
+    assert p == Point(pair.space_id, (-0.0, 2.5)) and p != Point("other", (-0.0, 2.5))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(p, protocol))
+        assert type(back) is Point and back == p and repr(back) == repr(p)
+    assert repr(copy.deepcopy(p)) == repr(copy.copy(p)) == "(-0.0, 2.5)"
+    read = matching_from_json('{"p": "inf", "pairs": [{"left": [-0.0, 2.5], "right": "A", '
+                              '"cost": 1.25}]}', pair)
+    back = pickle.loads(pickle.dumps(read))
+    assert back == read and back.pairs[0].left == p and repr(back.pairs[0].left) == repr(p)
+    assert back.pairs[0].right is BASEPOINT
+    ref = weakref.ref(p)
+    assert ref() is p
 
 
 def test_point_validation_plane():

@@ -2,7 +2,7 @@
 source trees of pdmetric in one process.
 
     python3 tools/ab.py PARENT_SRC CHANGE_SRC [--workload dense-solve] [--best 5] [--smoke]
-                        [--slots SUBSTR]
+                        [--slots SUBSTR] [--gc]
     python3 tools/ab.py PARENT_SRC CHANGE_SRC --memory [--workload dense-solve] [--smoke]
 
 PARENT_SRC and CHANGE_SRC are ``src`` directories, such as ``src`` of this
@@ -18,7 +18,10 @@ more runs in the same time.
 
 It prints, per slot, the parent's and the change's ms (summed over the
 slot's variants), the ratio change / parent of those sums and the range of
-the per-variant ratios, then the totals.  It exits 1 if any op's output
+the per-variant ratios, then the totals.  With ``--gc`` a second table
+follows: per slot, the garbage collections of generations 0 and 2 that
+``gc.get_stats()`` counts around the timed runs of the slot's ops, summed
+over its variants and runs, on each tree, then their totals.  It exits 1 if any op's output
 digest differs between the two trees, naming the op.  A paired best-of-N in
 one process resolves gains far below the benchmark's run-to-run spread; it
 does not replace the benchmark's gates.
@@ -34,6 +37,7 @@ The digests are checked as above.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import importlib.util
 import os
@@ -85,25 +89,37 @@ def load_workloads():
     return module
 
 
+def collections() -> tuple[int, int]:
+    """The garbage collections of generations 0 and 2 so far."""
+    stats = gc.get_stats()
+    return stats[0]["collections"], stats[2]["collections"]
+
+
 def best_times(trees, ops, keys, best):
-    """Each op's best time (s) per tree over ``best`` interleaved runs, and
-    the output digest of its first run on each tree."""
+    """Each op's best time (s) per tree over ``best`` interleaved runs, the
+    output digest of its first run on each tree, and the generation 0 and
+    2 collections taken during its runs on each tree."""
     times = {key: [float("inf"), float("inf")] for key in keys}
     digests = {key: [None, None] for key in keys}
+    collected = {key: [(0, 0), (0, 0)] for key in keys}
     runs = 0
     for rep in range(best):
         for key in keys:
             for side in ((0, 1) if runs % 2 == 0 else (1, 0)):
                 install(trees[side])
                 op = ops[side][key]
+                before = collections()
                 t0 = time.perf_counter()
                 res = op.run()
                 dt = time.perf_counter() - t0
+                after = collections()
                 times[key][side] = min(times[key][side], dt)
+                gen0, gen2 = collected[key][side]
+                collected[key][side] = (gen0 + after[0] - before[0], gen2 + after[1] - before[1])
                 if rep == 0:
                     digests[key][side] = op.digest(res)
             runs += 1
-    return times, digests
+    return times, digests, collected
 
 
 def traced_peaks(trees, ops, keys):
@@ -143,9 +159,13 @@ def main(argv=None) -> int:
                     help="traced peak memory of one untimed run per op instead of times")
     ap.add_argument("--slots", default="", metavar="SUBSTR",
                     help="only the slots whose name contains SUBSTR")
+    ap.add_argument("--gc", action="store_true",
+                    help="also print the gen0 and gen2 collections around the timed runs")
     args = ap.parse_args(argv)
     if args.best < 1:
         ap.error("--best must be at least 1")
+    if args.gc and args.memory:
+        ap.error("--gc counts around timed runs; it does not go with --memory")
 
     wl = load_workloads()
     slots = [slot for slot in wl.SLOTS[args.workload] if args.slots in slot]
@@ -166,7 +186,7 @@ def main(argv=None) -> int:
         # a slot's peak is the largest of its variants', not their sum
         unit, scale, combine, last = "MiB", 1.0 / (1 << 20), max, "max"
     else:
-        measured, digests = best_times(trees, ops, keys, args.best)
+        measured, digests, collected = best_times(trees, ops, keys, args.best)
         unit, scale, combine, last = "ms", 1e3, sum, "total"
     print(f"{'slot':<16} {'parent ' + unit:>10} {'change ' + unit:>10} {'ratio':>7}  variant ratios")
     total = [0.0, 0.0]
@@ -177,6 +197,13 @@ def main(argv=None) -> int:
         total = [combine((total[0], a)), combine((total[1], b))]
         print(f"{slot:<16} {a:10.2f} {b:10.2f} {b / a:7.3f}  {min(ratios):.3f}-{max(ratios):.3f}")
     print(f"{last:<16} {total[0]:10.2f} {total[1]:10.2f} {total[1] / total[0]:7.3f}")
+    if args.gc:
+        print(f"{'slot':<16} {'parent gen0':>11} {'parent gen2':>11} {'change gen0':>11} "
+              f"{'change gen2':>11}")
+        for slot in slots + ["total"]:
+            # each key's (parent gen0, parent gen2, change gen0, change gen2)
+            rows = [sum(collected[key], ()) for key in keys if slot in (key[0], "total")]
+            print(f"{slot:<16} " + " ".join(f"{sum(column):11d}" for column in zip(*rows)))
     differ = [key for key in keys if digests[key][0] != digests[key][1]]
     for slot, variant in differ:
         print(f"ab: {slot}/{variant}: output {digests[(slot, variant)][1]} != parent "
