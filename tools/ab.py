@@ -21,10 +21,10 @@ slot's variants), the ratio change / parent of those sums and the range of
 the per-variant ratios, then the totals.  With ``--gc`` a second table
 follows: per slot, the garbage collections of generations 0 and 2 that
 ``gc.get_stats()`` counts around the timed runs of the slot's ops, summed
-over its variants and runs, on each tree, then their totals.  It exits 1 if any op's output
-digest differs between the two trees, naming the op.  A paired best-of-N in
-one process resolves gains far below the benchmark's run-to-run spread; it
-does not replace the benchmark's gates.
+over its variants and runs, on each tree, then their totals.  It exits 1
+if any op's output digest differs between the two trees, naming the op.
+A paired best-of-N in one process resolves gains far below the
+benchmark's run-to-run spread; it does not replace the benchmark's gates.
 
 With ``--memory`` each op instead runs once per tree under ``tracemalloc``,
 untimed, and the table holds, per slot, the largest traced peak (MiB) of the
@@ -201,7 +201,8 @@ def main(argv=None) -> int:
         print(f"{'slot':<16} {'parent gen0':>11} {'parent gen2':>11} {'change gen0':>11} "
               f"{'change gen2':>11}")
         for slot in slots + ["total"]:
-            # each key's (parent gen0, parent gen2, change gen0, change gen2)
+            # each op's (parent gen0, parent gen2, change gen0, change gen2);
+            # the total row takes every op
             rows = [sum(collected[key], ()) for key in keys if slot in (key[0], "total")]
             print(f"{slot:<16} " + " ".join(f"{sum(column):11d}" for column in zip(*rows)))
     differ = [key for key in keys if digests[key][0] != digests[key][1]]
